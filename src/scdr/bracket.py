@@ -12,16 +12,14 @@ temporarily use the Gamma pair (gamma, eta) and are integrated out.
 
 from __future__ import annotations
 
-from .scalars import QI, ONE, hmono_parity, hmono_get, hmono_trim
-from .terms import (B_KIND, PSI_KIND, Generator, NormalForm, gens_parity,
-                    nf_zero, nf_one, nf_mono, nf_add, nf_neg, nf_scale,
-                    nf_mul, nf_apply_gen, unit_cf, apply_S, apply_T,
-                    HPoly, hp_zero, hp_from, hp_add, hp_sub, hp_neg,
-                    hp_scale, hp_mul_lambda, hp_mul_mono, hp_op_T,
-                    hp_op_S, hp_op_lambda_plus_T, hp_op_chi_plus_S,
-                    hp_nf_mul_right, hp_nf_mul_left, hp_reindex_to_gamma,
+from .scalars import QI, ONE, HMONO_ONE, hmono_parity, _min_exact
+from .terms import (PSI_KIND, Generator, NormalForm, gens_parity, nf_one,
+                    nf_mono, nf_apply_gen, unit_cf, HPoly, hp_zero, hp_add,
+                    hp_sub, hp_neg, hp_scale, hp_mul_lambda, hp_mul_mono,
+                    hp_op_lambda_plus_T, hp_op_chi_plus_S, hp_nf_mul_right,
+                    hp_nf_mul_left, hp_reindex_to_gamma,
                     hp_subst_gamma_plus_lambda, hp_integrate_wick,
-                    hp_integrate_qc, nf_from_terms)
+                    _lambda_only)
 
 _BR_CACHE = {}
 
@@ -34,16 +32,14 @@ def lambda_bracket(a, b):
     """[a_Lambda b] for states a, b; bilinear over Q(i)."""
     dim, cutoff = a.dim, a.cutoff
     out = hp_zero(dim, cutoff)
-    exact = None
-    from .scalars import _min_exact
     exact = _min_exact(a.exact_to, b.exact_to)
     for g1, c1 in a.terms.items():
         for g2, c2 in b.terms.items():
             out = hp_add(out, bracket_mono(dim, cutoff, (c1, g1), (c2, g2)))
     if exact is not None:
         # carry the input truncation even if every term cancels
-        marker = nf_from_terms(dim, cutoff, {}, exact)
-        out = hp_add(out, HPoly(dim, cutoff, {(): marker}))
+        marker = NormalForm(dim, cutoff, {}, exact)
+        out = hp_add(out, HPoly(dim, cutoff, {HMONO_ONE: marker}))
     return out
 
 
@@ -74,7 +70,7 @@ def _bracket_mono(dim, cutoff, m1, m2):
         return _atomic_bracket(dim, cutoff, m1, m2)
     # left argument composite, right atomic: flip by skew-symmetry
     flipped = bracket_mono(dim, cutoff, m2, m1)
-    return skew_transform(flipped, gens_parity(g1), gens_parity(g2))
+    return skew(flipped, gens_parity(g1), gens_parity(g2))
 
 
 def _atomic_bracket(dim, cutoff, m1, m2):
@@ -103,7 +99,7 @@ def _atomic_deriv_left(dim, cutoff, g, m2):
     if g.s:
         inner = _atomic_deriv_left(dim, cutoff,
                                    Generator(g.kind, g.index, 0, 0), m2)
-        return hp_mul_mono(inner, ((0, 1),), extraction_parity=False)
+        return hp_mul_mono(inner, (0, 1, 0, 0), extraction_parity=False)
     return _atomic_deriv_right(dim, cutoff, g, m2)
 
 
@@ -116,7 +112,7 @@ def _atomic_deriv_right(dim, cutoff, x, m2):
             d = f2.partial(x.index)
             if d.is_zero() and d.exact_to is None:
                 return hp_zero(dim, cutoff)
-            return HPoly(dim, cutoff, {(): nf_mono(dim, cutoff, d, ())})
+            return HPoly(dim, cutoff, {HMONO_ONE: nf_mono(dim, cutoff, d, ())})
         return hp_zero(dim, cutoff)
     h = g2[0]
     p = _strip_right(dim, cutoff, x, h)
@@ -142,42 +138,44 @@ def _strip_right(dim, cutoff, x, h):
         return out
     # base pairing of underived generators
     if x.kind != h.kind and x.index == h.index:
-        return HPoly(dim, cutoff, {(): nf_one(dim, cutoff)})
+        return HPoly(dim, cutoff, {HMONO_ONE: nf_one(dim, cutoff)})
     return hp_zero(dim, cutoff)
 
 
 def _wick(dim, cutoff, a, b, c_gen):
     """[a_L b c] by the non-commutative Wick formula, c a generator."""
     one = unit_cf(dim, cutoff)
-    c_mono = (one, (c_gen,))
-    pa = gens_parity(a[1])
-    pb = gens_parity(b[1])
     ab = bracket_mono(dim, cutoff, a, b)
-    ac = bracket_mono(dim, cutoff, a, c_mono)
+    ac = bracket_mono(dim, cutoff, a, (one, (c_gen,)))
     # [a_L b] c
-    c_nf = nf_mono(dim, cutoff, one, (c_gen,))
     t1 = HPoly(dim, cutoff,
                {m: nf_apply_gen(dim, cutoff, nf, c_gen)
                 for m, nf in ab.terms.items()})
-    # (-1)^{(p(a)+1) p(b)} b [a_L c]
-    b_nf = nf_mono(dim, cutoff, b[0], b[1])
-    t2 = hp_nf_mul_left(ac, b_nf, pb)
+    return hp_add(t1, _wick_tail(ab, ac, gens_parity(a[1]),
+                                 nf_mono(dim, cutoff, b[0], b[1]),
+                                 gens_parity(b[1]),
+                                 nf_mono(dim, cutoff, one, (c_gen,))))
+
+
+def _wick_tail(ab, ac, pa, b, pb, c):
+    """The Wick terms of [a_L :b c:] after [a_L b] c, from ab = [a_L b]
+    and ac = [a_L c]: (-1)^{(p(a)+1) p(b)} b [a_L c] plus the integral
+    of [[a_L b]_Gamma c] from 0 to Lambda."""
+    t2 = hp_nf_mul_left(ac, b, pb)
     if ((pa + 1) * pb) & 1:
         t2 = hp_neg(t2)
-    # integral term: sum over monomials of [a_L b]
-    t3 = hp_zero(dim, cutoff)
+    t3 = hp_zero(ab.dim, ab.cutoff)
     for m, d_nf in ab.terms.items():
-        inner = lambda_bracket(d_nf, c_nf)
+        inner = lambda_bracket(d_nf, c)
         if not inner.terms:
             continue
         inner = hp_reindex_to_gamma(inner)
         inner = hp_mul_mono(inner, m, extraction_parity=True)
         t3 = hp_add(t3, inner)
-    t3 = hp_integrate_wick(t3)
-    return hp_add(hp_add(t1, t2), t3)
+    return hp_add(t2, hp_integrate_wick(t3))
 
 
-def skew_transform(p, parity_a, parity_b):
+def skew(p, parity_a, parity_b):
     """Given [a_Gamma b] computed in the Lambda pair, return
     (-1)^{p(a) p(b)} [a_{-Lambda-grad} b], the skew image [b_Lambda a].
 
@@ -187,10 +185,8 @@ def skew_transform(p, parity_a, parity_b):
     dim, cutoff = p.dim, p.cutoff
     out = hp_zero(dim, cutoff)
     for m, nf in p.terms.items():
-        if len(hmono_trim(m)) > 1:
-            raise ValueError("skew input must be a pure-Lambda polynomial")
-        k, K = hmono_get(m, 0)
-        q = HPoly(dim, cutoff, {(): nf})
+        k, K = _lambda_only(m)
+        q = HPoly(dim, cutoff, {HMONO_ONE: nf})
         if K:
             q = hp_op_chi_plus_S(q)
         q = hp_op_lambda_plus_T(q, repeat=k)
@@ -202,35 +198,33 @@ def skew_transform(p, parity_a, parity_b):
     return out
 
 
-def skew(p, parity_a, parity_b):
-    """Public alias of skew_transform."""
-    return skew_transform(p, parity_a, parity_b)
-
-
 def wick(a, b, c):
     """[a_L :bc:] assembled from the three Wick terms, for states whose
     product :bc: need not be reassociated first."""
-    dim, cutoff = a.dim, a.cutoff
     pa = a.parity()
     pb = b.parity()
     if pa is None or pb is None:
         raise ValueError("wick needs homogeneous arguments")
     ab = lambda_bracket(a, b)
-    ac = lambda_bracket(a, c)
-    t1 = hp_nf_mul_right(ab, c)
-    t2 = hp_nf_mul_left(ac, b, pb)
-    if ((pa + 1) * pb) & 1:
-        t2 = hp_neg(t2)
-    t3 = hp_zero(dim, cutoff)
-    for m, d_nf in ab.terms.items():
-        inner = lambda_bracket(d_nf, c)
-        if not inner.terms:
-            continue
-        inner = hp_reindex_to_gamma(inner)
-        inner = hp_mul_mono(inner, m, extraction_parity=True)
-        t3 = hp_add(t3, inner)
-    t3 = hp_integrate_wick(t3)
-    return hp_add(hp_add(t1, t2), t3)
+    return hp_add(hp_nf_mul_right(ab, c),
+                  _wick_tail(ab, lambda_bracket(a, c), pa, b, pb, c))
+
+
+def _bracket_into(x, px, p, to_gamma):
+    """The bracket of x with a bracket value p = sum m (x) d: each
+    [x_ d] times m, with a sign when m is odd and x even.  The brackets
+    [x_ d] stay in the Lambda pair, or move to Gamma when to_gamma is
+    set."""
+    out = hp_zero(p.dim, p.cutoff)
+    for m, d_nf in p.terms.items():
+        q = lambda_bracket(x, d_nf)
+        if to_gamma:
+            q = hp_reindex_to_gamma(q)
+        q = hp_mul_mono(q, m, extraction_parity=False)
+        if hmono_parity(m) and not px & 1:
+            q = hp_neg(q)
+        out = hp_add(out, q)
+    return out
 
 
 def jacobi_defect(a, b, c):
@@ -243,14 +237,8 @@ def jacobi_defect(a, b, c):
         raise ValueError("jacobi_defect needs homogeneous arguments")
 
     # X1 = [a_L [b_G c]]
-    inner_bc = hp_reindex_to_gamma(lambda_bracket(b, c))
-    x1 = hp_zero(dim, cutoff)
-    for m, d_nf in inner_bc.terms.items():
-        q = lambda_bracket(a, d_nf)
-        q = hp_mul_mono(q, m, extraction_parity=False)
-        if (hmono_parity(m) * ((pa + 1) & 1)) & 1:
-            q = hp_neg(q)
-        x1 = hp_add(x1, q)
+    x1 = _bracket_into(a, pa, hp_reindex_to_gamma(lambda_bracket(b, c)),
+                       False)
 
     # X2 = [[a_L b]_{G+L} c]
     ab = lambda_bracket(a, b)
@@ -263,14 +251,7 @@ def jacobi_defect(a, b, c):
         x2 = hp_add(x2, q)
 
     # X3 = [b_G [a_L c]]
-    ac = lambda_bracket(a, c)
-    x3 = hp_zero(dim, cutoff)
-    for m, d_nf in ac.terms.items():
-        q = hp_reindex_to_gamma(lambda_bracket(b, d_nf))
-        q = hp_mul_mono(q, m, extraction_parity=False)
-        if (hmono_parity(m) * ((pb + 1) & 1)) & 1:
-            q = hp_neg(q)
-        x3 = hp_add(x3, q)
+    x3 = _bracket_into(b, pb, lambda_bracket(a, c), True)
 
     out = x1
     if pa & 1:

@@ -1,8 +1,10 @@
-"""Command-line interface: expression queries and verification suites.
+"""Command-line interface: expression queries and the verification
+suites of scdr.suites.
 
 Exit code 0 means every check in the invocation passed, 1 means a
-verification failed, 2 means bad input.  Output is deterministic for
-identical inputs.
+verification failed, 2 means bad input, and 3 means no check failed but
+one was inconclusive: certified through a negative degree only.  Output
+is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -10,254 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
-from .scalars import QI, CoeffFunction, render_qi, hmono_render
-from .terms import (Algebra, Generator, B_KIND, PSI_KIND,
-                    nf_scale, nf_sum, nf_mul, nf_add, apply_S, apply_T,
-                    hp_from, hp_sub, hp_scale, HPoly, nf_scalar,
-                    render_nf, render_hpoly)
-from .bracket import lambda_bracket, skew, jacobi_defect
+from .scalars import hmono_render
+from .terms import Algebra, render_nf, render_hpoly
+from .bracket import lambda_bracket
 from .parser import (parse_expression, parse_bracket_query, looks_like_query,
                      ParseError)
-from .superconf import StructureReport, check_ns_against, check_n2, check_n4
-from .geometry import (MetricData, build_H, build_H0, build_J,
-                       flat_complex_structure, quaternionic_triple_flat,
-                       load_geometry, check_coordinate_change)
-from .components import (check_n1_components, check_n2_components,
-                         check_n4_components)
-
-
-# -- verification suites ---------------------------------------------
-
-
-def _charge_report(name, c, dim):
-    want = QI(3 * dim)
-    return StructureReport(name, c == want, central_charge=c,
-                           details=("expected 3 x dim = %s"
-                                    % render_qi(want),))
-
-
-def run_ns_suite(metric, drop_potential=False):
-    """Closure of the candidate current on the metric's own
-    superconformal vector; dropping the potential on a curved metric
-    is the control that must fail."""
-    target = build_H(metric)
-    if drop_potential:
-        candidate = build_H0(metric.dim, metric.cutoff)
-    else:
-        candidate = target
-    rep = check_ns_against(candidate, target, name="ns")
-    return [rep, _charge_report("ns/central-charge", rep.central_charge,
-                                metric.dim)]
-
-
-def _diff_report(name, diff):
-    gd = diff.exact_to() if isinstance(diff, HPoly) else diff.exact_to
-    ok = diff.is_zero_through(gd)
-    return StructureReport(name, ok, guaranteed_degree=gd,
-                           residual=None if ok else diff)
-
-
-def run_n2_suite(metric, omega, holo_split=None):
-    """N=2 structure of a complex-structure current.  With a known
-    holomorphic/antiholomorphic coordinate split the suite also checks
-    the quadratic intermediate brackets entering the closure proof."""
-    h = build_H(metric)
-    j = build_J(omega, metric)
-    rep = check_n2(h, j, name="n2")
-    out = [rep, _charge_report("n2/central-charge", rep.central_charge,
-                               metric.dim)]
-    if holo_split is None:
-        return out
-    n = holo_split
-    dim, cutoff = metric.dim, metric.cutoff
-    alg = Algebra(dim, cutoff)
-    pot = metric.logdet_half
-
-    def quad_report(name, indices):
-        # [H_L sum :SB^a Psi_a:] closes on the weight-one shape up to
-        # a lambda chi correction by the potential gradient
-        x = nf_sum([nf_mul(alg.SB(a), alg.Psi(a)) for a in indices],
-                   dim, cutoff)
-        grad = nf_sum([nf_mul(alg.coeff_nf(pot.partial(a)), alg.SB(a))
-                       for a in indices], dim, cutoff)
-        rhs = hp_from(dim, cutoff, [
-            ((), nf_scale(apply_T(x), 2)),
-            (((1, 0),), nf_scale(x, 2)),
-            (((0, 1),), apply_S(x)),
-            (((1, 1),), nf_scale(grad, -1)),
-        ])
-        return _diff_report(name, hp_sub(lambda_bracket(h, x), rhs))
-
-    out.append(quad_report("n2/holomorphic-quadratic", range(1, n + 1)))
-    out.append(quad_report("n2/antiholomorphic-quadratic",
-                           range(n + 1, dim + 1)))
-
-    # expanded self-bracket:
-    # [J_L J] = -:TB^i Psi_i: - :SB^i SPsi_i: + ST(pot) - dim lambda chi
-    body = nf_sum([nf_add(nf_mul(alg.TB(i), alg.Psi(i)),
-                          nf_mul(alg.SB(i), alg.SPsi(i)))
-                   for i in range(1, dim + 1)], dim, cutoff)
-    const = nf_add(nf_scale(body, -1), apply_S(apply_T(alg.coeff_nf(pot))))
-    rhs = hp_from(dim, cutoff, [
-        ((), const),
-        (((1, 1),), nf_scalar(dim, cutoff, QI(-dim))),
-    ])
-    out.append(_diff_report("n2/self-bracket-expansion",
-                            hp_sub(lambda_bracket(j, j), rhs)))
-    return out
-
-
-def raising_current(eta, half):
-    """The charge-raising current of a complex structure that maps
-    holomorphic into antiholomorphic directions: its upper-right block
-    contracted into :SB Psi: pairs."""
-    dim, cutoff = eta.dim, eta.cutoff
-    alg = Algebra(dim, cutoff)
-    parts = []
-    for a in range(half):
-        for b in range(half):
-            w = eta.omega[a][half + b]
-            if w.is_zero() and w.exact_to is None:
-                continue
-            parts.append(nf_mul(nf_mul(alg.coeff_nf(w), alg.SB(a + 1)),
-                                alg.Psi(half + b + 1)))
-    return nf_sum(parts, dim, cutoff)
-
-
-def run_n4_suite(metric, triple):
-    """N=4 structure of a quaternionic triple (I, J, K = IJ); the
-    three currents use the oriented frame (I, J, JI)."""
-    I, J, K = triple
-    h = build_H(metric)
-    j0 = build_J(I, metric)
-    j1 = build_J(J, metric)
-    j2 = build_J(K.scale(QI(-1)), metric)
-    rep = check_n4(h, j0, j1, j2, name="n4")
-    out = [rep, _charge_report("n4/central-charge", rep.central_charge,
-                               metric.dim)]
-    # [J0_L J+] = i (S + 2 chi) J+ for the raising current of J
-    dim, cutoff = metric.dim, metric.cutoff
-    jp = raising_current(J, dim // 2)
-    rhs = hp_scale(hp_from(dim, cutoff,
-                           [((), apply_S(jp)),
-                            (((0, 1),), nf_scale(jp, 2))]), QI(0, 1))
-    out.append(_diff_report("n4/raising-current",
-                            hp_sub(lambda_bracket(j0, jp), rhs)))
-    return out
-
-
-def run_components_suite(dim, cutoff):
-    """Component dictionaries on flat space: N=1 always, N=2 when the
-    dimension is even, N=4 when it is a multiple of four."""
-    out = [check_n1_components(build_H(MetricData.flat(dim, cutoff)))]
-    if dim % 2 == 0:
-        n = dim // 2
-        mc = MetricData.flat_complexified(n, cutoff)
-        out.append(check_n2_components(
-            build_H(mc), build_J(flat_complex_structure(n, cutoff), mc)))
-    if dim % 4 == 0:
-        n = dim // 4
-        mc = MetricData.flat_complexified(2 * n, cutoff)
-        I, J, K = quaternionic_triple_flat(n, cutoff)
-        out.append(check_n4_components(
-            build_H(mc), build_J(I, mc), build_J(J, mc),
-            build_J(K.scale(QI(-1)), mc)))
-    return out
-
-
-def run_coordchange_suite(changes):
-    out = []
-    for name in sorted(changes):
-        rep = check_coordinate_change(changes[name])
-        rep.name = "coordchange/%s" % name
-        out.append(rep)
-    return out
-
-
-def _random_coeff(rng, dim, cutoff, degree):
-    terms = {}
-    for _ in range(rng.randint(1, 2)):
-        e = [0] * dim
-        for _ in range(rng.randint(0, degree)):
-            e[rng.randint(0, dim - 1)] += 1
-        q = QI(rng.randint(-3, 3), rng.choice((0, 0, 0, 1)))
-        if q:
-            terms[tuple(e)] = q
-    if not terms:
-        terms[(0,) * dim] = QI(1)
-    return CoeffFunction(dim, cutoff, terms)
-
-
-def random_state(rng, alg, parity, max_monos=2, max_factors=2,
-                 coeff_degree=1):
-    """A random homogeneous normal-form state of the given parity."""
-    dim, cutoff = alg.dim, alg.cutoff
-    for _ in range(200):
-        monos = []
-        for _ in range(rng.randint(1, max_monos)):
-            nf = alg.coeff_nf(_random_coeff(rng, dim, cutoff, coeff_degree))
-            for _ in range(rng.randint(0, max_factors)):
-                g = Generator(rng.choice((B_KIND, PSI_KIND)),
-                              rng.randint(1, dim),
-                              rng.choice((0, 0, 1)),
-                              rng.choice((0, 0, 1)))
-                nf = nf_mul(nf, alg.nf_gen(g.kind, g.index, g.t, g.s))
-            monos.append(nf)
-        state = nf_sum(monos, dim, cutoff)
-        if state.parity() == parity:
-            return state
-    raise RuntimeError("could not draw a homogeneous state")
-
-
-def run_jacobi_suite(dim, cutoff, seed, pairs=40, triples=20):
-    """Randomized axiom checks: skew-symmetry on pairs, the Jacobi
-    defect on triples, and stability of normalization under a render
-    and parse round trip for every state drawn."""
-    rng = random.Random(seed)
-    alg = Algebra(dim, cutoff)
-    states = []
-
-    skew_bad = 0
-    for _ in range(pairs):
-        a = random_state(rng, alg, rng.randint(0, 1))
-        b = random_state(rng, alg, rng.randint(0, 1))
-        states.extend((a, b))
-        d = hp_sub(lambda_bracket(b, a),
-                   skew(lambda_bracket(a, b), a.parity(), b.parity()))
-        if not d.is_zero_through(d.exact_to()):
-            skew_bad += 1
-
-    jac_bad = 0
-    for _ in range(triples):
-        a = random_state(rng, alg, rng.randint(0, 1))
-        b = random_state(rng, alg, rng.randint(0, 1))
-        c = random_state(rng, alg, rng.randint(0, 1))
-        states.extend((a, b, c))
-        d = jacobi_defect(a, b, c)
-        if not d.is_zero_through(d.exact_to()):
-            jac_bad += 1
-
-    idem_bad = 0
-    for s in states:
-        t = alg.normalize(parse_expression(render_nf(s), dim, cutoff))
-        u = alg.normalize(parse_expression(render_nf(t), dim, cutoff))
-        if t != s or u != t:
-            idem_bad += 1
-
-    return [
-        StructureReport("jacobi/skew-symmetry", skew_bad == 0,
-                        details=("%d of %d pairs exact"
-                                 % (pairs - skew_bad, pairs),)),
-        StructureReport("jacobi/jacobi-identity", jac_bad == 0,
-                        details=("%d of %d triples normalize to 0"
-                                 % (triples - jac_bad, triples),)),
-        StructureReport("jacobi/normalize-idempotent", idem_bad == 0,
-                        details=("%d of %d states stable"
-                                 % (len(states) - idem_bad, len(states)),)),
-    ]
+from .geometry import (MetricData, flat_complex_structure,
+                       quaternionic_triple_flat, load_geometry)
+from .suites import (run_ns_suite, run_n2_suite, run_n4_suite,
+                     run_components_suite, run_coordchange_suite,
+                     run_jacobi_suite)
 
 
 # -- command implementations -----------------------------------------
@@ -272,14 +38,14 @@ def _hpoly_json(p):
     return {"terms": terms, "guaranteed_degree": p.exact_to()}
 
 
-def _reject_imaginary(nf, config):
-    if config["scalar_ring"] != "rational":
-        return None
-    for cf in nf.terms.values():
-        for q in cf.terms.values():
-            if q.im:
-                return "imaginary scalar under --scalar-ring rational"
-    return None
+def _check_state(nf, config):
+    """ValueError unless nf is homogeneous and, under the rational
+    ring, free of imaginary scalars."""
+    if nf.parity() is None:
+        raise ValueError("expression is not homogeneous")
+    if config["scalar_ring"] == "rational" and any(
+            q.im for cf in nf.terms.values() for q in cf.terms.values()):
+        raise ValueError("imaginary scalar under --scalar-ring rational")
 
 
 def cmd_bracket(args, config):
@@ -301,17 +67,11 @@ def cmd_bracket(args, config):
             return 2
         a = alg.normalize(left)
         b = alg.normalize(right)
+        _check_state(a, config)
+        _check_state(b, config)
     except (ParseError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
-    for x in (a, b):
-        if x.parity() is None:
-            print("error: expression is not homogeneous", file=sys.stderr)
-            return 2
-        msg = _reject_imaginary(x, config)
-        if msg:
-            print("error: %s" % msg, file=sys.stderr)
-            return 2
     p = lambda_bracket(a, b)
     if config["format"] == "json":
         print(json.dumps(_hpoly_json(p), sort_keys=True, indent=2))
@@ -324,15 +84,9 @@ def cmd_normalize(args, config):
     alg = Algebra(config["dim"], config["cutoff"])
     try:
         nf = alg.normalize(parse_expression(args.expr, alg.dim, alg.cutoff))
+        _check_state(nf, config)
     except (ParseError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
-        return 2
-    if nf.parity() is None:
-        print("error: expression is not homogeneous", file=sys.stderr)
-        return 2
-    msg = _reject_imaginary(nf, config)
-    if msg:
-        print("error: %s" % msg, file=sys.stderr)
         return 2
     if config["format"] == "json":
         print(json.dumps({"normal_form": render_nf(nf),
@@ -345,9 +99,18 @@ def cmd_normalize(args, config):
 
 def _suite_inputs(args, config):
     dim, cutoff = config["dim"], config["cutoff"]
+
+    def load(path):
+        # a typed --cutoff must agree with the file's own
+        doc = load_geometry(path)
+        if args.cutoff is not None and doc.metric.cutoff != args.cutoff:
+            raise ValueError("--cutoff %d conflicts with cutoff %d in %s"
+                             % (args.cutoff, doc.metric.cutoff, path))
+        return doc
+
     geo = None
     if args.metric and args.metric != "flat":
-        geo = load_geometry(args.metric)
+        geo = load(args.metric)
         dim, cutoff = geo.metric.dim, geo.metric.cutoff
     metric = geo.metric if geo else MetricData.flat(dim, cutoff)
     tensors = dict(geo.tensors) if geo else {}
@@ -356,12 +119,12 @@ def _suite_inputs(args, config):
         name, _, path = binding.partition("=")
         if not path:
             raise ValueError("--tensor expects name=path")
-        sub = load_geometry(path)
+        sub = load(path)
         if name not in sub.tensors:
             raise ValueError("no tensor %r in %s" % (name, path))
         tensors[name] = sub.tensors[name]
     if args.change:
-        sub = load_geometry(args.change)
+        sub = load(args.change)
         if not sub.changes:
             raise ValueError("no coordinate changes in %s" % args.change)
         changes.update(sub.changes)
@@ -414,7 +177,6 @@ def cmd_verify(args, config):
         reports = run_coordchange_suite(changes)
     else:
         reports = run_jacobi_suite(dim, cutoff, args.seed)
-    ok = all(r.verdict for r in reports)
     if config["format"] == "json":
         print(json.dumps([r.to_json() for r in reports], indent=2,
                          sort_keys=True))
@@ -422,7 +184,9 @@ def cmd_verify(args, config):
         for r in reports:
             for line in r.text_lines():
                 print(line)
-    return 0 if ok else 1
+    if not all(r.verdict or r.inconclusive for r in reports):
+        return 1
+    return 3 if any(r.inconclusive for r in reports) else 0
 
 
 def _common_flags(p, top):
@@ -432,8 +196,8 @@ def _common_flags(p, top):
     d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
     p.add_argument("--dim", type=int, default=d(1),
                    help="number of superfield pairs (default 1)")
-    p.add_argument("--cutoff", type=int,
-                   default=d(int(os.environ.get("SCDR_CUTOFF", "8"))),
+    # None marks an untyped --cutoff; main resolves it
+    p.add_argument("--cutoff", type=int, default=d(None),
                    help="series truncation degree (default 8, or "
                         "SCDR_CUTOFF)")
     p.add_argument("--scalar-ring", default=d("gaussian-rational"),
@@ -483,11 +247,14 @@ def main(argv=None):
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
+    cutoff = args.cutoff
+    if cutoff is None:
+        cutoff = int(os.environ.get("SCDR_CUTOFF", "8"))
     if args.dim < 1:
         parser.error("--dim must be at least 1")
-    if args.cutoff < 0:
+    if cutoff < 0:
         parser.error("--cutoff must be nonnegative")
-    config = {"dim": args.dim, "cutoff": args.cutoff,
+    config = {"dim": args.dim, "cutoff": cutoff,
               "scalar_ring": args.scalar_ring, "format": args.format}
     return args.func(args, config)
 

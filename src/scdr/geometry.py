@@ -11,25 +11,18 @@ from __future__ import annotations
 
 import json
 
-from .scalars import (QI, ONE, as_qi, parse_qi, render_qi,
+from .scalars import (QI, ONE, HMONO_ONE, as_qi, parse_qi, render_qi,
                       CoeffFunction, log_series_normalized,
                       functional_inverse, sum_cf, _matrix_inverse_qi,
                       _min_exact)
 from .terms import (Algebra, nf_mul, nf_sum, nf_sub, apply_S, apply_T,
                     HPoly, nf_one, hp_sub)
 from .bracket import lambda_bracket
-from .superconf import StructureReport
-
-
-def _const_cf(dim, cutoff, value):
-    v = as_qi(value)
-    if not v:
-        return CoeffFunction.zero(dim, cutoff)
-    return CoeffFunction.constant(dim, cutoff, v)
+from .superconf import fold
 
 
 def _identity_matrix(dim, cutoff):
-    return [[_const_cf(dim, cutoff, 1 if i == j else 0)
+    return [[CoeffFunction.constant(dim, cutoff, 1 if i == j else 0)
              for j in range(dim)] for i in range(dim)]
 
 
@@ -49,11 +42,11 @@ def _mat_inverse(M, dim, cutoff):
     n = len(M)
     C0 = [[M[i][j].constant_term() for j in range(n)] for i in range(n)]
     C0inv = _matrix_inverse_qi(C0)
-    N = [[M[i][j] - _const_cf(dim, cutoff, C0[i][j]) for j in range(n)]
-         for i in range(n)]
+    N = [[M[i][j] - CoeffFunction.constant(dim, cutoff, C0[i][j])
+          for j in range(n)] for i in range(n)]
     constant = all(e.is_zero() for row in N for e in row)
-    C0inv_cf = [[_const_cf(dim, cutoff, C0inv[i][j]) for j in range(n)]
-                for i in range(n)]
+    C0inv_cf = [[CoeffFunction.constant(dim, cutoff, C0inv[i][j])
+                 for j in range(n)] for i in range(n)]
     if constant:
         exact = None
         for row in M:
@@ -78,7 +71,7 @@ def _mat_inverse(M, dim, cutoff):
 def _mat_det(M, dim, cutoff):
     """Determinant by minor expansion, memoized over column subsets."""
     n = len(M)
-    one = _const_cf(dim, cutoff, ONE)
+    one = CoeffFunction.constant(dim, cutoff, ONE)
     memo = {}
 
     def minor(r, cols):
@@ -138,11 +131,11 @@ class MetricData:
         coordinates are holomorphic, the last n antiholomorphic, and
         the only nonzero entries pair them."""
         dim = 2 * n
-        g = [[_const_cf(dim, cutoff, 0) for _ in range(dim)]
+        g = [[CoeffFunction.constant(dim, cutoff, 0) for _ in range(dim)]
              for _ in range(dim)]
         for a in range(n):
-            g[a][n + a] = _const_cf(dim, cutoff, 1)
-            g[n + a][a] = _const_cf(dim, cutoff, 1)
+            g[a][n + a] = CoeffFunction.constant(dim, cutoff, 1)
+            g[n + a][a] = CoeffFunction.constant(dim, cutoff, 1)
         return MetricData(dim, cutoff, g)
 
     def is_constant(self):
@@ -182,8 +175,8 @@ class EndoTensor:
     @staticmethod
     def constant(dim, cutoff, rows):
         return EndoTensor(dim, cutoff,
-                          [[_const_cf(dim, cutoff, v) for v in row]
-                           for row in rows])
+                          [[CoeffFunction.constant(dim, cutoff, v)
+                            for v in row] for row in rows])
 
     def compose(self, other):
         """self applied after other, as endomorphisms."""
@@ -200,7 +193,8 @@ class EndoTensor:
         for i in range(self.dim):
             for j in range(self.dim):
                 want = -1 if i == j else 0
-                d = sq[i][j] - _const_cf(self.dim, self.cutoff, want)
+                d = sq[i][j] - CoeffFunction.constant(self.dim, self.cutoff,
+                                                      want)
                 if not d.is_zero_through(d.exact_to):
                     return False
         return True
@@ -402,13 +396,6 @@ def transform_generators(ch):
     return b_new, psi_new
 
 
-def vector_field_action(f, j):
-    """The superfield f(B) Psi_j attached to the vector field f d_j;
-    its super-residue mode implements the Lie action."""
-    alg = Algebra(f.dim, f.cutoff)
-    return nf_mul(alg.coeff_nf(f), alg.Psi(j))
-
-
 def pushforward_metric(ch, metric):
     """The metric in the new coordinates x~:
     g~_kl(x~) = (df^i/dx~^k)(df^j/dx~^l) g_ij(f(x~))."""
@@ -476,7 +463,7 @@ def build_J_in_new_coordinates(omega, metric, ch):
 def _delta_poly(dim, cutoff, equal):
     if not equal:
         return HPoly(dim, cutoff, {})
-    return HPoly(dim, cutoff, {(): nf_one(dim, cutoff)})
+    return HPoly(dim, cutoff, {HMONO_ONE: nf_one(dim, cutoff)})
 
 
 def check_coordinate_change(ch):
@@ -495,43 +482,25 @@ def check_coordinate_change(ch):
     alg = Algebra(n, cutoff)
     b_new, psi_new = transform_generators(ch)
     F = ch.pullback_jacobian()
-    details = []
-    ok = True
-    gd = None
-    residual = None
-
-    def record(label, diff_zero_through, diff_gd, diff):
-        nonlocal ok, gd, residual
-        details.append("%s: %s" % (label,
-                                   "pass" if diff_zero_through else "FAIL"))
-        gd = _min_exact(gd, diff_gd)
-        if not diff_zero_through:
-            ok = False
-            if residual is None:
-                residual = diff
-
+    parts = []
     for i in range(n):
         for j in range(n):
-            d = lambda_bracket(b_new[i], b_new[j])
-            record("[B~%d_L B~%d] = 0" % (i + 1, j + 1),
-                   d.is_zero_through(d.exact_to()), d.exact_to(), d)
-            d = hp_sub(lambda_bracket(b_new[i], psi_new[j]),
-                       _delta_poly(n, cutoff, i == j))
-            record("[B~%d_L Psi~%d] = %d" % (i + 1, j + 1, int(i == j)),
-                   d.is_zero_through(d.exact_to()), d.exact_to(), d)
-            d = lambda_bracket(psi_new[i], psi_new[j])
-            record("[Psi~%d_L Psi~%d] = 0" % (i + 1, j + 1),
-                   d.is_zero_through(d.exact_to()), d.exact_to(), d)
+            parts.append(("[B~%d_L B~%d] = 0" % (i + 1, j + 1),
+                          lambda_bracket(b_new[i], b_new[j])))
+            parts.append(("[B~%d_L Psi~%d] = %d" % (i + 1, j + 1, i == j),
+                          hp_sub(lambda_bracket(b_new[i], psi_new[j]),
+                                 _delta_poly(n, cutoff, i == j))))
+            parts.append(("[Psi~%d_L Psi~%d] = 0" % (i + 1, j + 1),
+                          lambda_bracket(psi_new[i], psi_new[j])))
 
     for i in range(n):
         rhs = nf_sum([nf_mul(alg.coeff_nf(ch.forward[i].partial(j + 1)),
                              alg.SB(j + 1)) for j in range(n)], n, cutoff)
-        d = nf_sub(apply_S(b_new[i]), rhs)
-        record("S B~%d chain rule" % (i + 1),
-               d.is_zero_through(d.exact_to), d.exact_to, d)
+        parts.append(("S B~%d chain rule" % (i + 1),
+                      nf_sub(apply_S(b_new[i]), rhs)))
 
     for i in range(n):
-        parts = [nf_mul(alg.SPsi(j + 1), alg.coeff_nf(F[i][j]))
+        terms = [nf_mul(alg.SPsi(j + 1), alg.coeff_nf(F[i][j]))
                  for j in range(n)]
         for r in range(n):
             for k in range(n):
@@ -541,14 +510,11 @@ def check_coordinate_change(ch):
                      for l in range(n)], n, cutoff)
                 if m.is_zero() and m.exact_to is None:
                     continue
-                parts.append(nf_mul(alg.coeff_nf(m),
+                terms.append(nf_mul(alg.coeff_nf(m),
                                     nf_mul(alg.SB(r + 1), alg.Psi(k + 1))))
-        d = nf_sub(apply_S(psi_new[i]), nf_sum(parts, n, cutoff))
-        record("S Psi~%d chain rule" % (i + 1),
-               d.is_zero_through(d.exact_to), d.exact_to, d)
-
-    return StructureReport("coordchange", ok, guaranteed_degree=gd,
-                           residual=residual, details=details)
+        parts.append(("S Psi~%d chain rule" % (i + 1),
+                      nf_sub(apply_S(psi_new[i]), nf_sum(terms, n, cutoff))))
+    return fold("coordchange", parts)
 
 
 # -- JSON input ------------------------------------------------------
@@ -589,6 +555,8 @@ def load_geometry(source):
     else:
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a geometry document must be a JSON object")
     dim = int(data["dim"])
     cutoff = int(data["cutoff"])
     if "g" in data:

@@ -26,7 +26,6 @@ Gaussian-rational scalar.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .scalars import QI, ONE, parse_qi, CoeffFunction
 from .terms import (Generator, B_KIND, PSI_KIND, Vac, GenE, CoeffE, SD, TD,
@@ -65,6 +64,10 @@ def _tokenize(text):
 
 _GEN_NAME = re.compile(r"(B|Psi)(\d+)$")
 
+# Deepest nesting of derivations, parentheses and normally ordered
+# products accepted; the parser and normalize recurse once per level.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text, dim, cutoff):
@@ -73,6 +76,7 @@ class _Parser:
         self.cutoff = cutoff
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     # -- token helpers ------------------------------------------------
 
@@ -129,12 +133,16 @@ class _Parser:
     def _scalar(self):
         kind, text, pos = self.next()
         if kind == "number":
-            return QI(Fraction(text))
+            return parse_qi(text)
         if text == "i":
             return QI(0, 1)
         raise ParseError("expected a scalar", self.text, pos)
 
     def parse_factor(self):
+        # every nested derivation, parenthesis or product passes here
+        if self.depth == MAX_DEPTH:
+            self.fail("nesting deeper than %d" % MAX_DEPTH)
+        self.depth += 1
         kind, text, pos = self.peek()
         if text in ("S", "T"):
             self.next()
@@ -144,13 +152,16 @@ class _Parser:
                 self.expect(")")
             else:
                 arg = self.parse_factor()
-            return SD(arg) if text == "S" else TD(arg)
-        return self.parse_atom()
+            out = SD(arg) if text == "S" else TD(arg)
+        else:
+            out = self.parse_atom()
+        self.depth -= 1
+        return out
 
     def parse_atom(self):
         kind, text, pos = self.next()
         if kind == "number":
-            return Sum(((QI(Fraction(text)), Vac()),))
+            return Sum(((parse_qi(text), Vac()),))
         if text == ":":
             items = [self.parse_factor()]
             while self.peek()[1] != ":":

@@ -5,10 +5,10 @@ Three layers live here:
   * QI           -- Gaussian rationals a + b*i with Fraction components.
   * CoeffFunction -- truncated multivariate power series over QI, the
                      coefficient functions f(B^1, ..., B^n) of the algebra.
-  * super-monomials -- exponent bookkeeping for polynomials in pairs
-                     (lambda_p, chi_p) of one even and one odd variable,
-                     subject to chi_p^2 = -lambda_p and anticommutation
-                     of the odd variables of distinct pairs.
+  * super-monomials -- exponent bookkeeping for polynomials in the
+                     Lambda pair (lambda, chi) and the Gamma pair
+                     (gamma, eta), subject to chi^2 = -lambda,
+                     eta^2 = -gamma and chi eta = -eta chi.
 
 Everything is immutable and hashable so results can be memoized.
 No floating point is used anywhere.
@@ -17,7 +17,6 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 
 class QI:
@@ -153,8 +152,15 @@ def parse_qi(text):
             return -I
         if body.endswith("*"):
             body = body[:-1].strip()
-        return QI(0, Fraction(body))
-    return QI(Fraction(s))
+        return QI(0, _rational(body))
+    return QI(_rational(s))
+
+
+def _rational(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 def render_qi(q):
@@ -207,6 +213,8 @@ class CoeffFunction:
                 raise ValueError("exponent length %d != dim %d" % (len(e), dim))
             if sum(e) > cutoff:
                 raise ValueError("stored exponent exceeds cutoff")
+            if e and min(e) < 0:
+                raise ValueError("negative exponent in %r" % (e,))
             clean[e] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "cutoff", cutoff)
@@ -241,10 +249,6 @@ class CoeffFunction:
         return CoeffFunction(dim, cutoff, {tuple(exponents): as_qi(value)})
 
     # -- basic queries ------------------------------------------------
-
-    @property
-    def truncated_flag(self):
-        return self.exact_to is not None
 
     def is_zero(self):
         return not self.terms
@@ -354,28 +358,17 @@ class CoeffFunction:
         exact = self.exact_to if self.exact_to is None else self.exact_to - 1
         return CoeffFunction(self.dim, self.cutoff, terms, exact)
 
-    def compose(self, subs, recenter=False):
+    def compose(self, subs):
         """Substitute subs[k] for x_{k+1}; subs are series in some other
-        coordinate system sharing one cutoff.
-
-        Substituted series must have zero constant term unless recenter
-        is set, in which case the (polynomially stored) outer series is
-        re-expanded around the constant point.  Recentering a truncated
-        outer series is refused since low degrees would become unknown.
-        """
+        coordinate system sharing one cutoff, with zero constant term."""
         if len(subs) != self.dim:
             raise ValueError("need %d substituted series" % self.dim)
         if not subs:
             raise ValueError("zero-dimensional composition")
         tdim = subs[0].dim
         cutoff = subs[0].cutoff
-        consts = [s.constant_term() for s in subs]
-        if any(consts):
-            if not recenter:
-                raise ValueError("substituted series has a constant term; "
-                                 "pass recenter=True to allow it")
-            if self.exact_to is not None:
-                raise ValueError("cannot recenter a truncated series")
+        if any(s.constant_term() for s in subs):
+            raise ValueError("substituted series has a constant term")
         exact = self.exact_to
         for s in subs:
             exact = _min_exact(exact, s.exact_to)
@@ -399,31 +392,12 @@ class CoeffFunction:
         return CoeffFunction(result.dim, result.cutoff, result.terms,
                              _min_exact(result.exact_to, exact))
 
-    def eval_at_zero(self):
-        return self.constant_term()
-
-    def max_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
-    def truncate(self, degree):
-        """Drop stored terms of total degree > degree (bookkeeping view)."""
-        terms = {e: c for e, c in self.terms.items() if sum(e) <= degree}
-        return CoeffFunction(self.dim, self.cutoff, terms, self.exact_to)
-
 
 # -- series helpers ---------------------------------------------------
 
 
-def cf_mul(a, b):
-    return a * b
-
-
-def cf_partial(a, i):
-    return a.partial(i)
-
-
-def cf_compose(f, subs, recenter=False):
-    return f.compose(subs, recenter=recenter)
+def cf_compose(f, subs):
+    return f.compose(subs)
 
 
 def series_inverse(f):
@@ -547,85 +521,36 @@ def _matrix_inverse_qi(A):
 
 # -- super-monomials --------------------------------------------------
 #
-# A monomial over the pairs p = 0, 1, ... is stored as a tuple of
-# (j_p, J_p) with J_p in {0, 1}, meaning the canonically ordered word
+# A monomial in the Lambda pair (lambda, chi) and the Gamma pair
+# (gamma, eta) is the key (j, J, k, K) with J, K in {0, 1}, meaning the
+# canonically ordered word
 #
-#     lambda_0^{j_0} lambda_1^{j_1} ... chi_0^{J_0} chi_1^{J_1} ...
+#     lambda^j gamma^k chi^J eta^K
 #
-# The even generators lambda_p are central; the odd generators satisfy
-# chi_p^2 = -lambda_p and chi_p chi_q = -chi_q chi_p for p != q.
-# Trailing (0, 0) entries are trimmed so equal monomials hash equally.
+# The even variables are central; the odd ones satisfy chi^2 = -lambda,
+# eta^2 = -gamma and chi eta = -eta chi.
 
 
-def hmono_trim(m):
-    k = len(m)
-    while k and m[k - 1] == (0, 0):
-        k -= 1
-    return tuple(m[:k])
-
-
-def hmono_pad(m, npairs):
-    return tuple(m) + ((0, 0),) * (npairs - len(m))
-
-
-HMONO_ONE = ()
+HMONO_ONE = (0, 0, 0, 0)
 
 
 def hmono_parity(m):
-    return sum(J for _, J in m) & 1
+    return (m[1] + m[3]) & 1
 
 
 def hmono_mul(m1, m2):
-    """Product of two monomials; returns (sign, monomial)."""
-    n = max(len(m1), len(m2))
-    a = hmono_pad(m1, n)
-    b = hmono_pad(m2, n)
-    P = [p for p in range(n) if a[p][1]]
-    Q = [q for q in range(n) if b[q][1]]
-    inv = 0
-    for q in Q:
-        inv += sum(1 for p in P if p > q)
-    collapsed = [p for p in P if p in Q]
-    sign = (-1) ** (inv + len(collapsed))
-    odd = set(P) ^ set(Q)
-    out = []
-    for p in range(n):
-        j = a[p][0] + b[p][0] + (1 if p in collapsed else 0)
-        out.append((j, 1 if p in odd else 0))
-    return sign, hmono_trim(out)
-
-
-def hmono_lambda(pair, power=1):
-    m = [(0, 0)] * (pair + 1)
-    m[pair] = (power, 0)
-    return tuple(m)
-
-
-def hmono_chi(pair):
-    m = [(0, 0)] * (pair + 1)
-    m[pair] = (0, 1)
-    return tuple(m)
-
-
-def hmono_get(m, pair):
-    return m[pair] if pair < len(m) else (0, 0)
+    """Product of two monomials; returns (sign, monomial).  Moving chi^J2
+    past eta^K1 and collapsing chi chi and eta eta each cost a sign."""
+    j1, J1, k1, K1 = m1
+    j2, J2, k2, K2 = m2
+    sign = -1 if (K1 * J2 + J1 * J2 + K1 * K2) & 1 else 1
+    return sign, (j1 + j2 + J1 * J2, J1 ^ J2, k1 + k2 + K1 * K2, K1 ^ K2)
 
 
 def hmono_render(m):
     """Text like 'lambda^2 chi' or 'gamma eta'; '1' for the empty word."""
-    names_even = ["lambda", "gamma"]
-    names_odd = ["chi", "eta"]
-    parts = []
-    for p, (j, _) in enumerate(m):
-        if j:
-            name = names_even[p] if p < 2 else "lambda_%d" % p
-            parts.append(name if j == 1 else "%s^%d" % (name, j))
-    for p, (_, J) in enumerate(m):
-        if J:
-            name = names_odd[p] if p < 2 else "chi_%d" % p
-            parts.append(name)
+    j, J, k, K = m
+    parts = [name if e == 1 else "%s^%d" % (name, e)
+             for name, e in (("lambda", j), ("gamma", k)) if e]
+    parts += [name for name, e in (("chi", J), ("eta", K)) if e]
     return " ".join(parts) if parts else "1"
-
-
-def binomial(n, k):
-    return comb(n, k)

@@ -4,7 +4,9 @@ Each checker computes the relevant Lambda-brackets, subtracts the
 required right-hand side, extracts the central charge from the vacuum
 coefficient of the central monomial (lambda^2 chi for N=1, lambda chi
 for N=2), and reports the residual together with the degree through
-which the verdict is certified exact.
+which the verdict is certified exact.  Every check, here and in the
+other modules, judges its identities by holds and folds them into a
+StructureReport with fold.
 """
 
 from __future__ import annotations
@@ -16,17 +18,33 @@ from .terms import (NormalForm, HPoly, nf_scale, apply_S, apply_T,
 from .bracket import lambda_bracket
 
 
+def _word(ok, degree):
+    """The verdict word of a part or a report.  A certificate through a
+    negative degree covers no coefficient, so it is never a pass."""
+    if not ok:
+        return "FAIL"
+    return "inconclusive" if degree is not None and degree < 0 else "pass"
+
+
 class StructureReport:
-    """Outcome of one superconformal verification."""
+    """Outcome of one superconformal verification.  verdict is True only
+    for a pass; a report that holds through a negative degree only is
+    inconclusive instead."""
 
     def __init__(self, name, verdict, central_charge=None,
                  guaranteed_degree=None, residual=None, details=()):
         self.name = name
-        self.verdict = verdict
+        self.inconclusive = _word(verdict, guaranteed_degree) == "inconclusive"
+        self.verdict = verdict and not self.inconclusive
         self.central_charge = central_charge
         self.guaranteed_degree = guaranteed_degree
         self.residual = residual
         self.details = tuple(details)
+
+    def status(self):
+        """'pass', 'FAIL' or 'inconclusive'."""
+        return _word(self.verdict or self.inconclusive,
+                     self.guaranteed_degree)
 
     def residual_rendering(self):
         if self.residual is None:
@@ -37,7 +55,7 @@ class StructureReport:
 
     def to_json(self):
         return {
-            "verdict": "pass" if self.verdict else "fail",
+            "verdict": "fail" if self.status() == "FAIL" else self.status(),
             "central_charge": (None if self.central_charge is None
                                else render_qi(self.central_charge)),
             "guaranteed_degree": self.guaranteed_degree,
@@ -49,9 +67,7 @@ class StructureReport:
               else "degree %d" % self.guaranteed_degree)
         cc = ("" if self.central_charge is None
               else ", c = %s" % render_qi(self.central_charge))
-        head = "%s: %s%s (%s)" % (self.name,
-                                  "pass" if self.verdict else "FAIL", cc, gd)
-        lines = [head]
+        lines = ["%s: %s%s (%s)" % (self.name, self.status(), cc, gd)]
         for d in self.details:
             lines.append("  " + d)
         if not self.verdict and self.residual is not None:
@@ -59,10 +75,55 @@ class StructureReport:
         return lines
 
 
+def holds(diff):
+    """(verdict, degree) of an identity given as the difference of its
+    two sides, an HPoly or a NormalForm: it holds when the difference
+    vanishes through its own certified degree."""
+    degree = diff.exact_to() if isinstance(diff, HPoly) else diff.exact_to
+    return diff.is_zero_through(degree), degree
+
+
+def fold(name, parts, central_charge=None):
+    """The report of a structure made of parts, each a (label, item)
+    pair.  An item is the difference of an identity, judged by holds;
+    a sub-report, whose verdict, degree and residual carry over; or a
+    bool for a side condition.
+
+    Every labelled part adds the detail line 'label: pass|FAIL', where
+    a sub-report also names its central charge; a part labelled None
+    adds no line.  The report passes when every part holds, is certified
+    through the least of their degrees and keeps the first failing
+    residual."""
+    ok, degree, residual, details = True, None, None, []
+    for label, item in parts:
+        diff = None
+        if isinstance(item, StructureReport):
+            ok_part = item.verdict or item.inconclusive
+            deg, diff = item.guaranteed_degree, item.residual
+        elif isinstance(item, bool):
+            ok_part, deg = item, None
+        else:
+            (ok_part, deg), diff = holds(item), item
+        if label is not None:
+            line = "%s: %s" % (label, _word(ok_part, deg))
+            if isinstance(item, StructureReport) and \
+                    item.central_charge is not None:
+                line += ", c = %s" % render_qi(item.central_charge)
+            details.append(line)
+        degree = _min_exact(degree, deg)
+        if not ok_part:
+            ok = False
+            if residual is None:
+                residual = diff
+    return StructureReport(name, ok, central_charge=central_charge,
+                           guaranteed_degree=degree, residual=residual,
+                           details=details)
+
+
 def _split_central(p, mono):
     """Remove the constant-vacuum part of the given monomial coefficient
     from the poly; returns (constant, remainder poly)."""
-    nf = p.coeff(tuple(mono))
+    nf = p.coeff(mono)
     if nf is None:
         return ZERO, p
     cf = nf.terms.get(())
@@ -72,63 +133,38 @@ def _split_central(p, mono):
     if not const:
         return ZERO, p
     dim, cutoff = p.dim, p.cutoff
-    removal = HPoly(dim, cutoff, {tuple(mono): NormalForm(
+    removal = HPoly(dim, cutoff, {mono: NormalForm(
         dim, cutoff, {(): CoeffFunction.constant(dim, cutoff, const)})})
     return const, hp_sub(p, removal)
 
 
-def _ns_rhs(h):
-    """(2T + 3 lambda + chi S) H as a Lambda-polynomial."""
-    dim, cutoff = h.dim, h.cutoff
-    return hp_from(dim, cutoff, [
-        ((), nf_scale(apply_T(h), 2)),
-        (((1, 0),), nf_scale(h, 3)),
-        (((0, 1),), apply_S(h)),
+def primary_rhs(x, lam):
+    """(2T + lam lambda + chi S) x as a Lambda-polynomial: the bracket
+    of the NS current with a primary state x of conformal weight lam/2,
+    and with the current itself for lam = 3."""
+    return hp_from(x.dim, x.cutoff, [
+        ((0, 0, 0, 0), nf_scale(apply_T(x), 2)),
+        ((1, 0, 0, 0), nf_scale(x, lam)),
+        ((0, 1, 0, 0), apply_S(x)),
     ])
 
 
 def check_ns(h, name="ns"):
     """Neveu-Schwarz shape: [H_L H] = (2T + chi S + 3 lambda) H plus a
     central lambda^2 chi term; central charge is 3x that constant."""
-    if not isinstance(h, NormalForm):
-        raise TypeError("check_ns expects a NormalForm state")
-    if h.parity() != 1:
-        raise ValueError("the NS candidate must be odd")
-    p = lambda_bracket(h, h)
-    r = hp_sub(p, _ns_rhs(h))
-    c3, r = _split_central(r, ((2, 1),))
-    c = c3 * QI(3)
-    gd = r.exact_to()
-    ok = r.is_zero_through(gd)
-    return StructureReport(name, ok, central_charge=c,
-                           guaranteed_degree=gd,
-                           residual=None if ok else r)
+    return check_ns_against(h, h, name)
 
 
 def check_ns_against(h, target, name="ns-closure"):
     """Like check_ns but requires the bracket to close on the given
     target state: [H_L H] = (2T + chi S + 3 lambda) target + central."""
+    if not isinstance(h, NormalForm):
+        raise TypeError("check_ns expects a NormalForm state")
     if h.parity() != 1:
         raise ValueError("the NS candidate must be odd")
-    p = lambda_bracket(h, h)
-    r = hp_sub(p, _ns_rhs(target))
-    c3, r = _split_central(r, ((2, 1),))
-    c = c3 * QI(3)
-    gd = r.exact_to()
-    ok = r.is_zero_through(gd)
-    return StructureReport(name, ok, central_charge=c,
-                           guaranteed_degree=gd,
-                           residual=None if ok else r)
-
-
-def _weight_one_rhs(j):
-    """(2T + 2 lambda + chi S) J, the primary-of-weight-one shape."""
-    dim, cutoff = j.dim, j.cutoff
-    return hp_from(dim, cutoff, [
-        ((), nf_scale(apply_T(j), 2)),
-        (((1, 0),), nf_scale(j, 2)),
-        (((0, 1),), apply_S(j)),
-    ])
+    r = hp_sub(lambda_bracket(h, h), primary_rhs(target, 3))
+    c3, r = _split_central(r, (2, 1, 0, 0))
+    return fold(name, [(None, r)], central_charge=c3 * QI(3))
 
 
 def check_n2(h, j, name="n2"):
@@ -139,52 +175,27 @@ def check_n2(h, j, name="n2"):
         raise ValueError("H must be odd")
     if j.parity() != 0:
         raise ValueError("J must be even")
-    details = []
     ns = check_ns(h, name="%s/ns" % name)
-    r1 = hp_sub(lambda_bracket(h, j), _weight_one_rhs(j))
-    gd1 = r1.exact_to()
-    ok1 = r1.is_zero_through(gd1)
-    details.append("[H_L J] weight-1 primary: %s" % ("pass" if ok1 else "FAIL"))
-
-    p2 = lambda_bracket(j, j)
-    dim, cutoff = h.dim, h.cutoff
-    r2 = hp_add(p2, HPoly(dim, cutoff, {(): h}))
-    cneg3, r2 = _split_central(r2, ((1, 1),))
+    r1 = hp_sub(lambda_bracket(h, j), primary_rhs(j, 2))
+    r2 = hp_add(lambda_bracket(j, j),
+                HPoly(h.dim, h.cutoff, {(0, 0, 0, 0): h}))
+    cneg3, r2 = _split_central(r2, (1, 1, 0, 0))
     c = -(cneg3 * QI(3))
-    gd2 = r2.exact_to()
-    ok2 = r2.is_zero_through(gd2)
-    details.append("[J_L J] = -(H + (c/3) lambda chi): %s"
-                   % ("pass" if ok2 else "FAIL"))
-    agree = (c == ns.central_charge)
-    details.append("central charge agreement with NS: %s"
-                   % ("pass" if agree else "FAIL"))
-    gd = _deg_min(ns.guaranteed_degree, gd1, gd2)
-    ok = ns.verdict and ok1 and ok2 and agree
-    residual = None
-    if not ok1:
-        residual = r1
-    elif not ok2:
-        residual = r2
-    return StructureReport(name, ok, central_charge=c,
-                           guaranteed_degree=gd, residual=residual,
-                           details=details)
+    return fold(name, [
+        ("[H_L J] weight-1 primary", r1),
+        ("[J_L J] = -(H + (c/3) lambda chi)", r2),
+        ("central charge agreement with NS", c == ns.central_charge),
+        (None, ns),
+    ], central_charge=c)
 
 
-def _deg_min(*degs):
-    out = None
-    for d in degs:
-        out = _min_exact(out, d)
-    return out
-
-
-def _cross_rhs(jk, sign):
-    """epsilon * (S + 2 chi) J^k."""
-    dim, cutoff = jk.dim, jk.cutoff
-    p = hp_from(dim, cutoff, [
-        ((), apply_S(jk)),
-        (((0, 1),), nf_scale(jk, 2)),
+def charged_rhs(x, eps):
+    """eps (S + 2 chi) x as a Lambda-polynomial, eps a scalar."""
+    p = hp_from(x.dim, x.cutoff, [
+        ((0, 0, 0, 0), apply_S(x)),
+        ((0, 1, 0, 0), nf_scale(x, 2)),
     ])
-    return hp_scale(p, QI(sign))
+    return hp_scale(p, eps)
 
 
 _EPS = {(0, 1): (2, 1), (1, 2): (0, 1), (2, 0): (1, 1),
@@ -195,35 +206,15 @@ def check_n4(h, j0, j1, j2, name="n4"):
     """N=4 relations: (H, J^i) is an N=2 for each i and
     [J^i_L J^j] = eps^{ijk} (S + 2 chi) J^k for i != j, both orderings."""
     js = [j0, j1, j2]
-    details = []
-    charges = []
-    gds = []
-    ok = True
-    residual = None
-    for i, j in enumerate(js):
-        sub = check_n2(h, j, name="%s/pair%d" % (name, i))
-        details.append("pair (H, J%d): %s, c = %s" % (
-            i, "pass" if sub.verdict else "FAIL",
-            render_qi(sub.central_charge)))
-        charges.append(sub.central_charge)
-        gds.append(sub.guaranteed_degree)
-        if not sub.verdict:
-            ok = False
-            residual = residual or sub.residual
-    if len({render_qi(c) for c in charges}) != 1:
-        ok = False
-        details.append("central charges disagree across pairs: FAIL")
+    pairs = [check_n2(h, j, name="%s/pair%d" % (name, i))
+             for i, j in enumerate(js)]
+    parts = [("pair (H, J%d)" % i, sub) for i, sub in enumerate(pairs)]
+    agree = len({render_qi(sub.central_charge) for sub in pairs}) == 1
+    parts.append((None if agree else "central charges disagree across pairs",
+                  agree))
     for (i, jj), (k, sign) in sorted(_EPS.items()):
-        r = hp_sub(lambda_bracket(js[i], js[jj]), _cross_rhs(js[k], sign))
-        gd = r.exact_to()
-        sub_ok = r.is_zero_through(gd)
-        gds.append(gd)
-        details.append("[J%d_L J%d] = %s(S+2chi) J%d: %s" % (
-            i, jj, "" if sign > 0 else "-", k,
-            "pass" if sub_ok else "FAIL"))
-        if not sub_ok:
-            ok = False
-            residual = residual or r
-    return StructureReport(name, ok, central_charge=charges[0],
-                           guaranteed_degree=_deg_min(*gds),
-                           residual=residual, details=details)
+        parts.append(("[J%d_L J%d] = %s(S+2chi) J%d"
+                      % (i, jj, "" if sign > 0 else "-", k),
+                      hp_sub(lambda_bracket(js[i], js[jj]),
+                             charged_rhs(js[k], sign))))
+    return fold(name, parts, central_charge=pairs[0].central_charge)

@@ -16,19 +16,20 @@ normally ordered product, whose correction terms involve Lambda-brackets;
 the bracket module and this one are mutually recursive, so bracket
 imports are deferred to call time.
 
-Lambda-bracket values are HPoly: polynomials in formal pairs
-(lambda_p, chi_p) with NormalForm coefficients, pair 0 playing Lambda
-and pair 1 the auxiliary Gamma of iterated brackets.
+Lambda-bracket values are HPoly: polynomials in the Lambda pair
+(lambda, chi) and the auxiliary Gamma pair (gamma, eta) of iterated
+brackets, with NormalForm coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 from typing import NamedTuple
 
-from .scalars import (CoeffFunction, QI, ZERO, ONE, as_qi, render_qi,
-                      _min_exact, hmono_trim, hmono_mul, hmono_parity,
-                      hmono_get, hmono_render, binomial)
+from .scalars import (CoeffFunction, QI, ONE, as_qi, render_qi,
+                      _min_exact, HMONO_ONE, hmono_mul, hmono_parity,
+                      hmono_render)
 
 B_KIND = 0
 PSI_KIND = 1
@@ -124,10 +125,6 @@ class NormalForm:
             return not self.terms
         return all(cf.is_zero_through(degree) for cf in self.terms.values())
 
-    def guaranteed_zero(self):
-        """True when the state is zero and certified exact."""
-        return not self.terms and self.exact_to is None
-
     def parity(self):
         """0 or 1 for homogeneous states, None for mixed ones."""
         ps = {gens_parity(g) for g in self.terms}
@@ -141,17 +138,12 @@ class NormalForm:
         return sorted(self.terms.items())
 
 
-def nf_from_terms(dim, cutoff, terms, exact_to=None):
-    return NormalForm(dim, cutoff, terms, exact_to)
-
-
 def nf_zero(dim, cutoff):
     return NormalForm(dim, cutoff, {})
 
 
 def nf_one(dim, cutoff):
-    return NormalForm(dim, cutoff,
-                      {(): CoeffFunction.constant(dim, cutoff, ONE)})
+    return nf_scalar(dim, cutoff, ONE)
 
 
 def nf_scalar(dim, cutoff, q):
@@ -324,9 +316,8 @@ def qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
     for nf in list(pa.terms.values()) + list(pb.terms.values()):
         exact = _min_exact(exact, nf.exact_to)
     out = NormalForm(dim, cutoff, {}, exact)
-    ja = [j for ((j, J),) in _pair0_keys(pb) if J] if pb.terms else []
-    jb = [j for ((j, J),) in _pair0_keys(pa) if J] if pa.terms else []
-    jmax = max(ja + jb, default=-1)
+    jmax = max((m[0] for m in list(pa.terms) + list(pb.terms) if m[1]),
+               default=-1)
     if jmax < 0:
         return out
     ta = nf_mono(dim, cutoff, a_mono[0], a_mono[1])
@@ -334,29 +325,14 @@ def qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
     for j in range(jmax + 1):
         ta = nf_scale(apply_T(ta), QI(Fraction(1, j + 1)))
         tb = nf_scale(apply_T(tb), QI(Fraction(1, j + 1)))
-        jfact = QI(_factorial(j))
-        cb = pb.coeff(((j, 1),))
+        jfact = QI(factorial(j))
+        cb = pb.coeff((j, 1, 0, 0))
         if cb is not None and not cb.is_zero():
             out = nf_add(out, nf_mul(ta, nf_scale(cb, jfact)))
-        ca = pa.coeff(((j, 1),))
+        ca = pa.coeff((j, 1, 0, 0))
         if ca is not None and not ca.is_zero():
             out = nf_add(out, nf_scale(nf_mul(tb, nf_scale(ca, jfact)),
                                        sign))
-    return out
-
-
-def _factorial(j):
-    out = 1
-    for k in range(2, j + 1):
-        out *= k
-    return out
-
-
-def _pair0_keys(p):
-    out = []
-    for m in p.terms:
-        jJ = hmono_get(m, 0)
-        out.append((jJ,))
     return out
 
 
@@ -426,11 +402,10 @@ def mono_from_factors(dim, cutoff, cf, factors):
 
 
 class HPoly:
-    """Polynomial in the pairs (lambda_p, chi_p) with state coefficients.
-
-    Pair 0 is the Lambda of a bracket, pair 1 the auxiliary Gamma used
-    inside iterated brackets.  Monomial keys are the tuples of
-    scalars.hmono_*.
+    """Polynomial in the Lambda pair (lambda, chi) and the Gamma pair
+    (gamma, eta) with state coefficients; Gamma is the auxiliary pair
+    used inside iterated brackets.  Monomial keys are the (j, J, k, K)
+    tuples of scalars.hmono_*.
     """
 
     __slots__ = ("dim", "cutoff", "terms", "_hash")
@@ -438,9 +413,6 @@ class HPoly:
     def __init__(self, dim, cutoff, terms):
         clean = {}
         for m, nf in terms.items():
-            m = hmono_trim(m)
-            if m in clean:
-                raise ValueError("duplicate monomial key")
             if nf.is_zero() and nf.exact_to is None:
                 continue
             clean[m] = nf
@@ -471,10 +443,10 @@ class HPoly:
         return "HPoly(%s)" % render_hpoly(self)
 
     def coeff(self, mono):
-        return self.terms.get(hmono_trim(mono))
+        return self.terms.get(mono)
 
     def coeff_or_zero(self, mono):
-        nf = self.terms.get(hmono_trim(mono))
+        nf = self.terms.get(mono)
         return nf if nf is not None else nf_zero(self.dim, self.cutoff)
 
     def is_zero(self):
@@ -511,9 +483,7 @@ def hp_zero(dim, cutoff):
 
 def hp_from(dim, cutoff, items):
     acc = {}
-    exacts = {}
     for m, nf in items:
-        m = hmono_trim(m)
         if m in acc:
             acc[m] = nf_add(acc[m], nf)
         else:
@@ -556,8 +526,6 @@ def hp_mul_mono(p, mono, extraction_parity=True):
     items = []
     for m, nf in p.terms.items():
         sign, prod = hmono_mul(mono, m)
-        if sign == 0:
-            continue
         items.append((prod, nf_scale(nf, QI(sign))))
     q = hp_from(p.dim, p.cutoff, items)
     if extraction_parity and hmono_parity(mono):
@@ -565,10 +533,8 @@ def hp_mul_mono(p, mono, extraction_parity=True):
     return q
 
 
-def hp_mul_lambda(p, pair=0, power=1):
-    mono = [(0, 0)] * (pair + 1)
-    mono[pair] = (power, 0)
-    return hp_mul_mono(p, tuple(mono), extraction_parity=False)
+def hp_mul_lambda(p):
+    return hp_mul_mono(p, (1, 0, 0, 0), extraction_parity=False)
 
 
 def hp_nf_mul_right(p, b):
@@ -594,49 +560,16 @@ def hp_nf_mul_left(p, b, b_parity):
 def hp_op_S(p):
     """Left action of the odd derivation S on a bracket value.
 
-    S passes the central even variables, satisfies S chi_0 =
-    2 lambda_0 - chi_0 S against the Lambda pair, anticommutes with the
-    odd variables of other pairs, and acts on the coefficient state."""
-    dim, cutoff = p.dim, p.cutoff
+    S passes the central even variables, satisfies S chi =
+    2 lambda - chi S against the Lambda pair, anticommutes with eta, and
+    acts on the coefficient state."""
     items = []
-    for m, nf in p.terms.items():
-        evens = tuple((j, 0) for j, _ in m)
-        odd_pairs = [q for q, (_, J) in enumerate(m) if J]
-        for word, coeff in _s_into_word(tuple(odd_pairs), nf):
-            mono = evens
-            for q in word:
-                if q == -1:
-                    sign, mono = hmono_mul(mono, ((1, 0),))
-                else:
-                    sign, mono = hmono_mul(mono, _chi_mono(q))
-                    if sign < 0:
-                        coeff = nf_neg(coeff)
-            items.append((mono, coeff))
-    return hp_from(dim, cutoff, items)
-
-
-def _chi_mono(q):
-    m = [(0, 0)] * (q + 1)
-    m[q] = (0, 1)
-    return tuple(m)
-
-
-def _s_into_word(odd_pairs, nf):
-    """Recursive expansion of S acting on chi_{p_1} ... chi_{p_k} (x) nf.
-
-    Yields (word, coefficient) where word is a list of markers: -1 for a
-    produced lambda_0 factor, q >= 0 for a surviving chi_q."""
-    if not odd_pairs:
-        return [((), apply_S(nf))]
-    q0 = odd_pairs[0]
-    rest = odd_pairs[1:]
-    out = []
-    if q0 == 0:
-        # S chi_0 = 2 lambda_0 - chi_0 S
-        out.append(((-1,) + rest, nf_scale(nf, QI(2))))
-    for word, coeff in _s_into_word(rest, nf):
-        out.append(((q0,) + word, nf_neg(coeff)))
-    return out
+    for (j, J, k, K), nf in p.terms.items():
+        s_nf = apply_S(nf)
+        items.append(((j, J, k, K), nf_neg(s_nf) if (J + K) & 1 else s_nf))
+        if J:
+            items.append(((j + 1, 0, k, K), nf_scale(nf, QI(2))))
+    return hp_from(p.dim, p.cutoff, items)
 
 
 def hp_op_lambda_plus_T(p, repeat=1):
@@ -646,8 +579,14 @@ def hp_op_lambda_plus_T(p, repeat=1):
 
 
 def hp_op_chi_plus_S(p):
-    chi = hp_mul_mono(p, _chi_mono(0), extraction_parity=False)
+    chi = hp_mul_mono(p, (0, 1, 0, 0), extraction_parity=False)
     return hp_add(chi, hp_op_S(p))
+
+
+def _lambda_only(m):
+    if m[2] or m[3]:
+        raise ValueError("expected a pure-Lambda polynomial")
+    return m[0], m[1]
 
 
 def hp_reindex_to_gamma(p):
@@ -655,63 +594,38 @@ def hp_reindex_to_gamma(p):
     use the Gamma pair yet."""
     out = {}
     for m, nf in p.terms.items():
-        if hmono_get(m, 1) != (0, 0) or len(m) > 2:
-            raise ValueError("poly already uses the auxiliary pair")
-        j, J = hmono_get(m, 0)
-        out[hmono_trim(((0, 0), (j, J)))] = nf
+        j, J = _lambda_only(m)
+        out[(0, 0, j, J)] = nf
     return HPoly(p.dim, p.cutoff, out)
 
 
 def hp_subst_gamma_plus_lambda(p):
     """Substitute gamma -> gamma + lambda, eta -> eta + chi."""
-    dim, cutoff = p.dim, p.cutoff
     items = []
-    for m, nf in p.terms.items():
-        j, J = hmono_get(m, 0)
-        k, K = hmono_get(m, 1)
+    for (j, J, k, K), nf in p.terms.items():
+        # (eta + chi) expands into two words
+        odd = ((0, 0, 0, 1), (0, 1, 0, 0)) if K else (HMONO_ONE,)
         for i in range(k + 1):
-            c = QI(binomial(k, i))
-            base = ((j + i, 0), (k - i, 0))
-            if K == 0:
-                mono = ((j + i, J), (k - i, 0))
-                items.append((mono, nf_scale(nf, c)))
-            else:
-                # (eta + chi) expands into two words
-                for odd_new in ("eta", "chi"):
-                    mono = base
-                    coeff = nf_scale(nf, c)
-                    factors = []
-                    if J:
-                        factors.append(_chi_mono(0))
-                    factors.append(_chi_mono(1) if odd_new == "eta"
-                                   else _chi_mono(0))
-                    for f in factors:
-                        sign, mono = hmono_mul(mono, f)
-                        if sign == 0:
-                            coeff = None
-                            break
-                        if sign < 0:
-                            coeff = nf_neg(coeff)
-                    if coeff is not None:
-                        items.append((mono, coeff))
-    return hp_from(dim, cutoff, items)
+            coeff = nf_scale(nf, QI(comb(k, i)))
+            for w in odd:
+                sign, mono = hmono_mul((j + i, J, k - i, 0), w)
+                items.append((mono, coeff if sign > 0 else nf_neg(coeff)))
+    return hp_from(p.dim, p.cutoff, items)
 
 
 def hp_integrate_wick(p):
     """Integrate the Gamma pair over the segment from 0 to Lambda.
 
     Keys with no eta die; for the others eta is removed (a sign for
-    passing chi_0) and gamma^k becomes lambda^{k+1}/(k+1)."""
+    passing chi) and gamma^k becomes lambda^{k+1}/(k+1)."""
     dim, cutoff = p.dim, p.cutoff
-    items = [((), NormalForm(dim, cutoff, {}, p.exact_to()))]
-    for m, nf in p.terms.items():
-        j, J = hmono_get(m, 0)
-        k, K = hmono_get(m, 1)
+    items = [(HMONO_ONE, NormalForm(dim, cutoff, {}, p.exact_to()))]
+    for (j, J, k, K), nf in p.terms.items():
         if K == 0:
             continue
         sign = -1 if J else 1
         coeff = nf_scale(nf, QI(Fraction(sign, k + 1)))
-        items.append((((j + k + 1, J),), coeff))
+        items.append(((j + k + 1, J, 0, 0), coeff))
     return hp_from(dim, cutoff, items)
 
 
@@ -722,9 +636,7 @@ def hp_integrate_qc(p):
     dim, cutoff = p.dim, p.cutoff
     out = NormalForm(dim, cutoff, {}, p.exact_to())
     for m, nf in p.terms.items():
-        if len(m) > 1:
-            raise ValueError("expected a pure-Lambda polynomial")
-        j, J = hmono_get(m, 0)
+        j, J = _lambda_only(m)
         if not J:
             continue
         term = nf
@@ -739,9 +651,7 @@ def hp_chi_part(p):
     j -> state coefficient of lambda^j chi."""
     out = {}
     for m, nf in p.terms.items():
-        j, J = hmono_get(m, 0)
-        if len(hmono_trim(m)) > 1:
-            raise ValueError("expected a pure-Lambda polynomial")
+        j, J = _lambda_only(m)
         if J:
             out[j] = nf
     return out
@@ -889,9 +799,8 @@ def expr_equal(e1, e2, alg):
     Returns (verdict, guaranteed_degree): guaranteed_degree None means
     the comparison is exact; an integer bounds the certified degree.
     """
-    d = nf_sub(normalize(e1, alg), normalize(e2, alg))
-    gd = d.exact_to
-    return d.is_zero_through(gd), gd
+    from .superconf import holds
+    return holds(nf_sub(normalize(e1, alg), normalize(e2, alg)))
 
 
 # -- rendering --------------------------------------------------------

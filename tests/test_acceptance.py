@@ -11,8 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from fock_oracle import commutator, fp_equal, vector_field_zero_mode
-from scdr.cli import (run_coordchange_suite, run_jacobi_suite, run_n2_suite,
-                      run_n4_suite, run_ns_suite)
+from scdr.suites import (run_coordchange_suite, run_jacobi_suite,
+                         run_n2_suite, run_n4_suite, run_ns_suite)
 from scdr.components import (check_n1_components, check_n2_components,
                              check_n4_components, sres_action)
 from scdr.geometry import (MetricData, build_H, build_J,

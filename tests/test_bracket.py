@@ -11,7 +11,7 @@ import random
 import pytest
 
 from scdr.bracket import jacobi_defect, lambda_bracket, skew, wick
-from scdr.cli import random_state
+from scdr.suites import random_state
 from scdr.geometry import MetricData, build_H, build_H0
 from scdr.scalars import QI, CoeffFunction
 from scdr.terms import (Algebra, apply_S, apply_T, hp_add, hp_from,
@@ -19,11 +19,12 @@ from scdr.terms import (Algebra, apply_S, apply_T, hp_add, hp_from,
                         hp_op_lambda_plus_T, hp_scale, hp_sub, hp_zero,
                         nf_add, nf_mul, nf_neg, nf_scale)
 
-LAM = ((1, 0),)
-CHI = ((0, 1),)
-LAM2 = ((2, 0),)
-LAMCHI = ((1, 1),)
-LAM2CHI = ((2, 1),)
+ONE = (0, 0, 0, 0)
+LAM = (1, 0, 0, 0)
+CHI = (0, 1, 0, 0)
+LAM2 = (2, 0, 0, 0)
+LAMCHI = (1, 1, 0, 0)
+LAM2CHI = (2, 1, 0, 0)
 
 
 def hp(alg, items):
@@ -38,7 +39,7 @@ def assert_hp_zero(p):
 
 def test_base_pairing_dim2():
     alg = Algebra(2, 6)
-    one = hp(alg, [((), alg.one())])
+    one = hp(alg, [(ONE, alg.one())])
     assert lambda_bracket(alg.B(1), alg.Psi(1)) == one
     assert lambda_bracket(alg.Psi(1), alg.B(1)) == one
     assert lambda_bracket(alg.B(2), alg.Psi(2)) == one
@@ -58,8 +59,8 @@ def test_momentum_field_differentiates_functions():
     alg = Algebra(2, 6)
     x1, x2 = alg.coordinate(1), alg.coordinate(2)
     f = alg.coeff_nf(x1 * x1 * x2)
-    d1 = hp(alg, [((), alg.coeff_nf((x1 * x2).scale(QI(2))))])
-    d2 = hp(alg, [((), alg.coeff_nf(x1 * x1))])
+    d1 = hp(alg, [(ONE, alg.coeff_nf((x1 * x2).scale(QI(2))))])
+    d2 = hp(alg, [(ONE, alg.coeff_nf(x1 * x1))])
     assert lambda_bracket(alg.Psi(1), f) == d1
     assert lambda_bracket(f, alg.Psi(1)) == d1
     assert lambda_bracket(alg.Psi(2), f) == d2
@@ -245,7 +246,7 @@ def test_jacobi_random(idx):
 
 def _ns_rhs_hp(alg, h, central):
     return hp(alg, [
-        ((), nf_scale(apply_T(h), QI(2))),
+        (ONE, nf_scale(apply_T(h), QI(2))),
         (LAM, nf_scale(h, QI(3))),
         (CHI, apply_S(h)),
         (LAM2CHI, nf_scale(alg.one(), central / QI(3))),
@@ -273,7 +274,7 @@ def test_current_acts_on_potential():
     alg, metric = _curved_setup()
     pot = alg.coeff_nf(metric.logdet_half)
     h0 = build_H0(alg.dim, alg.cutoff)
-    want = hp(alg, [((), nf_scale(apply_T(pot), QI(2))),
+    want = hp(alg, [(ONE, nf_scale(apply_T(pot), QI(2))),
                     (CHI, apply_S(pot))])
     d = hp_sub(lambda_bracket(h0, pot), want)
     assert d.exact_to() >= 6
@@ -288,7 +289,7 @@ def test_current_acts_on_potential_correction():
     h0 = build_H0(alg.dim, alg.cutoff)
     tsp = apply_T(apply_S(pot))
     want = hp(alg, [
-        ((), nf_scale(apply_T(tsp), QI(2))),
+        (ONE, nf_scale(apply_T(tsp), QI(2))),
         (LAM, nf_scale(tsp, QI(3))),
         (CHI, apply_S(tsp)),
         (LAM2, apply_S(pot)),

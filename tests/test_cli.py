@@ -223,3 +223,68 @@ def test_verify_missing_metric_file(capsys):
     rc, _, err = run(capsys, "verify", "ns", "--metric", "no-such.json")
     assert rc == 2
     assert "error:" in err
+
+
+# -- verdicts and input errors ----------------------------------------
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _vacuous_metric(tmp_path):
+    # g_ii = 1 + x1^2 + x2 x3 at cutoff 2: nothing survives the
+    # derivatives, so the certificate reaches degree -1 only
+    entry = {"0,0,0": "1", "2,0,0": "1", "0,1,1": "1"}
+    g = [[entry if i == j else {} for j in range(3)] for i in range(3)]
+    return _write_json(tmp_path / "vacuous.json",
+                       {"dim": 3, "cutoff": 2, "g": g})
+
+
+def test_vacuous_certificate_is_inconclusive(capsys, tmp_path):
+    path = _vacuous_metric(tmp_path)
+    rc, out, _ = run(capsys, "verify", "ns", "--metric", path,
+                     "--drop-potential")
+    assert rc == 3
+    assert out.splitlines()[0] == "ns: inconclusive, c = 9 (degree -1)"
+    rc, out, _ = run(capsys, "--format", "json", "verify", "ns",
+                     "--metric", path, "--drop-potential")
+    assert rc == 3
+    assert json.loads(out)[0]["verdict"] == "inconclusive"
+
+
+def _assert_input_error(capsys, *argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_negative_exponent_is_an_input_error(capsys):
+    _assert_input_error(capsys, "normalize", 'f{"-1": "1"}')
+
+
+def test_zero_denominator_is_an_input_error(capsys):
+    _assert_input_error(capsys, "normalize", 'f{"1": "1/0"}')
+
+
+def test_geometry_document_must_be_an_object(capsys, tmp_path):
+    path = _write_json(tmp_path / "list.json", [1, 2])
+    _assert_input_error(capsys, "verify", "ns", "--metric", path)
+
+
+def test_deep_nesting_is_an_input_error(capsys):
+    _assert_input_error(capsys, "normalize",
+                        "S(" * 1200 + "B1" + ")" * 1200)
+
+
+def test_cutoff_flag_must_match_the_file(capsys):
+    path = str(DATA / "change_quad_1d.json")
+    rc, _, err = run(capsys, "--cutoff", "4", "verify", "coordchange",
+                     "--change", path)
+    assert rc == 2
+    assert "--cutoff 4" in err and "cutoff 8" in err
+    rc, out, _ = run(capsys, "--cutoff", "8", "verify", "coordchange",
+                     "--change", path)
+    assert rc == 0
+    assert "coordchange/quadratic: pass (degree 5)" in out

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from scdr.cli import random_state
+from scdr.suites import random_state
 from scdr.parser import (ParseError, looks_like_query, parse_bracket_query,
                          parse_expression)
 from scdr.scalars import QI, CoeffFunction

@@ -8,7 +8,7 @@ from scdr.scalars import QI, CoeffFunction
 from scdr.terms import (Algebra, Generator, B_KIND, PSI_KIND, Nop, Sum, Vac,
                         GenE, nf_mul, nf_add, nf_sub, nf_scale, apply_S,
                         apply_T, normalize, expr_equal, render_nf)
-from scdr.cli import random_state
+from scdr.suites import random_state
 
 
 @pytest.fixture
