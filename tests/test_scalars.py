@@ -226,3 +226,264 @@ def test_cf_leibniz(f, g):
     lhs = (f * g).partial(1)
     rhs = f.partial(1) * g + f * g.partial(1)
     assert lhs.terms == rhs.terms
+
+
+# -- multiplication against a schoolbook reference ---------------------
+
+
+def schoolbook_mul(f, g):
+    """(terms, exact_to) of f * g by the textbook double loop, with each
+    Gaussian rational kept as a pair of Fractions."""
+    acc = {}
+    dropped = False
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if sum(e) > f.cutoff:
+                dropped = True
+                continue
+            re, im = acc.get(e, (Fraction(0), Fraction(0)))
+            acc[e] = (re + c1.re * c2.re - c1.im * c2.im,
+                      im + c1.re * c2.im + c1.im * c2.re)
+    terms = {e: QI(re, im) for e, (re, im) in acc.items() if re or im}
+    bounds = [d for d in (f.exact_to, g.exact_to) if d is not None]
+    if dropped:
+        bounds.append(f.cutoff)
+    return terms, (min(bounds) if bounds else None)
+
+
+def assert_matches_schoolbook(f, g):
+    h = f * g
+    terms, exact = schoolbook_mul(f, g)
+    assert h.terms == terms
+    assert h.exact_to == exact
+    for c in h.terms.values():
+        assert type(c.re) is Fraction and type(c.im) is Fraction and c
+    assert h == CoeffFunction(f.dim, f.cutoff, terms, exact)
+    assert hash(h) == hash(CoeffFunction(f.dim, f.cutoff, terms, exact))
+
+
+mixed_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series of one random dim (1-3) and cutoff (0-12) with mixed
+    denominators, nonzero imaginary parts and arbitrary exact_to."""
+    dim = draw(st.integers(1, 3))
+    cutoff = draw(st.integers(0, 12))
+
+    def exponent():
+        left, e = cutoff, []
+        for _ in range(dim):
+            e.append(draw(st.integers(0, left)))
+            left -= e[-1]
+        return tuple(e)
+
+    def series():
+        terms = {}
+        for _ in range(draw(st.integers(0, 12))):
+            terms[exponent()] = QI(draw(mixed_fraction),
+                                   draw(mixed_fraction))
+        exact = draw(st.one_of(st.none(), st.integers(0, cutoff)))
+        return CoeffFunction(dim, cutoff, terms, exact)
+
+    return series(), series()
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_pairs())
+def test_cf_mul_matches_schoolbook(pair):
+    f, g = pair
+    assert_matches_schoolbook(f, g)
+    assert_matches_schoolbook(g, f)
+    assert_matches_schoolbook(f, f)
+
+
+@pytest.mark.parametrize("dim,cutoff", [(1, 0), (1, 12), (2, 12), (3, 6)])
+def test_cf_mul_dense_matches_schoolbook(dim, cutoff):
+    import itertools
+    import random
+
+    rng = random.Random(dim * 100 + cutoff)
+
+    def dense():
+        terms = {}
+        for e in itertools.product(range(cutoff + 1), repeat=dim):
+            if sum(e) <= cutoff:
+                terms[e] = QI(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                              Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+        return CoeffFunction(dim, cutoff, terms)
+
+    assert_matches_schoolbook(dense(), dense())
+
+
+def test_cf_mul_empty_and_constant_operands():
+    zero = CoeffFunction.zero(2, 5)
+    one = CoeffFunction.constant(2, 5, ONE)
+    c = CoeffFunction.constant(2, 5, qi(Fraction(2, 3), Fraction(-1, 5)))
+    f = CoeffFunction(2, 5, {(1, 0): qi(1, 1), (2, 3): qi(Fraction(1, 2))},
+                      exact_to=4)
+    for a, b in ((zero, f), (f, zero), (zero, zero), (one, f), (f, one),
+                 (c, f), (c, c), (c, zero)):
+        assert_matches_schoolbook(a, b)
+    assert (one * f) == f and (f * one) == f
+    assert (zero * f).terms == {} and (zero * f).exact_to == 4
+    # x1^3 * x2^3 leaves cutoff 5: nothing is kept and exactness drops
+    h = (CoeffFunction.monomial(2, 5, (3, 0))
+         * CoeffFunction.monomial(2, 5, (0, 3)))
+    assert h.terms == {} and h.exact_to == 5
+    # terms that cancel are not stored
+    p = CoeffFunction(1, 4, {(0,): ONE, (1,): ONE})
+    m = CoeffFunction(1, 4, {(0,): ONE, (1,): qi(-1)})
+    assert (p * m).terms == {(0,): ONE, (2,): qi(-1)}
+
+
+def test_cf_results_are_reused_safely():
+    f = CoeffFunction(2, 6, {(1, 0): qi(1, Fraction(1, 3)),
+                             (0, 2): qi(Fraction(-2, 5))})
+    g = f * f
+    assert f.scale(1) == f
+    assert (g * f).terms == schoolbook_mul(g, f)[0]
+    assert (f.partial(1) * g.partial(2)).terms == schoolbook_mul(
+        f.partial(1), g.partial(2))[0]
+    with pytest.raises(ValueError):
+        CoeffFunction(1, 3, {(-1,): ONE})
+
+
+# -- sympy oracle for compose, inverses and log ------------------------
+
+
+@pytest.fixture
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def _rand_series(rng, dim, cutoff, n_terms, constant=None, linear=None):
+    """A random series with small Gaussian-rational coefficients; the
+    constant term is `constant` when given, and no term has degree 1
+    unless `linear` supplies the linear part."""
+    terms = {}
+    for _ in range(n_terms):
+        e = tuple(rng.randint(0, 2) for _ in range(dim))
+        if 2 <= sum(e) <= cutoff:
+            terms[e] = QI(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                          Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+    if constant is not None:
+        terms[(0,) * dim] = constant
+    for j, c in enumerate(linear or ()):
+        e = [0] * dim
+        e[j] = 1
+        terms[tuple(e)] = c
+    return CoeffFunction(dim, cutoff, terms)
+
+
+def _to_sympy(sp, cf, xs):
+    return sp.Add(*[(sp.Rational(c.re.numerator, c.re.denominator)
+                     + sp.I * sp.Rational(c.im.numerator, c.im.denominator))
+                    * sp.Mul(*[x ** p for x, p in zip(xs, e)])
+                    for e, c in cf.terms.items()])
+
+
+def _from_sympy(sp, expr, xs, cutoff):
+    """Terms of a sympy polynomial through total degree cutoff, as QI."""
+    out = {}
+    poly = sp.Poly(sp.expand(expr), *xs)
+    for e, c in poly.terms():
+        if sum(e) <= cutoff and c != 0:
+            re, im = c.as_real_imag()
+            out[tuple(e)] = QI(Fraction(int(re.p), int(re.q)),
+                               Fraction(int(im.p), int(im.q)))
+    return out
+
+
+def _series_in_t(sp, expr, xs, cutoff):
+    """Taylor expansion through total degree cutoff, taken as a series in
+    t after scaling every variable by t."""
+    t = sp.Symbol("t")
+    scaled = expr.subs({x: t * x for x in xs}, simultaneous=True)
+    return sp.series(scaled, t, 0, cutoff + 1).removeO().subs(t, 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compose_against_sympy(sp, seed):
+    import random
+
+    rng = random.Random(seed)
+    dim, tdim, cutoff = 1 + seed % 2, 2 - seed % 2, 5
+    xs = sp.symbols("x1:%d" % (dim + 1))
+    ys = sp.symbols("y1:%d" % (tdim + 1))
+    f = _rand_series(rng, dim, cutoff, 5, constant=qi(1, -1),
+                     linear=[qi(2)] * dim)
+    subs = [_rand_series(rng, tdim, cutoff, 4,
+                         linear=[qi(k + 1, 1) for k in range(tdim)])
+            for _ in range(dim)]
+    got = f.compose(subs)
+    want = _to_sympy(sp, f, xs).subs(
+        {x: _to_sympy(sp, s, ys) for x, s in zip(xs, subs)},
+        simultaneous=True)
+    assert got.terms == _from_sympy(sp, want, ys, cutoff)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_series_inverse_and_log_against_sympy(sp, seed):
+    import random
+
+    rng = random.Random(10 + seed)
+    dim, cutoff = 1 + seed % 2, 4
+    xs = sp.symbols("x1:%d" % (dim + 1))
+    c0 = qi(Fraction(rng.randint(1, 3), rng.randint(1, 3)), rng.randint(-1, 1))
+    f = _rand_series(rng, dim, cutoff, 5, constant=c0,
+                     linear=[qi(Fraction(1, 2), 1)] * dim)
+    fx = _to_sympy(sp, f, xs)
+    inv = series_inverse(f)
+    assert inv.terms == _from_sympy(sp, _series_in_t(sp, 1 / fx, xs, cutoff),
+                                    xs, cutoff)
+    c = _to_sympy(sp, CoeffFunction.constant(dim, cutoff, c0), xs)
+    log = log_series_normalized(f)
+    assert log.terms == _from_sympy(
+        sp, _series_in_t(sp, sp.log(fx / c), xs, cutoff), xs, cutoff)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_functional_inverse_against_sympy(sp, seed):
+    """sympy composes the forward map with the inverse both ways; a
+    series with zero constant term is determined through the cutoff by
+    g(f(y)) = y, so agreement there pins every stored coefficient."""
+    import random
+
+    rng = random.Random(20 + seed)
+    dim, cutoff = 1 + seed % 2, 5
+    xs = sp.symbols("x1:%d" % (dim + 1))
+    lin = [qi(1, seed), qi(2)] if dim == 2 else [qi(3, -1)]
+    fwd = [_rand_series(rng, dim, cutoff, 5,
+                        linear=[lin[j] if i == j else (qi(1) if j > i else 0)
+                                for j in range(dim)])
+           for i in range(dim)]
+    inv = functional_inverse(fwd)
+    assert all(f.exact_to == cutoff for f in inv)
+    assert all(not f.constant_term() for f in inv)
+    g = [sp.Poly(_to_sympy(sp, cf, xs), *xs) for cf in fwd]
+    f = [sp.Poly(_to_sympy(sp, cf, xs), *xs) for cf in inv]
+
+    def compose(outer, inner):
+        """outer(inner) in sympy's polynomial arithmetic, truncated after
+        each product."""
+        def cut(p):
+            return sp.Poly.from_dict(
+                {e: c for e, c in p.as_dict().items() if sum(e) <= cutoff}
+                or {(0,) * dim: 0}, *xs)
+
+        acc = sp.Poly(0, *xs)
+        for e, c in outer.as_dict().items():
+            term = sp.Poly(c, *xs)
+            for q, p in zip(inner, e):
+                for _ in range(p):
+                    term = cut(term * q)
+            acc = acc + term
+        return _from_sympy(sp, acc.as_expr(), xs, cutoff)
+
+    for outer, inner in ((g, f), (f, g)):
+        for i in range(dim):
+            assert compose(outer[i], inner) == {
+                tuple(int(k == i) for k in range(dim)): ONE}
