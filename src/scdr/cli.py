@@ -249,7 +249,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     cutoff = args.cutoff
     if cutoff is None:
-        cutoff = int(os.environ.get("SCDR_CUTOFF", "8"))
+        env = os.environ.get("SCDR_CUTOFF", "8")
+        try:
+            cutoff = int(env)
+        except ValueError:
+            parser.error("SCDR_CUTOFF must be an integer, not %r" % env)
     if args.dim < 1:
         parser.error("--dim must be at least 1")
     if cutoff < 0:

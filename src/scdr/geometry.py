@@ -357,7 +357,8 @@ def quaternionic_triple_flat(n, cutoff):
 
 class CoordinateChange:
     """A change x~ = g(x) fixing the origin, with the inverse x = f(x~)
-    computed by Newton iteration when not supplied."""
+    computed when not supplied by a fixed-point iteration with the
+    Jacobian frozen at the origin, which gains one degree per pass."""
 
     def __init__(self, dim, cutoff, forward, inverse=None):
         if len(forward) != dim:
@@ -370,6 +371,7 @@ class CoordinateChange:
         self.cutoff = cutoff
         self.forward = list(forward)
         self.inverse = list(inverse)
+        self._pullback = None
         for i in range(dim):
             comp = self.inverse[i].compose(self.forward)
             d = comp - CoeffFunction.coordinate(dim, cutoff, i + 1)
@@ -377,10 +379,14 @@ class CoordinateChange:
                 raise ValueError("inverse does not invert the forward map")
 
     def pullback_jacobian(self):
-        """F[i][j] = (d f^j / d x~^i)(g(x)), as series in x."""
-        n = self.dim
-        return [[self.inverse[j].partial(i + 1).compose(self.forward)
-                 for j in range(n)] for i in range(n)]
+        """F[i][j] = (d f^j / d x~^i)(g(x)), as series in x; computed
+        once."""
+        if self._pullback is None:
+            n = self.dim
+            self._pullback = [[self.inverse[j].partial(i + 1)
+                               .compose(self.forward) for j in range(n)]
+                              for i in range(n)]
+        return self._pullback
 
 
 def transform_generators(ch):
@@ -502,12 +508,13 @@ def check_coordinate_change(ch):
     for i in range(n):
         terms = [nf_mul(alg.SPsi(j + 1), alg.coeff_nf(F[i][j]))
                  for j in range(n)]
+        # (d^2 f^k / dx~^i dx~^l)(g), which does not depend on r
+        hess = [[ch.inverse[k].partial(i + 1).partial(l + 1)
+                 .compose(ch.forward) for l in range(n)] for k in range(n)]
         for r in range(n):
             for k in range(n):
-                m = sum_cf(
-                    [ch.inverse[k].partial(i + 1).partial(l + 1)
-                     .compose(ch.forward) * ch.forward[l].partial(r + 1)
-                     for l in range(n)], n, cutoff)
+                m = sum_cf([hess[k][l] * ch.forward[l].partial(r + 1)
+                            for l in range(n)], n, cutoff)
                 if m.is_zero() and m.exact_to is None:
                     continue
                 terms.append(nf_mul(alg.coeff_nf(m),
@@ -527,8 +534,29 @@ def cf_from_json(dim, cutoff, obj):
         if len(exps) != dim:
             raise ValueError("exponent key %r does not match dim %d"
                              % (key, dim))
+        if not isinstance(val, str):
+            raise ValueError("scalar %r must be a string" % (val,))
         terms[exps] = parse_qi(val)
     return CoeffFunction(dim, cutoff, terms)
+
+
+def _series_grid(dim, cutoff, value, what, square=False):
+    """The series of a JSON list of dim exponent maps or, when square,
+    of a dim x dim list of such lists."""
+    rows = value if square else [value]
+    if not (isinstance(value, list) and len(value) == dim and all(
+            isinstance(r, list) and len(r) == dim
+            and all(isinstance(e, dict) for e in r) for r in rows)):
+        raise ValueError("%s must be a %s list of objects" % (
+            what, "%d x %d" % (dim, dim) if square else dim))
+    out = [[cf_from_json(dim, cutoff, e) for e in r] for r in rows]
+    return out if square else out[0]
+
+
+def _json_object(value, what):
+    if not isinstance(value, dict):
+        raise ValueError("%s must be a JSON object" % what)
+    return value
 
 
 def cf_to_json(cf):
@@ -555,27 +583,30 @@ def load_geometry(source):
     else:
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("a geometry document must be a JSON object")
-    dim = int(data["dim"])
-    cutoff = int(data["cutoff"])
+    _json_object(data, "a geometry document")
+    try:
+        dim, cutoff = int(data["dim"]), int(data["cutoff"])
+    except TypeError:
+        raise ValueError("dim and cutoff must be integers") from None
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
     if "g" in data:
-        g = [[cf_from_json(dim, cutoff, e) for e in row]
-             for row in data["g"]]
-        metric = MetricData(dim, cutoff, g)
+        metric = MetricData(dim, cutoff, _series_grid(dim, cutoff, data["g"],
+                                                      "g", square=True))
     else:
         metric = MetricData.flat(dim, cutoff)
     tensors = {}
-    for name, rows in data.get("tensors", {}).items():
-        tensors[name] = EndoTensor(dim, cutoff,
-                                   [[cf_from_json(dim, cutoff, e)
-                                     for e in row] for row in rows])
+    for name, rows in _json_object(data.get("tensors", {}),
+                                   "tensors").items():
+        tensors[name] = EndoTensor(dim, cutoff, _series_grid(
+            dim, cutoff, rows, "tensor %r" % name, square=True))
     changes = {}
-    for name, pair in data.get("changes", {}).items():
-        forward = [cf_from_json(dim, cutoff, e) for e in pair["forward"]]
-        inverse = None
-        if "inverse" in pair:
-            inverse = [cf_from_json(dim, cutoff, e)
-                       for e in pair["inverse"]]
+    for name, pair in _json_object(data.get("changes", {}),
+                                   "changes").items():
+        what = "change %r" % name
+        _json_object(pair, what)
+        forward = _series_grid(dim, cutoff, pair["forward"], what)
+        inverse = (_series_grid(dim, cutoff, pair["inverse"], what)
+                   if "inverse" in pair else None)
         changes[name] = CoordinateChange(dim, cutoff, forward, inverse)
     return GeometryInput(metric, tensors, changes)

@@ -17,6 +17,8 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 
 class QI:
@@ -58,18 +60,18 @@ class QI:
         other = as_qi(other)
         if other is None:
             return NotImplemented
-        return QI(self.re + other.re, self.im + other.im)
+        return _qi(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _qi(-self.re, -self.im)
 
     def __sub__(self, other):
         other = as_qi(other)
         if other is None:
             return NotImplemented
-        return QI(self.re - other.re, self.im - other.im)
+        return _qi(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = as_qi(other)
@@ -81,8 +83,8 @@ class QI:
         other = as_qi(other)
         if other is None:
             return NotImplemented
-        return QI(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        return _qi(self.re * other.re - self.im * other.im,
+                   self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
 
@@ -93,8 +95,8 @@ class QI:
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero in QI")
-        return QI((self.re * other.re + self.im * other.im) / n,
-                  (self.im * other.re - self.re * other.im) / n)
+        return _qi((self.re * other.re + self.im * other.im) / n,
+                   (self.im * other.re - self.re * other.im) / n)
 
     def __rtruediv__(self, other):
         other = as_qi(other)
@@ -103,15 +105,26 @@ class QI:
         return other / self
 
     def conj(self):
-        return QI(self.re, -self.im)
+        return _qi(self.re, -self.im)
 
     def is_rational(self):
         return self.im == 0
 
 
+def _qi(re, im):
+    """A QI from two Fractions without the coercion of the public
+    constructor: the results of QI and series arithmetic."""
+    q = object.__new__(QI)
+    object.__setattr__(q, "re", re)
+    object.__setattr__(q, "im", im)
+    object.__setattr__(q, "_hash", None)
+    return q
+
+
 ZERO = QI(0)
 ONE = QI(1)
 I = QI(0, 1)
+_F0 = Fraction(0)
 
 
 def as_qi(x):
@@ -198,9 +211,12 @@ class CoeffFunction:
     guaranteed complete through total degree d.  Arithmetic that drops a
     nonzero term of degree > cutoff lowers exact_to to cutoff; the flag
     never improves under further operations.
+
+    Multiplication runs on integers, over a packed form cached on first
+    use and left out of equality and hashing (see _pack).
     """
 
-    __slots__ = ("dim", "cutoff", "terms", "exact_to", "_hash")
+    __slots__ = ("dim", "cutoff", "terms", "exact_to", "_hash", "_packed")
 
     def __init__(self, dim, cutoff, terms, exact_to=None):
         clean = {}
@@ -216,11 +232,7 @@ class CoeffFunction:
             if e and min(e) < 0:
                 raise ValueError("negative exponent in %r" % (e,))
             clean[e] = c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "exact_to", exact_to)
-        object.__setattr__(self, "_hash", None)
+        _fill(self, dim, cutoff, clean, exact_to)
 
     def __setattr__(self, name, value):
         raise AttributeError("CoeffFunction is immutable")
@@ -303,13 +315,12 @@ class CoeffFunction:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return CoeffFunction(self.dim, self.cutoff, terms,
-                             _min_exact(self.exact_to, other.exact_to))
+        return _cf(self.dim, self.cutoff, terms,
+                   _min_exact(self.exact_to, other.exact_to))
 
     def __neg__(self):
-        return CoeffFunction(self.dim, self.cutoff,
-                             {e: -c for e, c in self.terms.items()},
-                             self.exact_to)
+        return _cf(self.dim, self.cutoff,
+                   {e: -c for e, c in self.terms.items()}, self.exact_to)
 
     def __sub__(self, other):
         return self + (-other)
@@ -317,31 +328,60 @@ class CoeffFunction:
     def scale(self, q):
         q = as_qi(q)
         if not q:
-            return CoeffFunction(self.dim, self.cutoff, {}, self.exact_to)
-        return CoeffFunction(self.dim, self.cutoff,
-                             {e: c * q for e, c in self.terms.items()},
-                             self.exact_to)
+            return _cf(self.dim, self.cutoff, {}, self.exact_to)
+        if not q.im and q.re in (1, -1):
+            return self if q.re == 1 else -self
+        return _cf(self.dim, self.cutoff,
+                   {e: c * q for e, c in self.terms.items()}, self.exact_to)
+
+    def _pack(self):
+        """(D, rows): a common denominator D and rows (degree, key, a, b)
+        with a + b*i = D*c, sorted by degree.  key holds the exponents as
+        digits in base cutoff + 1, so keys add as exponent tuples do."""
+        packed = self._packed
+        if packed is None:
+            den = lcm(*[q.denominator for c in self.terms.values()
+                        for q in (c.re, c.im)])
+            base = self.cutoff + 1
+            rows = sorted((sum(e), reduce(lambda k, p: k * base + p, e, 0),
+                           c.re.numerator * (den // c.re.denominator),
+                           c.im.numerator * (den // c.im.denominator))
+                          for e, c in self.terms.items())
+            packed = (den, rows)
+            object.__setattr__(self, "_packed", packed)
+        return packed
 
     def __mul__(self, other):
         self._check_compat(other)
+        cutoff = self.cutoff
+        den1, rows1 = self._pack()
+        den2, rows2 = other._pack()
+        re, im = {}, {}
+        # rows are sorted by degree, so the first row of other that
+        # leaves the cutoff ends the inner loop
+        for d1, k1, a1, b1 in rows1:
+            room = cutoff - d1
+            for d2, k2, a2, b2 in rows2:
+                if d2 > room:
+                    break
+                k = k1 + k2
+                re[k] = re.get(k, 0) + a1 * a2 - b1 * b2
+                im[k] = im.get(k, 0) + a1 * b2 + b1 * a2
+        den, dim = den1 * den2, self.dim
         terms = {}
-        dropped = False
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > self.cutoff:
-                    dropped = True
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, ZERO) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+        for k, a in re.items():
+            b = im[k]
+            if not (a or b):
+                continue
+            e = [0] * dim
+            for j in range(dim - 1, -1, -1):
+                k, e[j] = divmod(k, cutoff + 1)
+            terms[tuple(e)] = _qi(Fraction(a, den),
+                                  Fraction(b, den) if b else _F0)
         exact = _min_exact(self.exact_to, other.exact_to)
-        if dropped:
-            exact = _min_exact(exact, self.cutoff)
-        return CoeffFunction(self.dim, self.cutoff, terms, exact)
+        if rows1 and rows2 and rows1[-1][0] + rows2[-1][0] > cutoff:
+            exact = _min_exact(exact, cutoff)  # some pair left the cutoff
+        return _cf(dim, cutoff, terms, exact)
 
     def partial(self, i):
         """Formal partial derivative in x_i (1-based)."""
@@ -356,7 +396,7 @@ class CoeffFunction:
             ne[k] -= 1
             terms[tuple(ne)] = c * e[k]
         exact = self.exact_to if self.exact_to is None else self.exact_to - 1
-        return CoeffFunction(self.dim, self.cutoff, terms, exact)
+        return _cf(self.dim, self.cutoff, terms, exact)
 
     def compose(self, subs):
         """Substitute subs[k] for x_{k+1}; subs are series in some other
@@ -389,15 +429,28 @@ class CoeffFunction:
                 if p:
                     term = term * power(k, p)
             result = result + term
-        return CoeffFunction(result.dim, result.cutoff, result.terms,
-                             _min_exact(result.exact_to, exact))
+        return _cf(result.dim, result.cutoff, result.terms,
+                   _min_exact(result.exact_to, exact))
+
+
+def _cf(dim, cutoff, terms, exact_to):
+    """A CoeffFunction from terms that are already clean (nonzero QI
+    values at nonnegative exponents within the cutoff), without the
+    checks of the public constructor: the results of series arithmetic."""
+    return _fill(object.__new__(CoeffFunction), dim, cutoff, terms, exact_to)
+
+
+def _fill(f, dim, cutoff, terms, exact_to):
+    object.__setattr__(f, "dim", dim)
+    object.__setattr__(f, "cutoff", cutoff)
+    object.__setattr__(f, "terms", terms)
+    object.__setattr__(f, "exact_to", exact_to)
+    object.__setattr__(f, "_hash", None)
+    object.__setattr__(f, "_packed", None)
+    return f
 
 
 # -- series helpers ---------------------------------------------------
-
-
-def cf_compose(f, subs):
-    return f.compose(subs)
 
 
 def series_inverse(f):

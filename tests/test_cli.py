@@ -288,3 +288,43 @@ def test_cutoff_flag_must_match_the_file(capsys):
                      "--change", path)
     assert rc == 0
     assert "coordchange/quadratic: pass (degree 5)" in out
+
+
+def test_non_integer_cutoff_env_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("SCDR_CUTOFF", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "vac"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "SCDR_CUTOFF" in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc,suite", [
+    ({"dim": 1, "cutoff": 2, "g": 5}, "ns"),
+    ({"dim": 1, "cutoff": 2, "g": [5]}, "ns"),
+    ({"dim": 2, "cutoff": 2, "g": [[{"0,0": "1"}, {}]]}, "ns"),
+    ({"dim": 1, "cutoff": 2, "g": [[{"0": 1}]]}, "ns"),
+    ({"dim": 2, "cutoff": 2, "tensors": {"omega": 3}}, "n2"),
+    ({"dim": 2, "cutoff": 2, "tensors": {"omega": [[{}, {}], [{}, 3]]}},
+     "n2"),
+    ({"dim": 2, "cutoff": 2, "tensors": [1]}, "n2"),
+])
+def test_malformed_geometry_field_is_an_input_error(capsys, tmp_path, doc,
+                                                     suite):
+    path = _write_json(tmp_path / "bad.json", doc)
+    _assert_input_error(capsys, "verify", suite, "--metric", path)
+
+
+@pytest.mark.parametrize("change", [
+    {"forward": 5},
+    {"forward": [{"1": "1"}, {"1": "1"}]},
+    {"forward": [{"1": "1"}], "inverse": [[]]},
+    [1],
+])
+def test_malformed_change_is_an_input_error(capsys, tmp_path, change):
+    path = _write_json(tmp_path / "bad.json",
+                       {"dim": 1, "cutoff": 2, "changes": {"c": change}})
+    _assert_input_error(capsys, "verify", "coordchange", "--change", path)
