@@ -303,6 +303,8 @@ def test_non_integer_cutoff_env_is_an_input_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("doc,suite", [
+    ({"dim": [1], "cutoff": 2}, "ns"),
+    ({"dim": 0, "cutoff": 2}, "ns"),
     ({"dim": 1, "cutoff": 2, "g": 5}, "ns"),
     ({"dim": 1, "cutoff": 2, "g": [5]}, "ns"),
     ({"dim": 2, "cutoff": 2, "g": [[{"0,0": "1"}, {}]]}, "ns"),

@@ -1,11 +1,13 @@
 """Scalar ring and truncated power series.
 
 Oracle values are computed inside the tests with plain Fractions and
-textbook algorithms (long division, Lagrange inversion), independent of
-the series code under test.
+textbook algorithms (long division, Lagrange inversion, the schoolbook
+product) or with sympy, independent of the series code under test.
 """
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -302,9 +304,6 @@ def test_cf_mul_matches_schoolbook(pair):
 
 @pytest.mark.parametrize("dim,cutoff", [(1, 0), (1, 12), (2, 12), (3, 6)])
 def test_cf_mul_dense_matches_schoolbook(dim, cutoff):
-    import itertools
-    import random
-
     rng = random.Random(dim * 100 + cutoff)
 
     def dense():
@@ -339,7 +338,7 @@ def test_cf_mul_empty_and_constant_operands():
     assert (p * m).terms == {(0,): ONE, (2,): qi(-1)}
 
 
-def test_cf_results_are_reused_safely():
+def test_cf_products_of_results_and_public_checks():
     f = CoeffFunction(2, 6, {(1, 0): qi(1, Fraction(1, 3)),
                              (0, 2): qi(Fraction(-2, 5))})
     g = f * f
@@ -407,8 +406,6 @@ def _series_in_t(sp, expr, xs, cutoff):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_compose_against_sympy(sp, seed):
-    import random
-
     rng = random.Random(seed)
     dim, tdim, cutoff = 1 + seed % 2, 2 - seed % 2, 5
     xs = sp.symbols("x1:%d" % (dim + 1))
@@ -427,8 +424,6 @@ def test_compose_against_sympy(sp, seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_series_inverse_and_log_against_sympy(sp, seed):
-    import random
-
     rng = random.Random(10 + seed)
     dim, cutoff = 1 + seed % 2, 4
     xs = sp.symbols("x1:%d" % (dim + 1))
@@ -450,8 +445,6 @@ def test_functional_inverse_against_sympy(sp, seed):
     """sympy composes the forward map with the inverse both ways; a
     series with zero constant term is determined through the cutoff by
     g(f(y)) = y, so agreement there pins every stored coefficient."""
-    import random
-
     rng = random.Random(20 + seed)
     dim, cutoff = 1 + seed % 2, 5
     xs = sp.symbols("x1:%d" % (dim + 1))
