@@ -9,15 +9,17 @@ Sign conventions exercised here: chi^2 = -lambda, [Ta_b] = -lambda[a_b],
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scdr.bracket import jacobi_defect, lambda_bracket, skew, wick
 from scdr.suites import random_state
 from scdr.geometry import MetricData, build_H, build_H0
 from scdr.scalars import QI, CoeffFunction
-from scdr.terms import (Algebra, apply_S, apply_T, hp_add, hp_from,
+from scdr.terms import (B_KIND, PSI_KIND, Algebra, Generator, HPoly,
+                        NormalForm, apply_S, apply_T, hp_add, hp_from,
                         hp_mul_lambda, hp_mul_mono, hp_neg, hp_op_chi_plus_S,
                         hp_op_lambda_plus_T, hp_scale, hp_sub, hp_zero,
-                        nf_add, nf_mul, nf_neg, nf_scale)
+                        mono_from_factors, nf_add, nf_mul, nf_neg, nf_scale)
 
 ONE = (0, 0, 0, 0)
 LAM = (1, 0, 0, 0)
@@ -312,3 +314,100 @@ def test_curved_current_closes_with_central_charge_three():
     d = hp_sub(lambda_bracket(h, h), _ns_rhs_hp(alg, h, QI(3)))
     assert d.exact_to() >= 4
     assert d.is_zero_through(d.exact_to())
+
+
+# -- contraction support ----------------------------------------------
+#
+# Only B^i against Psi^i, and Psi^i against a function of x_i, pair in
+# the base brackets, so the Wick expansion of two states vanishes when
+# no B^i (or coefficient variable x_i) on one side meets a Psi^i on the
+# other.
+
+SUPPORT_CUTOFF = 4
+
+
+def _support(nf):
+    """(B indices, Psi indices) over every term of a state; the
+    variables of a coefficient count as B's."""
+    bs, psis = set(), set()
+    for gens, cf in nf.terms.items():
+        for e in cf.terms:
+            bs.update(i + 1 for i, p in enumerate(e) if p)
+        for g in gens:
+            (bs if g.kind == B_KIND else psis).add(g.index)
+    return bs, psis
+
+
+def _draw_monomial(draw, dim, b_indices, psi_indices):
+    """:f g_1 ... g_k: with up to 3 derived generators (t, s <= 1) and an
+    exact coefficient of degree <= 2, using only the given indices."""
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        kinds = [k for k, allowed in ((B_KIND, b_indices),
+                                      (PSI_KIND, psi_indices)) if allowed]
+        if not kinds:
+            break
+        kind = draw(st.sampled_from(kinds))
+        index = draw(st.sampled_from(b_indices if kind == B_KIND
+                                     else psi_indices))
+        t, s = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        if kind == B_KIND and not t + s:
+            s = 1  # an underived B is the coefficient variable x_i
+        gens.append(Generator(kind, index, t, s))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        e = [0] * dim
+        for _ in range(draw(st.integers(0, 2)) if b_indices else 0):
+            e[draw(st.sampled_from(b_indices)) - 1] += 1
+        terms[tuple(e)] = QI(draw(st.integers(-3, 3)),
+                             draw(st.integers(-1, 1)))
+    cf = CoeffFunction(dim, SUPPORT_CUTOFF, terms)
+    return mono_from_factors(dim, SUPPORT_CUTOFF, cf, gens)
+
+
+@st.composite
+def non_contracting_pairs(draw):
+    dim = draw(st.integers(1, 4))
+    every = list(range(1, dim + 1))
+    a = _draw_monomial(draw, dim, every, every)
+    a_b, a_psi = _support(a)
+    b = _draw_monomial(draw, dim, [i for i in every if i not in a_psi],
+                       [i for i in every if i not in a_b])
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(non_contracting_pairs())
+def test_bracket_without_contraction_vanishes_exactly(pair):
+    a, b = pair
+    a_b, a_psi = _support(a)
+    b_b, b_psi = _support(b)
+    assert not (a_b & b_psi) and not (a_psi & b_b)
+    for x, y in ((a, b), (b, a)):
+        p = lambda_bracket(x, y)
+        assert not p.terms, "nonzero: %r" % (p,)
+        assert p.exact_to() is None
+
+
+def test_truncated_coefficient_keeps_its_marker():
+    # f = x2 + x2^2 and the constant 1, each known only through degree 3.
+    # Psi1 contracts with neither, yet the bracket and the derivations
+    # certify only through degree 2: the derivative of a truncated
+    # series in any variable loses a degree.
+    alg = Algebra(2, 4)
+    f = CoeffFunction(2, 4, {(0, 1): 1, (0, 2): 1}, exact_to=3)
+    const = CoeffFunction(2, 4, {(0, 0): 1}, exact_to=3)
+    marker = HPoly(2, 4, {ONE: NormalForm(2, 4, {}, 2)})
+    f_nf, const_nf = alg.coeff_nf(f), alg.coeff_nf(const)
+    assert lambda_bracket(alg.Psi(1), f_nf) == marker
+    assert lambda_bracket(f_nf, alg.Psi(1)) == marker
+    assert lambda_bracket(alg.Psi(1), const_nf) == marker
+    assert lambda_bracket(const_nf, alg.Psi(1)) == \
+        HPoly(2, 4, {ONE: NormalForm(2, 4, {}, 3)})
+    df = CoeffFunction(2, 4, {(0, 0): 1, (0, 1): 2}, exact_to=2)
+    assert apply_T(f_nf) == NormalForm(
+        2, 4, {(Generator(B_KIND, 2, 1, 0),): df}, 2)
+    assert apply_S(f_nf) == NormalForm(
+        2, 4, {(Generator(B_KIND, 2, 0, 1),): df}, 2)
+    assert apply_T(const_nf) == NormalForm(2, 4, {}, 2)
+    assert apply_S(const_nf) == NormalForm(2, 4, {}, 2)

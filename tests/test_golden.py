@@ -37,6 +37,14 @@ CASES = {
     "components_dim4": ["--dim", "4", "verify", "components"],
     "coordchange_2d_json": ["--format", "json", "verify", "coordchange",
                             "--change", str(DATA / "change_quad_2d.json")],
+    "components_dim8": ["--dim", "8", "verify", "components"],
+    "jacobi_dim2": ["--dim", "2", "--cutoff", "4", "--seed", "0",
+                    "verify", "jacobi"],
+    "bracket_wick_dim3": ["--dim", "3", "bracket",
+                          "[:S(B1) Psi1 T(B2): _ :Psi2 S(Psi3): + "
+                          ":T(Psi1) B3:]"],
+    "bracket_pruned_dim3": ["--dim", "3", "bracket",
+                            "[:S(B1) Psi1: _ :B2 S(Psi3):]"],
 }
 
 
