@@ -33,9 +33,14 @@ def lambda_bracket(a, b):
     dim, cutoff = a.dim, a.cutoff
     out = hp_zero(dim, cutoff)
     exact = _min_exact(a.exact_to, b.exact_to)
+    right = [((c2, g2), _support(c2, g2)) for g2, c2 in b.terms.items()]
     for g1, c1 in a.terms.items():
-        for g2, c2 in b.terms.items():
-            out = hp_add(out, bracket_mono(dim, cutoff, (c1, g1), (c2, g2)))
+        bs1, psis1 = _support(c1, g1)
+        for m2, (bs2, psis2) in right:
+            if bs1 & psis2 or psis1 & bs2:
+                p = bracket_mono(dim, cutoff, (c1, g1), m2)
+                if p.terms:
+                    out = hp_add(out, p)
     if exact is not None:
         # carry the input truncation even if every term cancels
         marker = NormalForm(dim, cutoff, {}, exact)
@@ -43,7 +48,27 @@ def lambda_bracket(a, b):
     return out
 
 
+def _support(f, gens):
+    """The contraction support of the monomial :f gens:, as masks
+    (B, Psi) with bit i for a factor of index i.  The variables of f
+    count as B's, since [Psi^i_Lambda f] = d_i f."""
+    bs, psis = f._variables(), 0
+    for g in gens:
+        if g.kind == PSI_KIND:
+            psis |= 1 << g.index
+        else:
+            bs |= 1 << g.index
+    return bs, psis
+
+
 def bracket_mono(dim, cutoff, m1, m2):
+    # the base brackets pair B^i with Psi^i (or a function of x_i) only,
+    # so by the Wick formula monomials that share no such pair bracket
+    # to zero; those zeros are neither computed nor cached
+    bs1, psis1 = _support(*m1)
+    bs2, psis2 = _support(*m2)
+    if not (bs1 & psis2 or psis1 & bs2):
+        return hp_zero(dim, cutoff)
     key = (dim, cutoff, m1, m2)
     hit = _BR_CACHE.get(key)
     if hit is not None:

@@ -213,10 +213,12 @@ class CoeffFunction:
     never improves under further operations.
 
     Multiplication runs on integers, over a packed form cached on first
-    use and left out of equality and hashing (see _pack).
+    use and left out of equality and hashing (see _pack); so is the mask
+    of the variables the series depends on (see _variables).
     """
 
-    __slots__ = ("dim", "cutoff", "terms", "exact_to", "_hash", "_packed")
+    __slots__ = ("dim", "cutoff", "terms", "exact_to", "_hash", "_packed",
+                 "_vars")
 
     def __init__(self, dim, cutoff, terms, exact_to=None):
         clean = {}
@@ -351,6 +353,22 @@ class CoeffFunction:
             object.__setattr__(self, "_packed", packed)
         return packed
 
+    def _variables(self):
+        """Bit i set when some stored exponent of x_i (1-based) is
+        positive.  A truncated series gets -1, every variable: each of
+        its partial derivatives carries the lowered degree marker."""
+        mask = self._vars
+        if mask is None:
+            mask = -1
+            if self.exact_to is None:
+                mask = 0
+                for e in self.terms:
+                    for i, p in enumerate(e, 1):
+                        if p:
+                            mask |= 1 << i
+            object.__setattr__(self, "_vars", mask)
+        return mask
+
     def __mul__(self, other):
         self._check_compat(other)
         cutoff = self.cutoff
@@ -447,6 +465,7 @@ def _fill(f, dim, cutoff, terms, exact_to):
     object.__setattr__(f, "exact_to", exact_to)
     object.__setattr__(f, "_hash", None)
     object.__setattr__(f, "_packed", None)
+    object.__setattr__(f, "_vars", None)
     return f
 
 

@@ -352,10 +352,11 @@ def apply_T(nf):
     dim, cutoff = nf.dim, nf.cutoff
     out = NormalForm(dim, cutoff, {}, nf.exact_to)
     for gens, cf in nf.terms.items():
+        mask = cf._variables()
         for j in range(1, dim + 1):
-            d = cf.partial(j)
-            if d.is_zero() and d.exact_to is None:
+            if not mask >> j & 1:
                 continue
+            d = cf.partial(j)
             tb = Generator(B_KIND, j, 1, 0)
             out = nf_add(out, mono_from_factors(dim, cutoff, d,
                                                 (tb,) + gens))
@@ -370,10 +371,11 @@ def apply_S(nf):
     dim, cutoff = nf.dim, nf.cutoff
     out = NormalForm(dim, cutoff, {}, nf.exact_to)
     for gens, cf in nf.terms.items():
+        mask = cf._variables()
         for j in range(1, dim + 1):
-            d = cf.partial(j)
-            if d.is_zero() and d.exact_to is None:
+            if not mask >> j & 1:
                 continue
+            d = cf.partial(j)
             sb = Generator(B_KIND, j, 0, 1)
             out = nf_add(out, mono_from_factors(dim, cutoff, d,
                                                 (sb,) + gens))
