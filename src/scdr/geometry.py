@@ -559,6 +559,22 @@ def _json_object(value, what):
     return value
 
 
+def _field(obj, name, what):
+    if name not in obj:
+        raise ValueError("%s has no field %r" % (what, name))
+    return obj[name]
+
+
+def _json_int(data, name, least):
+    # bool is an int subclass in Python, but not a JSON integer
+    value = _field(data, name, "the geometry document")
+    if type(value) is not int:
+        raise ValueError("%s must be a JSON integer" % name)
+    if value < least:
+        raise ValueError("%s must be at least %d" % (name, least))
+    return value
+
+
 def cf_to_json(cf):
     out = {}
     for e, c in sorted(cf.terms.items()):
@@ -584,12 +600,8 @@ def load_geometry(source):
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     _json_object(data, "a geometry document")
-    try:
-        dim, cutoff = int(data["dim"]), int(data["cutoff"])
-    except TypeError:
-        raise ValueError("dim and cutoff must be integers") from None
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    dim = _json_int(data, "dim", 1)
+    cutoff = _json_int(data, "cutoff", 0)
     if "g" in data:
         metric = MetricData(dim, cutoff, _series_grid(dim, cutoff, data["g"],
                                                       "g", square=True))
@@ -605,7 +617,8 @@ def load_geometry(source):
                                    "changes").items():
         what = "change %r" % name
         _json_object(pair, what)
-        forward = _series_grid(dim, cutoff, pair["forward"], what)
+        forward = _series_grid(dim, cutoff, _field(pair, "forward", what),
+                               what)
         inverse = (_series_grid(dim, cutoff, pair["inverse"], what)
                    if "inverse" in pair else None)
         changes[name] = CoordinateChange(dim, cutoff, forward, inverse)
