@@ -1,0 +1,109 @@
+"""Check that two engine trees print the same CLI output.
+
+    python3 tools/same_output.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.
+Every invocation of the suite matrix below runs once per tree, each in
+a fresh Python process with that tree first on PYTHONPATH, in
+`--format text` and in `--format json`:
+
+  * flat `ns`, `n2` and `n4 --flat-quaternionic` at `--dim` 4, 8, 16,
+    and `components` at `--dim` 8, 16;
+  * curved NS on `data/metric_1d_curved.json`, with and without
+    `--drop-potential`;
+  * `coordchange` on both shipped changes, and on the 2-D change
+    rewritten to cutoffs 10 and 12;
+  * `--dim 2 --cutoff 4 --seed 0 verify jacobi`;
+  * the `bracket` and `normalize` examples of README.md, and two
+    bracket queries at `--dim 3`.
+
+The stdout and exit code of each pair are compared.  The first pair
+that differs is named and the script exits 1; when all agree it prints
+one summary line and exits 0.  Standard library only; the engine does
+not import this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+
+RUN = "import sys; from scdr.cli import main; sys.exit(main())"
+
+
+def matrix(change_dir):
+    """The argv of every invocation, without the --format flag."""
+    suites = []
+    for dim in (4, 8, 16):
+        suites += [["--dim", str(dim), "verify", "ns"],
+                   ["--dim", str(dim), "verify", "n2"],
+                   ["--dim", str(dim), "verify", "n4",
+                    "--flat-quaternionic"]]
+    for dim in (8, 16):
+        suites.append(["--dim", str(dim), "verify", "components"])
+    metric = str(DATA / "metric_1d_curved.json")
+    suites += [["verify", "ns", "--metric", metric],
+               ["verify", "ns", "--metric", metric, "--drop-potential"]]
+    changes = [DATA / "change_quad_1d.json", DATA / "change_quad_2d.json"]
+    doc = json.loads((DATA / "change_quad_2d.json").read_text())
+    for cutoff in (10, 12):
+        doc["cutoff"] = cutoff
+        path = Path(change_dir) / ("change_quad_2d_c%d.json" % cutoff)
+        path.write_text(json.dumps(doc))
+        changes.append(path)
+    suites += [["verify", "coordchange", "--change", str(p)]
+               for p in changes]
+    suites.append(["--dim", "2", "--cutoff", "4", "--seed", "0",
+                   "verify", "jacobi"])
+    queries = [["bracket", "[B1 _ Psi1]"],
+               ["bracket", "[S(B1) _ Psi1]"],
+               ["normalize", ":Psi1 S(B1): + :S(B1) Psi1:"],
+               ["normalize", "S(S(B1))"],
+               ["--dim", "3", "bracket",
+                "[:S(B1) Psi1 T(B2): _ :Psi2 S(Psi3): + :T(Psi1) B3:]"],
+               ["--dim", "3", "bracket", "[:S(B1) Psi1: _ :B2 S(Psi3):]"]]
+    return [["--format", fmt] + argv
+            for argv in suites + queries for fmt in ("text", "json")]
+
+
+def run(src, argv):
+    env = dict(os.environ)
+    env.pop("SCDR_CUTOFF", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", RUN] + argv, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    return proc.returncode, proc.stdout
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_src")
+    ap.add_argument("change_src")
+    args = ap.parse_args(argv)
+    for src in (args.parent_src, args.change_src):
+        if not (Path(src) / "scdr" / "cli.py").is_file():
+            ap.error("%s holds no scdr package" % src)
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = matrix(tmp)
+        for n, case in enumerate(cases, 1):
+            parent = run(args.parent_src, case)
+            change = run(args.change_src, case)
+            if parent != change:
+                print("differs at %d of %d: scdr %s" % (
+                    n, len(cases), " ".join(case)))
+                print("  exit codes: %d, %d" % (parent[0], change[0]))
+                return 1
+    print("%d invocations: stdout and exit codes identical" % len(cases))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
