@@ -64,7 +64,8 @@ def _support(f, gens):
 def bracket_mono(dim, cutoff, m1, m2):
     # the base brackets pair B^i with Psi^i (or a function of x_i) only,
     # so by the Wick formula monomials that share no such pair bracket
-    # to zero; those zeros are neither computed nor cached
+    # to zero (two functions of the B fields commute, for one); those
+    # zeros are neither computed nor cached
     bs1, psis1 = _support(*m1)
     bs2, psis2 = _support(*m2)
     if not (bs1 & psis2 or psis1 & bs2):
@@ -86,9 +87,6 @@ def _is_atomic(m):
 def _bracket_mono(dim, cutoff, m1, m2):
     f1, g1 = m1
     f2, g2 = m2
-    if not g1 and not g2:
-        # two functions of the B fields commute
-        return hp_zero(dim, cutoff)
     if g2 and (len(g2) >= 2 or not f2.is_constant()):
         return _wick(dim, cutoff, m1, (f2, g2[:-1]), g2[-1])
     if _is_atomic(m1):
@@ -135,8 +133,6 @@ def _atomic_deriv_right(dim, cutoff, x, m2):
     if not g2:
         if x.kind == PSI_KIND:
             d = f2.partial(x.index)
-            if d.is_zero() and d.exact_to is None:
-                return hp_zero(dim, cutoff)
             return HPoly(dim, cutoff, {HMONO_ONE: nf_mono(dim, cutoff, d, ())})
         return hp_zero(dim, cutoff)
     h = g2[0]
