@@ -559,9 +559,16 @@ def _json_object(value, what):
     return value
 
 
+class _MissingField(KeyError, ValueError):
+    """A required JSON field is absent: a failed lookup, and bad input
+    whose message prints without KeyError's quotes."""
+
+    __str__ = ValueError.__str__
+
+
 def _field(obj, name, what):
     if name not in obj:
-        raise ValueError("%s has no field %r" % (what, name))
+        raise _MissingField("%s has no field %r" % (what, name))
     return obj[name]
 
 
