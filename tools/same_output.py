@@ -15,7 +15,9 @@ a fresh Python process with that tree first on PYTHONPATH, in
     rewritten to cutoffs 10 and 12;
   * `--dim 2 --cutoff 4 --seed 0 verify jacobi`;
   * the `bracket` and `normalize` examples of README.md, and two
-    bracket queries at `--dim 3`.
+    bracket queries at `--dim 3`;
+  * `normalize` and `bracket` invocations that together use every
+    production of the expression grammar (see `scdr.parser`).
 
 The stdout and exit code of each pair are compared.  The first pair
 that differs is named and the script exits 1; when all agree it prints
@@ -69,8 +71,29 @@ def matrix(change_dir):
                ["--dim", "3", "bracket",
                 "[:S(B1) Psi1 T(B2): _ :Psi2 S(Psi3): + :T(Psi1) B3:]"],
                ["--dim", "3", "bracket", "[:S(B1) Psi1: _ :B2 S(Psi3):]"]]
+    # one production of the grammar or more per line: bare number, i,
+    # vac; S(...) and prefix T S; a three-factor chain with a Gaussian
+    # literal; leading minus and scalar prefixes; nested parentheses;
+    # queries and the two-expression bracket form
+    grammar = [["normalize", "3/2"],
+               ["normalize", "i"],
+               ["normalize", "vac"],
+               ["--dim", "2", "normalize", "S(:B1 Psi2:)"],
+               ["normalize", "T S B1"],
+               ["--dim", "2", "normalize", ":S(B1) Psi1 T(B2):"],
+               ["--dim", "2", "normalize",
+                ':f{"1,0": "1/2 + i", "0,2": "-3 i"} Psi1 S(B2):'],
+               ["--dim", "2", "normalize",
+                "- S(B1) + 2 * i * Psi2 - 1/3 * T(Psi1)"],
+               ["--dim", "2", "normalize", "S(T(S(:B1 Psi1:) - T(B2)))"],
+               ["--dim", "2", "bracket",
+                '[f{"1,1": "2 - i"} _ - S(Psi1) + 3 * T(B2)]'],
+               ["--dim", "2", "bracket",
+                "[:B1 Psi2: _ 2 * i * :B2 S(Psi1):]"],
+               ["bracket", "T S B1", "Psi1"]]
     return [["--format", fmt] + argv
-            for argv in suites + queries for fmt in ("text", "json")]
+            for argv in suites + queries + grammar
+            for fmt in ("text", "json")]
 
 
 def run(src, argv):
