@@ -15,7 +15,7 @@ import os
 import sys
 
 from .scalars import hmono_render
-from .terms import Algebra, render_nf, render_hpoly
+from .terms import render_nf, render_hpoly
 from .bracket import lambda_bracket
 from .parser import (parse_expression, parse_bracket_query, looks_like_query,
                      ParseError)
@@ -49,24 +49,21 @@ def _check_state(nf, config):
 
 
 def cmd_bracket(args, config):
-    alg = Algebra(config["dim"], config["cutoff"])
+    dim, cutoff = config["dim"], config["cutoff"]
     try:
         if len(args.expr) == 1:
             if not looks_like_query(args.expr[0]):
                 print("error: bracket expects '[e1 _ e2]' or two "
                       "expressions", file=sys.stderr)
                 return 2
-            left, right = parse_bracket_query(args.expr[0], alg.dim,
-                                              alg.cutoff)
+            a, b = parse_bracket_query(args.expr[0], dim, cutoff)
         elif len(args.expr) == 2:
-            left = parse_expression(args.expr[0], alg.dim, alg.cutoff)
-            right = parse_expression(args.expr[1], alg.dim, alg.cutoff)
+            a = parse_expression(args.expr[0], dim, cutoff)
+            b = parse_expression(args.expr[1], dim, cutoff)
         else:
             print("error: bracket expects one query or two expressions",
                   file=sys.stderr)
             return 2
-        a = alg.normalize(left)
-        b = alg.normalize(right)
         _check_state(a, config)
         _check_state(b, config)
     except (ParseError, ValueError) as err:
@@ -81,9 +78,8 @@ def cmd_bracket(args, config):
 
 
 def cmd_normalize(args, config):
-    alg = Algebra(config["dim"], config["cutoff"])
     try:
-        nf = alg.normalize(parse_expression(args.expr, alg.dim, alg.cutoff))
+        nf = parse_expression(args.expr, config["dim"], config["cutoff"])
         _check_state(nf, config)
     except (ParseError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)

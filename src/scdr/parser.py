@@ -12,6 +12,9 @@ Grammar (EBNF):
     pair    = STRING ":" STRING ;
     query   = "[" expr "_" expr "]" ;
 
+The parser builds the PBW normal form of each production as it reads
+it, so ``parse_expression`` returns a NormalForm.
+
 GEN is ``B<k>`` or ``Psi<k>`` with 1 <= k <= dim.  NUMBER is an
 unsigned rational ``p`` or ``p/q``; a NUMBER or ``i`` standing alone is
 that multiple of the vacuum.  ``S`` and ``T`` bind tightly to the
@@ -28,8 +31,8 @@ from __future__ import annotations
 import re
 
 from .scalars import QI, ONE, parse_qi, CoeffFunction
-from .terms import (Generator, B_KIND, PSI_KIND, Vac, GenE, CoeffE, SD, TD,
-                    Nop, Sum)
+from .terms import (Algebra, B_KIND, PSI_KIND, apply_S, apply_T, nf_mul,
+                    nf_scale, nf_sum)
 
 
 class ParseError(ValueError):
@@ -65,15 +68,14 @@ def _tokenize(text):
 _GEN_NAME = re.compile(r"(B|Psi)(\d+)$")
 
 # Deepest nesting of derivations, parentheses and normally ordered
-# products accepted; the parser and normalize recurse once per level.
+# products accepted; the parser recurses once per level.
 MAX_DEPTH = 100
 
 
 class _Parser:
     def __init__(self, text, dim, cutoff):
         self.text = text
-        self.dim = dim
-        self.cutoff = cutoff
+        self.alg = Algebra(dim, cutoff)
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
@@ -111,11 +113,12 @@ class _Parser:
             items.append(self._signed_term(QI(1) if op == "+" else QI(-1)))
         if len(items) == 1 and items[0][0] == ONE:
             return items[0][1]
-        return Sum(tuple(items))
+        return nf_sum([nf_scale(nf, q) for q, nf in items], self.alg.dim,
+                      self.alg.cutoff)
 
     def _signed_term(self, sign):
-        q, e = self.parse_term()
-        return (sign * q, e)
+        q, nf = self.parse_term()
+        return (sign * q, nf)
 
     def parse_term(self):
         q = QI(1)
@@ -152,7 +155,7 @@ class _Parser:
                 self.expect(")")
             else:
                 arg = self.parse_factor()
-            out = SD(arg) if text == "S" else TD(arg)
+            out = apply_S(arg) if text == "S" else apply_T(arg)
         else:
             out = self.parse_atom()
         self.depth -= 1
@@ -161,33 +164,30 @@ class _Parser:
     def parse_atom(self):
         kind, text, pos = self.next()
         if kind == "number":
-            return Sum(((parse_qi(text), Vac()),))
+            return nf_scale(self.alg.one(), parse_qi(text))
         if text == ":":
-            items = [self.parse_factor()]
+            out = self.parse_factor()
             while self.peek()[1] != ":":
                 if self.peek()[0] == "end":
                     self.fail("unterminated normally ordered product")
-                items.append(self.parse_factor())
+                out = nf_mul(out, self.parse_factor())
             self.next()
-            out = items[0]
-            for item in items[1:]:
-                out = Nop(out, item)
             return out
         if kind == "name":
             if text == "vac":
-                return Vac()
+                return self.alg.one()
             if text == "i":
-                return Sum(((QI(0, 1), Vac()),))
+                return nf_scale(self.alg.one(), QI(0, 1))
             if text == "f":
-                return CoeffE(self._literal())
+                return self.alg.coeff_nf(self._literal())
             m = _GEN_NAME.match(text)
             if m:
                 index = int(m.group(2))
-                if not 1 <= index <= self.dim:
+                if not 1 <= index <= self.alg.dim:
                     raise ParseError("generator index out of range 1..%d"
-                                     % self.dim, self.text, pos)
+                                     % self.alg.dim, self.text, pos)
                 knd = B_KIND if m.group(1) == "B" else PSI_KIND
-                return GenE(Generator(knd, index, 0, 0))
+                return self.alg.nf_gen(knd, index)
         raise ParseError("expected an expression", self.text, pos)
 
     def _literal(self):
@@ -199,15 +199,15 @@ class _Parser:
                 self.expect(":")
                 val = self._string()
                 exps = tuple(int(p) for p in key.split(","))
-                if len(exps) != self.dim:
+                if len(exps) != self.alg.dim:
                     self.fail("coefficient key needs %d exponents"
-                              % self.dim)
+                              % self.alg.dim)
                 terms[exps] = parse_qi(val)
                 if self.peek()[1] != ",":
                     break
                 self.next()
         self.expect("}")
-        return CoeffFunction(self.dim, self.cutoff, terms)
+        return CoeffFunction(self.alg.dim, self.alg.cutoff, terms)
 
     def _string(self):
         kind, text, pos = self.next()
@@ -230,13 +230,15 @@ class _Parser:
 
 
 def parse_expression(text, dim, cutoff):
+    """The normal form of the state that text denotes."""
     p = _Parser(text, dim, cutoff)
-    e = p.parse_expr()
+    nf = p.parse_expr()
     p.finish()
-    return e
+    return nf
 
 
 def parse_bracket_query(text, dim, cutoff):
+    """The normal forms of the two states of a '[e1 _ e2]' query."""
     p = _Parser(text, dim, cutoff)
     pair = p.parse_query()
     p.finish()

@@ -659,64 +659,7 @@ def hp_chi_part(p):
     return out
 
 
-# -- expressions ------------------------------------------------------
-#
-# A tiny algebraic expression layer feeding normalize(); the parser and
-# the geometry builders construct these.
-
-
-class Vac:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "vac"
-
-
-class GenE:
-    __slots__ = ("gen",)
-
-    def __init__(self, gen):
-        self.gen = gen
-
-    def __repr__(self):
-        return self.gen.render()
-
-
-class CoeffE:
-    __slots__ = ("cf",)
-
-    def __init__(self, cf):
-        self.cf = cf
-
-
-class SD:
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = arg
-
-
-class TD:
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = arg
-
-
-class Nop:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-
-class Sum:
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        # items: tuple of (QI scale, expression)
-        self.items = tuple(items)
+# -- the ambient algebra ----------------------------------------------
 
 
 class Algebra:
@@ -766,43 +709,10 @@ class Algebra:
     def coeff_nf(self, cf):
         return nf_mono(self.dim, self.cutoff, cf, ())
 
-    def normalize(self, expr):
-        return normalize(expr, self)
-
-
-def normalize(expr, alg):
-    """Rewrite an expression into PBW normal form."""
-    if isinstance(expr, NormalForm):
-        return expr
-    if isinstance(expr, Vac):
-        return alg.one()
-    if isinstance(expr, GenE):
-        g = expr.gen
-        return alg.nf_gen(g.kind, g.index, g.t, g.s)
-    if isinstance(expr, CoeffE):
-        return alg.coeff_nf(expr.cf)
-    if isinstance(expr, SD):
-        return apply_S(normalize(expr.arg, alg))
-    if isinstance(expr, TD):
-        return apply_T(normalize(expr.arg, alg))
-    if isinstance(expr, Nop):
-        return nf_mul(normalize(expr.left, alg), normalize(expr.right, alg))
-    if isinstance(expr, Sum):
-        out = alg.zero()
-        for q, e in expr.items:
-            out = nf_add(out, nf_scale(normalize(e, alg), q))
-        return out
-    raise TypeError("not a field expression: %r" % (expr,))
-
-
-def expr_equal(e1, e2, alg):
-    """Decide equality of two expressions.
-
-    Returns (verdict, guaranteed_degree): guaranteed_degree None means
-    the comparison is exact; an integer bounds the certified degree.
-    """
-    from .superconf import holds
-    return holds(nf_sub(normalize(e1, alg), normalize(e2, alg)))
+    def normalize(self, nf):
+        """Return nf: the parser builds states in normal form already.
+        Kept because perfbench/run.py calls it on parsed states."""
+        return nf
 
 
 # -- rendering --------------------------------------------------------

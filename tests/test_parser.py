@@ -10,11 +10,11 @@ from scdr.parser import (ParseError, looks_like_query, parse_bracket_query,
                          parse_expression)
 from scdr.scalars import QI, CoeffFunction
 from scdr.terms import (Algebra, apply_S, apply_T, nf_add, nf_mul, nf_neg,
-                        nf_scale, normalize, render_nf)
+                        nf_scale, render_nf)
 
 
 def norm(text, alg):
-    return normalize(parse_expression(text, alg.dim, alg.cutoff), alg)
+    return parse_expression(text, alg.dim, alg.cutoff)
 
 
 @pytest.fixture
@@ -75,8 +75,8 @@ def test_coefficient_literal(alg):
 
 def test_query_form(alg):
     left, right = parse_bracket_query("[S B1 _ :B2 Psi2:]", 2, 6)
-    assert normalize(left, alg) == alg.SB(1)
-    assert normalize(right, alg) == nf_mul(alg.B(2), alg.Psi(2))
+    assert left == alg.SB(1)
+    assert right == nf_mul(alg.B(2), alg.Psi(2))
     assert looks_like_query("  [B1 _ B1]")
     assert not looks_like_query(":B1 Psi1:")
 

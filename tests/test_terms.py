@@ -5,9 +5,10 @@ import random
 import pytest
 
 from scdr.scalars import QI, CoeffFunction
-from scdr.terms import (Algebra, Generator, B_KIND, PSI_KIND, Nop, Sum, Vac,
-                        GenE, nf_mul, nf_add, nf_sub, nf_scale, apply_S,
-                        apply_T, normalize, expr_equal, render_nf)
+from scdr.terms import (Algebra, Generator, B_KIND, PSI_KIND, nf_mul, nf_add,
+                        nf_sub, nf_scale, apply_S, apply_T, render_nf)
+from scdr.parser import parse_expression
+from scdr.superconf import holds
 from scdr.suites import random_state
 
 
@@ -20,21 +21,24 @@ def is_exact_zero(nf):
     return nf.is_zero_through(nf.exact_to)
 
 
+def parse(text, alg):
+    return parse_expression(text, alg.dim, alg.cutoff)
+
+
 def test_vacuum_is_nop_unit(alg):
-    e = GenE(Generator(B_KIND, 1, 1, 0))
-    assert normalize(Nop(Vac(), e), alg) == normalize(e, alg)
-    assert normalize(Nop(e, Vac()), alg) == normalize(e, alg)
+    e = alg.TB(1)
+    assert nf_mul(alg.one(), e) == e
+    assert nf_mul(e, alg.one()) == e
+    assert parse(":vac T B1:", alg) == e
+    assert parse(":T B1 vac:", alg) == e
 
 
 def test_odd_anticommutator_cancels(alg):
     # :Psi1 SB1: + :SB1 Psi1: = 0 because [Psi1_L SB1] has no constant
-    e = Sum(((QI(1), Nop(GenE(Generator(PSI_KIND, 1, 0, 0)),
-                         GenE(Generator(B_KIND, 1, 0, 1)))),
-             (QI(1), Nop(GenE(Generator(B_KIND, 1, 0, 1)),
-                         GenE(Generator(PSI_KIND, 1, 0, 0))))))
-    nf = normalize(e, alg)
+    nf = nf_add(nf_mul(alg.Psi(1), alg.SB(1)), nf_mul(alg.SB(1), alg.Psi(1)))
     assert nf.is_zero()
     assert nf.exact_to is None
+    assert parse(":Psi1 S B1: + :S B1 Psi1:", alg) == nf
 
 
 def test_odd_generator_squares_vanish(alg):
@@ -92,11 +96,11 @@ def test_s_on_coefficient_gives_gradient_pairing(alg):
     assert is_exact_zero(nf_sub(got, want))
 
 
-def test_normalize_is_idempotent_on_trees(alg):
-    e = Nop(Sum(((QI(2), GenE(Generator(B_KIND, 1, 0, 1))),)),
-            GenE(Generator(PSI_KIND, 2, 1, 0)))
-    nf = normalize(e, alg)
-    assert normalize(nf, alg) == nf
+def test_normal_form_parses_back_to_itself(alg):
+    nf = nf_mul(nf_scale(alg.SB(1), QI(2)), alg.TPsi(2))
+    assert parse("2 * :S B1 T Psi2:", alg) == nf
+    assert parse(render_nf(nf), alg) == nf
+    assert alg.normalize(nf) is nf
 
 
 def test_parity_bookkeeping(alg):
@@ -115,13 +119,16 @@ def test_normal_form_is_immutable(alg):
         nf.terms = {}
 
 
-def test_expr_equal_reports_exactness(alg):
-    a = GenE(Generator(B_KIND, 1, 0, 0))
-    ok, gd = expr_equal(a, a, alg)
-    assert ok and gd is None
-    b = GenE(Generator(B_KIND, 2, 0, 0))
-    ok, _ = expr_equal(a, b, alg)
-    assert not ok
+def test_holds_reports_exactness(alg):
+    a, b = alg.B(1), alg.B(2)
+    assert holds(nf_sub(a, a)) == (True, None)
+    assert holds(nf_sub(a, b)) == (False, None)
+    # two series that agree through degree 3 and are known only that far
+    f = CoeffFunction(2, 6, {(1, 0): QI(1), (5, 0): QI(1)}, exact_to=3)
+    g = CoeffFunction(2, 6, {(1, 0): QI(1)}, exact_to=4)
+    assert holds(nf_sub(alg.coeff_nf(f), alg.coeff_nf(g))) == (True, 3)
+    h = CoeffFunction(2, 6, {(2, 0): QI(1)})
+    assert holds(nf_sub(alg.coeff_nf(f), alg.coeff_nf(h))) == (False, 3)
 
 
 def test_generator_rendering_space_form():
