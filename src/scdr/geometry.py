@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 
-from .scalars import (QI, ONE, HMONO_ONE, as_qi, parse_qi, render_qi,
-                      CoeffFunction, log_series_normalized,
+from .scalars import (QI, ONE, HMONO_ONE, as_qi, parse_qi, parse_exponents,
+                      render_qi, CoeffFunction, log_series_normalized,
                       functional_inverse, sum_cf, _matrix_inverse_qi,
                       _min_exact)
 from .terms import (Algebra, nf_mul, nf_sum, nf_sub, apply_S, apply_T,
@@ -530,10 +530,7 @@ def check_coordinate_change(ch):
 def cf_from_json(dim, cutoff, obj):
     terms = {}
     for key, val in obj.items():
-        exps = tuple(int(p) for p in key.split(","))
-        if len(exps) != dim:
-            raise ValueError("exponent key %r does not match dim %d"
-                             % (key, dim))
+        exps = parse_exponents(key, dim, terms)
         if not isinstance(val, str):
             raise ValueError("scalar %r must be a string" % (val,))
         terms[exps] = parse_qi(val)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 
-from .scalars import QI, ONE, parse_qi, CoeffFunction
+from .scalars import QI, ONE, parse_qi, parse_exponents, CoeffFunction
 from .terms import (Algebra, B_KIND, PSI_KIND, apply_S, apply_T, nf_mul,
                     nf_scale, nf_sum)
 
@@ -195,14 +195,14 @@ class _Parser:
         terms = {}
         if self.peek()[1] != "}":
             while True:
+                pos = self.peek()[2]
                 key = self._string()
+                try:
+                    exps = parse_exponents(key, self.alg.dim, terms)
+                except ValueError as err:
+                    raise ParseError(str(err), self.text, pos) from None
                 self.expect(":")
-                val = self._string()
-                exps = tuple(int(p) for p in key.split(","))
-                if len(exps) != self.alg.dim:
-                    self.fail("coefficient key needs %d exponents"
-                              % self.alg.dim)
-                terms[exps] = parse_qi(val)
+                terms[exps] = parse_qi(self._string())
                 if self.peek()[1] != ",":
                     break
                 self.next()

@@ -176,6 +176,23 @@ def _rational(text):
         raise ValueError("zero denominator in %r" % text) from None
 
 
+def parse_exponents(key, dim, seen=()):
+    """The exponent tuple of a coefficient key such as '2,0,1', one
+    integer per variable.  A tuple already in seen is an error, so that
+    '1' and '01' cannot both name a term."""
+    try:
+        exps = tuple(int(p) for p in key.split(","))
+    except ValueError:
+        raise ValueError("exponent key %r is not a list of integers"
+                         % key) from None
+    if len(exps) != dim:
+        raise ValueError("exponent key %r must list one exponent per "
+                         "variable (dim %d)" % (key, dim))
+    if exps in seen:
+        raise ValueError("exponent key %r repeats an earlier key" % key)
+    return exps
+
+
 def render_qi(q):
     """Canonical text for a QI scalar, e.g. '1/2', '-i', '1/2 - 1/3 i'."""
     if q.im == 0:
