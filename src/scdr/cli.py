@@ -118,6 +118,12 @@ def _suite_inputs(args, config):
         sub = load(path)
         if name not in sub.tensors:
             raise ValueError("no tensor %r in %s" % (name, path))
+        if (sub.metric.dim, sub.metric.cutoff) != (metric.dim,
+                                                   metric.cutoff):
+            raise ValueError("%s has dim %d, cutoff %d; the metric has "
+                             "dim %d, cutoff %d" % (
+                                 path, sub.metric.dim, sub.metric.cutoff,
+                                 metric.dim, metric.cutoff))
         tensors[name] = sub.tensors[name]
     if args.change:
         sub = load(args.change)
@@ -158,10 +164,15 @@ def cmd_verify(args, config):
                   file=sys.stderr)
             return 2
         names = ("I", "J", "K")
-        if not args.flat_quaternionic and all(n in tensors for n in names):
-            triple = tuple(tensors[n] for n in names)
-        else:
+        missing = [n for n in names if n not in tensors]
+        if args.flat_quaternionic or len(missing) == 3:
             triple = quaternionic_triple_flat(dim // 4, cutoff)
+        elif missing:
+            print("error: the n4 suite needs tensors I, J and K; missing %s"
+                  % ", ".join(missing), file=sys.stderr)
+            return 2
+        else:
+            triple = tuple(tensors[n] for n in names)
         reports = run_n4_suite(metric, triple)
     elif suite == "components":
         reports = run_components_suite(dim, cutoff)

@@ -352,3 +352,59 @@ def test_geometry_field_error_names_the_field(capsys, tmp_path, doc,
     err = _assert_input_error(capsys, "verify", "coordchange", "--change",
                               path)
     assert message in err
+
+
+def _omega(dim, cutoff):
+    """A geometry document holding one constant dim x dim tensor."""
+    zero = ",".join("0" * dim)
+    rows = [[{zero: "i"} if r == c else {} for c in range(dim)]
+            for r in range(dim)]
+    return {"dim": dim, "cutoff": cutoff, "tensors": {"omega": rows}}
+
+
+@pytest.mark.parametrize("tensor,metric,flags", [
+    (_omega(1, 8), None, ["--dim", "2"]),
+    (_omega(2, 6), None, ["--dim", "2"]),
+    (_omega(2, 6), {"dim": 2, "cutoff": 8}, []),
+    (_omega(2, 8), {"dim": 2, "cutoff": 6}, []),
+])
+def test_tensor_file_must_fit_the_metric(capsys, tmp_path, tensor, metric,
+                                         flags):
+    argv = flags + ["verify", "n2", "--tensor",
+                    "omega=" + _write_json(tmp_path / "t.json", tensor)]
+    if metric:
+        argv += ["--metric", _write_json(tmp_path / "m.json", metric)]
+    err = _assert_input_error(capsys, *argv)
+    assert "dim %d, cutoff %d" % (tensor["dim"], tensor["cutoff"]) in err
+
+
+def test_n4_partial_triple_is_an_input_error(capsys, tmp_path):
+    path = _write_json(tmp_path / "i.json", {
+        "dim": 4, "cutoff": 8, "tensors": {"I": _omega(4, 8)["tensors"][
+            "omega"]}})
+    err = _assert_input_error(capsys, "--dim", "4", "verify", "n4",
+                              "--tensor", "I=" + path)
+    assert "missing J, K" in err
+
+
+@pytest.mark.parametrize("text,key", [
+    ('f{"1": "1", "01": "2"}', "'01'"),
+    ('f{"a": "1"}', "'a'"),
+    ('f{"1": "1", "1,": "2"}', "'1,'"),
+])
+def test_bad_literal_key_is_an_input_error(capsys, text, key):
+    err = _assert_input_error(capsys, "normalize", text)
+    assert key in err
+    # the position reported is that of the key
+    assert "(at position %d:" % text.index(key.replace("'", '"')) in err
+
+
+@pytest.mark.parametrize("entry,key", [
+    ({"0": "1", "00": "5", "2": "1"}, "'00'"),
+    ({"a": "1"}, "'a'"),
+])
+def test_bad_geometry_key_is_an_input_error(capsys, tmp_path, entry, key):
+    path = _write_json(tmp_path / "g.json",
+                       {"dim": 1, "cutoff": 8, "g": [[entry]]})
+    err = _assert_input_error(capsys, "verify", "ns", "--metric", path)
+    assert key in err
