@@ -16,6 +16,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -176,15 +177,17 @@ def _rational(text):
         raise ValueError("zero denominator in %r" % text) from None
 
 
+_EXPONENT = re.compile(r"-?[0-9]+")
+
+
 def parse_exponents(key, dim, seen=()):
     """The exponent tuple of a coefficient key such as '2,0,1', one
-    integer per variable.  A tuple already in seen is an error, so that
-    '1' and '01' cannot both name a term."""
-    try:
-        exps = tuple(int(p) for p in key.split(","))
-    except ValueError:
-        raise ValueError("exponent key %r is not a list of integers"
-                         % key) from None
+    decimal integer per variable.  A tuple already in seen is an error,
+    so that '1' and '01' cannot both name a term."""
+    parts = [p.strip() for p in key.split(",")]
+    if not all(_EXPONENT.fullmatch(p) for p in parts):
+        raise ValueError("exponent key %r is not a list of integers" % key)
+    exps = tuple(int(p) for p in parts)
     if len(exps) != dim:
         raise ValueError("exponent key %r must list one exponent per "
                          "variable (dim %d)" % (key, dim))

@@ -391,6 +391,7 @@ def test_n4_partial_triple_is_an_input_error(capsys, tmp_path):
     ('f{"1": "1", "01": "2"}', "'01'"),
     ('f{"a": "1"}', "'a'"),
     ('f{"1": "1", "1,": "2"}', "'1,'"),
+    ('f{"1_0": "1"}', "'1_0'"),
 ])
 def test_bad_literal_key_is_an_input_error(capsys, text, key):
     err = _assert_input_error(capsys, "normalize", text)
