@@ -11,6 +11,9 @@ a fresh Python process with that tree first on PYTHONPATH, in
     and `components` at `--dim` 8, 16;
   * curved NS on `data/metric_1d_curved.json`, with and without
     `--drop-potential`;
+  * curved `n2` on three 2-D Kaehler metrics g = [[0, h], [h, 0]]
+    written at cutoff 6: h = (1 + x)(1 + y), flat in disguise; h =
+    1 + xy, which fails; and 1 + xy again with omega = diag(i, -i);
   * `coordchange` on both shipped changes, and on the 2-D change
     rewritten to cutoffs 10 and 12;
   * `--dim 2 --cutoff 4 --seed 0 verify jacobi`;
@@ -40,7 +43,7 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 RUN = "import sys; from scdr.cli import main; sys.exit(main())"
 
 
-def matrix(change_dir):
+def matrix(workdir):
     """The argv of every invocation, without the --format flag."""
     suites = []
     for dim in (4, 8, 16):
@@ -53,11 +56,23 @@ def matrix(change_dir):
     metric = str(DATA / "metric_1d_curved.json")
     suites += [["verify", "ns", "--metric", metric],
                ["verify", "ns", "--metric", metric, "--drop-potential"]]
+    h_flat = {"0,0": "1", "1,0": "1", "0,1": "1", "1,1": "1"}
+    h_curved = {"0,0": "1", "1,1": "1"}
+    omega = [[{"0,0": "i"}, {}], [{}, {"0,0": "-i"}]]
+    for name, h, tensors in (("flat", h_flat, None),
+                             ("curved", h_curved, None),
+                             ("omega", h_curved, {"omega": omega})):
+        doc = {"dim": 2, "cutoff": 6, "g": [[{}, h], [h, {}]]}
+        if tensors:
+            doc["tensors"] = tensors
+        path = Path(workdir) / ("kaehler_%s.json" % name)
+        path.write_text(json.dumps(doc))
+        suites.append(["verify", "n2", "--metric", str(path)])
     changes = [DATA / "change_quad_1d.json", DATA / "change_quad_2d.json"]
     doc = json.loads((DATA / "change_quad_2d.json").read_text())
     for cutoff in (10, 12):
         doc["cutoff"] = cutoff
-        path = Path(change_dir) / ("change_quad_2d_c%d.json" % cutoff)
+        path = Path(workdir) / ("change_quad_2d_c%d.json" % cutoff)
         path.write_text(json.dumps(doc))
         changes.append(path)
     suites += [["verify", "coordchange", "--change", str(p)]
