@@ -12,11 +12,16 @@ from pathlib import Path
 import pytest
 
 from scdr.geometry import (CoordinateChange, EndoTensor, MetricData,
+                           build_J, build_J_in_new_coordinates,
                            cf_from_json, cf_to_json, check_coordinate_change,
                            christoffel, flat_complex_structure, load_geometry,
                            pushforward_endotensor, pushforward_metric,
                            quaternionic_triple_flat, ricci_tensor)
 from scdr.scalars import QI, CoeffFunction
+from scdr.superconf import holds
+from scdr.terms import nf_sub
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def cf(dim, cutoff, terms):
@@ -209,6 +214,26 @@ def test_quadratic_change_keeps_base_brackets():
     assert rep.verdict
     assert rep.guaranteed_degree >= cutoff - 3
     assert all(d.endswith("pass") for d in rep.details)
+
+
+def test_current_is_coordinate_independent():
+    curved = load_geometry(DATA / "metric_1d_curved.json").metric
+    quad_1d = load_geometry(DATA / "change_quad_1d.json").changes
+    quad_2d = load_geometry(DATA / "change_quad_2d.json").changes
+    one = EndoTensor.constant(1, 8, [[1]])
+
+    def agree(omega, metric, ch, other):
+        return holds(nf_sub(build_J_in_new_coordinates(omega, metric, ch),
+                            build_J(omega, other)))
+
+    assert agree(one, curved, quad_1d["quadratic"], curved) == (True, 6)
+    kaehler = MetricData.flat_complexified(1, 8)
+    assert agree(flat_complex_structure(1, 8), kaehler,
+                 quad_2d["quadratic"], kaehler) == (True, 6)
+    # control: the flat current in new coordinates is not the current
+    # of the curved metric
+    assert agree(one, MetricData.flat(1, 8), quad_1d["quadratic"],
+                 curved) == (False, 6)
 
 
 def test_change_must_fix_origin():
