@@ -14,58 +14,11 @@ import json
 from .scalars import (QI, ONE, HMONO_ONE, as_qi, parse_qi, parse_exponents,
                       render_qi, CoeffFunction, log_series_normalized,
                       functional_inverse, sum_cf, _matrix_inverse_qi,
-                      _min_exact)
+                      _identity_matrix, _mat_mul, _mat_inverse)
 from .terms import (Algebra, nf_mul, nf_sum, nf_sub, apply_S, apply_T,
                     HPoly, nf_one, hp_sub)
 from .bracket import lambda_bracket
 from .superconf import fold
-
-
-def _identity_matrix(dim, cutoff):
-    return [[CoeffFunction.constant(dim, cutoff, 1 if i == j else 0)
-             for j in range(dim)] for i in range(dim)]
-
-
-def _mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    dim, cutoff = A[0][0].dim, A[0][0].cutoff
-    return [[sum_cf([A[i][k] * B[k][j] for k in range(m)], dim, cutoff)
-             for j in range(p)] for i in range(n)]
-
-
-def _mat_inverse(M, dim, cutoff):
-    """Inverse of a matrix of series with invertible constant part.
-
-    Nonconstant input yields a truncated result even when the exact
-    inverse happens to be polynomial.
-    """
-    n = len(M)
-    C0 = [[M[i][j].constant_term() for j in range(n)] for i in range(n)]
-    C0inv = _matrix_inverse_qi(C0)
-    N = [[M[i][j] - CoeffFunction.constant(dim, cutoff, C0[i][j])
-          for j in range(n)] for i in range(n)]
-    constant = all(e.is_zero() for row in N for e in row)
-    C0inv_cf = [[CoeffFunction.constant(dim, cutoff, C0inv[i][j])
-                 for j in range(n)] for i in range(n)]
-    if constant:
-        exact = None
-        for row in M:
-            for e in row:
-                exact = _min_exact(exact, e.exact_to)
-        return [[CoeffFunction(dim, cutoff, e.terms,
-                               _min_exact(e.exact_to, exact))
-                 for e in row] for row in C0inv_cf]
-    X = _mat_mul(C0inv_cf, N)
-    acc = _identity_matrix(dim, cutoff)
-    term = _identity_matrix(dim, cutoff)
-    for _ in range(cutoff):
-        term = [[-e for e in row] for row in _mat_mul(term, X)]
-        acc = [[acc[i][j] + term[i][j] for j in range(n)] for i in range(n)]
-    out = _mat_mul(acc, C0inv_cf)
-    # the Neumann tail is nonzero beyond the cutoff
-    return [[CoeffFunction(dim, cutoff, e.terms,
-                           _min_exact(e.exact_to, cutoff))
-             for e in row] for row in out]
 
 
 def _mat_det(M, dim, cutoff):
@@ -214,23 +167,9 @@ class EndoTensor:
         return True
 
 
-class Christoffel:
-    """Levi-Civita symbols: gamma[i][j][k] carries upper index i and
-    symmetric lower indices j, k."""
-
-    def __init__(self, dim, cutoff, gamma):
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(j):
-                    if gamma[i][j][k].terms != gamma[i][k][j].terms:
-                        raise ValueError("Christoffel symbols must be "
-                                         "symmetric in the lower indices")
-        self.dim = dim
-        self.cutoff = cutoff
-        self.gamma = gamma
-
-
 def christoffel(metric):
+    """Levi-Civita symbols as nested lists: gamma[i][j][k] carries the
+    upper index i and the symmetric lower indices j, k."""
     n, cutoff = metric.dim, metric.cutoff
     g, ginv = metric.g, metric.g_inverse
     half = QI(1, 0) / QI(2, 0)
@@ -245,14 +184,14 @@ def christoffel(metric):
                      for l in range(n)], n, cutoff).scale(half)
                 gamma[i][j][k] = acc
                 gamma[i][k][j] = acc
-    return Christoffel(n, cutoff, gamma)
+    return gamma
 
 
 def ricci_tensor(metric):
     """Ricci curvature, provided as a diagnostic for test data that is
     supposed to be flat."""
     n, cutoff = metric.dim, metric.cutoff
-    gm = christoffel(metric).gamma
+    gm = christoffel(metric)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -297,27 +236,33 @@ def build_J(omega, metric):
     TB^k attached to a (1,1)-tensor."""
     if omega.dim != metric.dim:
         raise ValueError("tensor and metric dimensions differ")
-    n, cutoff = metric.dim, metric.cutoff
-    alg = Algebra(n, cutoff)
-    if metric.is_constant():
-        gamma = None
-    else:
-        gamma = christoffel(metric).gamma
+    alg = Algebra(metric.dim, metric.cutoff)
+    gens = range(1, metric.dim + 1)
+    return _j_current(omega, [alg.SB(i) for i in gens],
+                      [alg.Psi(i) for i in gens], [alg.TB(i) for i in gens],
+                      alg.coeff_nf,
+                      None if metric.is_constant() else christoffel(metric))
+
+
+def _j_current(omega, sb, psi, tb, coeff, gamma):
+    """The sum of build_J over the generator states sb, psi and tb, with
+    coeff turning a coefficient series into a state; gamma None drops
+    the connection term."""
+    n, cutoff = omega.dim, omega.cutoff
+    w = omega.omega
     terms = []
     for i in range(n):
         for j in range(n):
-            w = omega.omega[i][j]
-            if w.is_zero() and w.exact_to is None:
+            if w[i][j].is_zero() and w[i][j].exact_to is None:
                 continue
-            terms.append(nf_mul(nf_mul(alg.coeff_nf(w), alg.SB(i + 1)),
-                                alg.Psi(j + 1)))
+            terms.append(nf_mul(nf_mul(coeff(w[i][j]), sb[i]), psi[j]))
     if gamma is not None:
         for k in range(n):
-            ck = sum_cf([gamma[i][j][k] * omega.omega[i][j]
+            ck = sum_cf([gamma[i][j][k] * w[i][j]
                          for i in range(n) for j in range(n)], n, cutoff)
             if ck.is_zero() and ck.exact_to is None:
                 continue
-            terms.append(nf_mul(alg.coeff_nf(ck), alg.TB(k + 1)))
+            terms.append(nf_mul(coeff(ck), tb[k]))
     return nf_sum(terms, n, cutoff)
 
 
@@ -338,10 +283,6 @@ def quaternionic_triple_flat(n, cutoff):
     z^{2r+2} blockwise."""
     dim = 4 * n
     half = 2 * n
-    I_rows = [[0] * dim for _ in range(dim)]
-    for a in range(half):
-        I_rows[a][a] = QI(0, 1)
-        I_rows[half + a][half + a] = QI(0, -1)
     J_rows = [[0] * dim for _ in range(dim)]
     for r in range(n):
         a, b = 2 * r, 2 * r + 1
@@ -349,7 +290,7 @@ def quaternionic_triple_flat(n, cutoff):
         J_rows[b][half + a] = QI(-1)
         J_rows[half + a][b] = QI(1)
         J_rows[half + b][a] = QI(-1)
-    I = EndoTensor.constant(dim, cutoff, I_rows)
+    I = flat_complex_structure(half, cutoff)
     J = EndoTensor.constant(dim, cutoff, J_rows)
     K = EndoTensor(dim, cutoff, _mat_mul(J.omega, I.omega))
     return I, J, K
@@ -437,33 +378,13 @@ def build_J_in_new_coordinates(omega, metric, ch):
     frame via the transformed generators.  Agreement with
     build_J(omega, metric) through the guaranteed degree is the
     coordinate-independence of the current."""
-    n, cutoff = ch.dim, ch.cutoff
-    alg = Algebra(n, cutoff)
-    new_metric = pushforward_metric(ch, metric)
-    new_omega = pushforward_endotensor(ch, omega)
+    alg = Algebra(ch.dim, ch.cutoff)
     b_new, psi_new = transform_generators(ch)
-    sb_new = [apply_S(b) for b in b_new]
-    tb_new = [apply_T(b) for b in b_new]
-
-    def pull(c):
-        return c.compose(ch.forward)
-
-    gamma = christoffel(new_metric).gamma
-    terms = []
-    for k in range(n):
-        for l in range(n):
-            w = new_omega.omega[k][l]
-            if w.is_zero() and w.exact_to is None:
-                continue
-            terms.append(nf_mul(nf_mul(alg.coeff_nf(pull(w)), sb_new[k]),
-                                psi_new[l]))
-    for m in range(n):
-        cm = sum_cf([gamma[k][l][m] * new_omega.omega[k][l]
-                     for k in range(n) for l in range(n)], n, cutoff)
-        if cm.is_zero() and cm.exact_to is None:
-            continue
-        terms.append(nf_mul(alg.coeff_nf(pull(cm)), tb_new[m]))
-    return nf_sum(terms, n, cutoff)
+    return _j_current(pushforward_endotensor(ch, omega),
+                      [apply_S(b) for b in b_new], psi_new,
+                      [apply_T(b) for b in b_new],
+                      lambda c: alg.coeff_nf(c.compose(ch.forward)),
+                      christoffel(pushforward_metric(ch, metric)))
 
 
 def _delta_poly(dim, cutoff, equal):

@@ -493,24 +493,11 @@ def _fill(f, dim, cutoff, terms, exact_to):
 
 
 def series_inverse(f):
-    """Multiplicative inverse 1/f for f with invertible constant term."""
-    c = f.constant_term()
-    if not c:
+    """Multiplicative inverse 1/f for f with invertible constant term:
+    the 1 x 1 case of _mat_inverse."""
+    if not f.constant_term():
         raise ValueError("series has no invertible constant term")
-    u = f.scale(ONE / c) - CoeffFunction.constant(f.dim, f.cutoff, ONE)
-    # 1/f = (1/c) * sum (-u)^k
-    acc = CoeffFunction.constant(f.dim, f.cutoff, ONE / c)
-    if u.is_zero():
-        return CoeffFunction(f.dim, f.cutoff, acc.terms,
-                             _min_exact(acc.exact_to, f.exact_to))
-    term = CoeffFunction.constant(f.dim, f.cutoff, ONE / c)
-    for _ in range(f.cutoff):
-        term = term * (-u)
-        acc = acc + term
-    # the geometric tail is nonzero beyond the cutoff
-    return CoeffFunction(f.dim, f.cutoff, acc.terms,
-                         _min_exact(_min_exact(acc.exact_to, f.exact_to),
-                                    f.cutoff))
+    return _mat_inverse([[f]], f.dim, f.cutoff)[0][0]
 
 
 def log_series_normalized(f):
@@ -609,6 +596,53 @@ def _matrix_inverse_qi(A):
                 fac = M[r][col]
                 M[r] = [a - fac * b for a, b in zip(M[r], M[col])]
     return [row[n:] for row in M]
+
+
+def _identity_matrix(dim, cutoff):
+    return [[CoeffFunction.constant(dim, cutoff, 1 if i == j else 0)
+             for j in range(dim)] for i in range(dim)]
+
+
+def _mat_mul(A, B):
+    n, m, p = len(A), len(B), len(B[0])
+    dim, cutoff = A[0][0].dim, A[0][0].cutoff
+    return [[sum_cf([A[i][k] * B[k][j] for k in range(m)], dim, cutoff)
+             for j in range(p)] for i in range(n)]
+
+
+def _mat_inverse(M, dim, cutoff):
+    """Inverse of a matrix of series with invertible constant part.
+
+    Nonconstant input yields a truncated result even when the exact
+    inverse happens to be polynomial.
+    """
+    n = len(M)
+    C0 = [[M[i][j].constant_term() for j in range(n)] for i in range(n)]
+    C0inv = _matrix_inverse_qi(C0)
+    N = [[M[i][j] - CoeffFunction.constant(dim, cutoff, C0[i][j])
+          for j in range(n)] for i in range(n)]
+    constant = all(e.is_zero() for row in N for e in row)
+    C0inv_cf = [[CoeffFunction.constant(dim, cutoff, C0inv[i][j])
+                 for j in range(n)] for i in range(n)]
+    if constant:
+        exact = None
+        for row in M:
+            for e in row:
+                exact = _min_exact(exact, e.exact_to)
+        return [[CoeffFunction(dim, cutoff, e.terms,
+                               _min_exact(e.exact_to, exact))
+                 for e in row] for row in C0inv_cf]
+    X = _mat_mul(C0inv_cf, N)
+    acc = _identity_matrix(dim, cutoff)
+    term = _identity_matrix(dim, cutoff)
+    for _ in range(cutoff):
+        term = [[-e for e in row] for row in _mat_mul(term, X)]
+        acc = [[acc[i][j] + term[i][j] for j in range(n)] for i in range(n)]
+    out = _mat_mul(acc, C0inv_cf)
+    # the Neumann tail is nonzero beyond the cutoff
+    return [[CoeffFunction(dim, cutoff, e.terms,
+                           _min_exact(e.exact_to, cutoff))
+             for e in row] for row in out]
 
 
 # -- super-monomials --------------------------------------------------

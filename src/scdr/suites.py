@@ -12,13 +12,13 @@ import random
 
 from .scalars import QI, CoeffFunction, render_qi
 from .terms import (Algebra, Generator, B_KIND, PSI_KIND, HPoly,
-                    nf_scale, nf_sum, nf_mul, nf_add, apply_S, apply_T,
-                    hp_from, hp_add, hp_sub, nf_scalar, render_nf)
+                    nf_scale, nf_sum, nf_mul, hp_from, hp_add, hp_sub,
+                    nf_scalar, render_nf)
 from .bracket import lambda_bracket, skew, jacobi_defect
 from .parser import parse_expression
 from .superconf import (StructureReport, holds, fold, primary_rhs,
                         charged_rhs, check_ns_against, check_n2, check_n4)
-from .geometry import (MetricData, build_H, build_H0, build_J,
+from .geometry import (MetricData, EndoTensor, build_H, build_H0, build_J,
                        flat_complex_structure, quaternionic_triple_flat,
                        check_coordinate_change)
 from .components import (check_n1_components, check_n2_components,
@@ -77,14 +77,9 @@ def run_n2_suite(metric, omega, holo_split=None):
     out.append(quad_report("n2/antiholomorphic-quadratic",
                            range(n + 1, dim + 1)))
 
-    # expanded self-bracket:
-    # [J_L J] = -:TB^i Psi_i: - :SB^i SPsi_i: + ST(pot) - dim lambda chi
-    body = nf_sum([nf_add(nf_mul(alg.TB(i), alg.Psi(i)),
-                          nf_mul(alg.SB(i), alg.SPsi(i)))
-                   for i in range(1, dim + 1)], dim, cutoff)
-    const = nf_add(nf_scale(body, -1), apply_S(apply_T(alg.coeff_nf(pot))))
+    # check_n2's [J_L J] = -(H + (c/3) lambda chi) at c = 3 dim
     rhs = hp_from(dim, cutoff, [
-        ((0, 0, 0, 0), const),
+        ((0, 0, 0, 0), nf_scale(h, -1)),
         ((1, 1, 0, 0), nf_scalar(dim, cutoff, QI(-dim))),
     ])
     out.append(fold("n2/self-bracket-expansion",
@@ -94,19 +89,14 @@ def run_n2_suite(metric, omega, holo_split=None):
 
 def raising_current(eta, half):
     """The charge-raising current of a complex structure that maps
-    holomorphic into antiholomorphic directions: its upper-right block
-    contracted into :SB Psi: pairs."""
+    holomorphic into antiholomorphic directions: the flat current of its
+    upper-right block, a sum of :SB Psi: pairs."""
     dim, cutoff = eta.dim, eta.cutoff
-    alg = Algebra(dim, cutoff)
-    parts = []
-    for a in range(half):
-        for b in range(half):
-            w = eta.omega[a][half + b]
-            if w.is_zero() and w.exact_to is None:
-                continue
-            parts.append(nf_mul(nf_mul(alg.coeff_nf(w), alg.SB(a + 1)),
-                                alg.Psi(half + b + 1)))
-    return nf_sum(parts, dim, cutoff)
+    zero = CoeffFunction.zero(dim, cutoff)
+    block = [[eta.omega[a][b] if a < half <= b else zero
+              for b in range(dim)] for a in range(dim)]
+    return build_J(EndoTensor(dim, cutoff, block),
+                   MetricData.flat(dim, cutoff))
 
 
 def run_n4_suite(metric, triple):

@@ -349,25 +349,18 @@ def qc_integral(dim, cutoff, m1, m2):
 
 def apply_T(nf):
     """The even translation operator T, a derivation of the product."""
-    dim, cutoff = nf.dim, nf.cutoff
-    out = NormalForm(dim, cutoff, {}, nf.exact_to)
-    for gens, cf in nf.terms.items():
-        mask = cf._variables()
-        for j in range(1, dim + 1):
-            if not mask >> j & 1:
-                continue
-            d = cf.partial(j)
-            tb = Generator(B_KIND, j, 1, 0)
-            out = nf_add(out, mono_from_factors(dim, cutoff, d,
-                                                (tb,) + gens))
-        for i, g in enumerate(gens):
-            repl = gens[:i] + (g.d_T(),) + gens[i + 1:]
-            out = nf_add(out, mono_from_factors(dim, cutoff, cf, repl))
-    return out
+    return _leibniz(nf, 1, 0)
 
 
 def apply_S(nf):
     """The odd derivation S with S^2 = T."""
+    return _leibniz(nf, 0, 1)
+
+
+def _leibniz(nf, t, s):
+    """T (t = 1) or S (s = 1) of nf by the Leibniz rule: a coefficient f
+    gives d_j f T^t S^s B^j, each factor its own derivative, and S takes
+    a sign past every odd factor."""
     dim, cutoff = nf.dim, nf.cutoff
     out = NormalForm(dim, cutoff, {}, nf.exact_to)
     for gens, cf in nf.terms.items():
@@ -375,18 +368,17 @@ def apply_S(nf):
         for j in range(1, dim + 1):
             if not mask >> j & 1:
                 continue
-            d = cf.partial(j)
-            sb = Generator(B_KIND, j, 0, 1)
-            out = nf_add(out, mono_from_factors(dim, cutoff, d,
-                                                (sb,) + gens))
+            lead = Generator(B_KIND, j, t, s)
+            out = nf_add(out, mono_from_factors(dim, cutoff, cf.partial(j),
+                                                (lead,) + gens))
         sign = 1
         for i, g in enumerate(gens):
-            repl = gens[:i] + (g.d_S(),) + gens[i + 1:]
+            repl = gens[:i] + (g.d_S() if s else g.d_T(),) + gens[i + 1:]
             term = mono_from_factors(dim, cutoff, cf, repl)
             if sign < 0:
                 term = nf_neg(term)
             out = nf_add(out, term)
-            if g.parity():
+            if s and g.parity():
                 sign = -sign
     return out
 
@@ -677,9 +669,6 @@ class Algebra:
 
     def coordinate(self, i):
         return CoeffFunction.coordinate(self.dim, self.cutoff, i)
-
-    def constant(self, q):
-        return CoeffFunction.constant(self.dim, self.cutoff, q)
 
     def nf_gen(self, kind, index, t=0, s=0):
         g = Generator(kind, index, t, s)
