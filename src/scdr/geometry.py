@@ -514,16 +514,27 @@ class GeometryInput:
         self.changes = changes
 
 
+def _unique_keys(pairs):
+    # json.load alone keeps the last of two equal keys
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("repeated key %r in a JSON object" % key)
+        obj[key] = value
+    return obj
+
+
 def load_geometry(source):
     """Reads {dim, cutoff, g?, tensors?, changes?} from a JSON file
-    path, file object, or already-parsed dict."""
+    path, file object, or already-parsed dict.  A key repeated in one
+    JSON object is an error."""
     if isinstance(source, dict):
         data = source
     elif hasattr(source, "read"):
-        data = json.load(source)
+        data = json.load(source, object_pairs_hook=_unique_keys)
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     _json_object(data, "a geometry document")
     dim = _json_int(data, "dim", 1)
     cutoff = _json_int(data, "cutoff", 0)

@@ -138,7 +138,8 @@ def as_qi(x):
 
 
 def parse_qi(text):
-    """Parse scalars like '2', '-1/3', 'i', '-i', '1/2 i', '1/2 + 1/3 i'."""
+    """Parse scalars like '2', '-1/3', 'i', '-i', '1/2 i', '1/2 + 1/3 i'.
+    Each rational part is an optionally signed integer or p/q."""
     s = text.strip()
     if not s:
         raise ValueError("empty scalar literal")
@@ -170,7 +171,15 @@ def parse_qi(text):
     return QI(_rational(s))
 
 
+# the DSL's NUMBER with an optional sign; Fraction alone would also
+# read decimals, underscores and exponents such as '1e-2000000'
+_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
 def _rational(text):
+    if not _RATIONAL.fullmatch(text.strip()):
+        raise ValueError("scalar %r is not an integer or a fraction p/q"
+                         % text.strip())
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -409,3 +409,46 @@ def test_bad_geometry_key_is_an_input_error(capsys, tmp_path, entry, key):
                        {"dim": 1, "cutoff": 8, "g": [[entry]]})
     err = _assert_input_error(capsys, "verify", "ns", "--metric", path)
     assert key in err
+
+
+@pytest.mark.parametrize("value,bad", [
+    ("1.5", "1.5"),
+    ("1e3", "1e3"),
+    ("1_000", "1_000"),
+    ("1e-5000", "1e-5000"),
+    ("1e3 + i", "1e3"),
+    ("2 + 1.5 i", "1.5"),
+])
+def test_scalar_must_be_an_integer_or_fraction(capsys, tmp_path, value,
+                                               bad):
+    err = _assert_input_error(capsys, "normalize", 'f{"1": "%s"}' % value)
+    assert repr(bad) in err
+    path = _write_json(tmp_path / "g.json",
+                       {"dim": 1, "cutoff": 2, "g": [[{"0": value}]]})
+    err = _assert_input_error(capsys, "verify", "ns", "--metric", path)
+    assert repr(bad) in err
+
+
+@pytest.mark.parametrize("value,want", [
+    (" -3 ", "-3"), ("+2/4", "1/2"), ("1/2 * i", "1/2 i"),
+])
+def test_scalar_keeps_signed_rationals(capsys, value, want):
+    rc, out, _ = run(capsys, "normalize", 'f{"1": "%s"}' % value)
+    assert rc == 0
+    assert out == 'f{"1": "%s"}\n' % want
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"dim": 1, "cutoff": 8, "g": [[{"0": "1", "0": "5"}]]}', "'0'"),
+    ('{"dim": 1, "cutoff": 8, "cutoff": 2}', "'cutoff'"),
+    ('{"dim": 1, "cutoff": 8, "changes": {"c": {"forward": [{"1": "1"}],'
+     ' "forward": [{"1": "2"}]}}}', "'forward'"),
+])
+def test_repeated_json_key_is_an_input_error(capsys, tmp_path, text, key):
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    for argv in (["verify", "ns", "--metric", str(path)],
+                 ["verify", "coordchange", "--change", str(path)],
+                 ["verify", "n2", "--tensor", "omega=%s" % path]):
+        err = _assert_input_error(capsys, *argv)
+        assert "repeated key %s" % key in err
