@@ -177,9 +177,9 @@ _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 
 def _rational(text):
-    if not _RATIONAL.fullmatch(text.strip()):
-        raise ValueError("scalar %r is not an integer or a fraction p/q"
-                         % text.strip())
+    text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError("scalar %r is not an integer or p/q" % text)
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -599,7 +599,7 @@ def _matrix_inverse_qi(A):
             raise ValueError("singular matrix")
         M[col], M[pivot] = M[pivot], M[col]
         inv = ONE / M[col][col]
-        M[col] = [x * inv for x in M[col]]
+        M[col] = [x * inv if x else x for x in M[col]]
         for r in range(n):
             if r != col and M[r][col]:
                 fac = M[r][col]
@@ -608,7 +608,7 @@ def _matrix_inverse_qi(A):
 
 
 def _identity_matrix(dim, cutoff):
-    return [[CoeffFunction.constant(dim, cutoff, 1 if i == j else 0)
+    return [[CoeffFunction.constant(dim, cutoff, ONE if i == j else ZERO)
              for j in range(dim)] for i in range(dim)]
 
 
