@@ -218,22 +218,21 @@ def test_quadratic_change_keeps_base_brackets():
 
 def test_current_is_coordinate_independent():
     curved = load_geometry(DATA / "metric_1d_curved.json").metric
-    quad_1d = load_geometry(DATA / "change_quad_1d.json").changes
-    quad_2d = load_geometry(DATA / "change_quad_2d.json").changes
+    quad_1d = load_geometry(DATA / "change_quad_1d.json").changes["quadratic"]
+    quad_2d = load_geometry(DATA / "change_quad_2d.json").changes["quadratic"]
     one = EndoTensor.constant(1, 8, [[1]])
 
     def agree(omega, metric, ch, other):
         return holds(nf_sub(build_J_in_new_coordinates(omega, metric, ch),
                             build_J(omega, other)))
 
-    assert agree(one, curved, quad_1d["quadratic"], curved) == (True, 6)
+    assert agree(one, curved, quad_1d, curved) == (True, 6)
     kaehler = MetricData.flat_complexified(1, 8)
-    assert agree(flat_complex_structure(1, 8), kaehler,
-                 quad_2d["quadratic"], kaehler) == (True, 6)
+    assert agree(flat_complex_structure(1, 8), kaehler, quad_2d,
+                 kaehler) == (True, 6)
     # control: the flat current in new coordinates is not the current
     # of the curved metric
-    assert agree(one, MetricData.flat(1, 8), quad_1d["quadratic"],
-                 curved) == (False, 6)
+    assert agree(one, MetricData.flat(1, 8), quad_1d, curved) == (False, 6)
 
 
 def test_change_must_fix_origin():
