@@ -1,12 +1,16 @@
 """Normal forms, derivations, and the normally ordered product."""
 
 import random
+from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scdr.scalars import QI, CoeffFunction
-from scdr.terms import (Algebra, Generator, B_KIND, PSI_KIND, nf_mul, nf_add,
-                        nf_sub, nf_scale, apply_S, apply_T, render_nf)
+from scdr.scalars import QI, CoeffFunction, _min_exact
+from scdr.terms import (Algebra, Generator, B_KIND, PSI_KIND, NormalForm,
+                        HPoly, nf_mul, nf_add, nf_sub, nf_scale, nf_sum,
+                        hp_zero, hp_add, hp_sub, apply_S, apply_T, render_nf)
 from scdr.parser import parse_expression
 from scdr.superconf import holds
 from scdr.suites import random_state
@@ -150,3 +154,130 @@ def test_nop_with_coefficient_orders_canonically(alg):
     left = nf_mul(f, alg.Psi(1))
     right = nf_mul(alg.Psi(1), f)
     assert is_exact_zero(nf_sub(left, right))
+
+
+# -- sums of states against the pairwise fold ---------------------------
+
+
+def reference_fold(pairs, exact_to=None):
+    """(terms, exact_to) of the sum of q * state over (q, state) pairs by
+    the pairwise fold: scale each state (a zero scalar keeps only its
+    marker), add it to the running sum key by key, then drop the
+    coefficients that cancelled, folding every coefficient's exact_to
+    into the state's."""
+    terms, marker = {}, exact_to
+    for q, nf in pairs:
+        scaled = {g: cf.scale(q) for g, cf in nf.terms.items()} if q else {}
+        merged = dict(terms)
+        for g, cf in scaled.items():
+            merged[g] = merged[g] + cf if g in merged else cf
+        marker = _min_exact(marker, nf.exact_to)
+        terms = {}
+        for g, cf in merged.items():
+            marker = _min_exact(marker, cf.exact_to)
+            if not cf.is_zero():
+                terms[g] = cf
+    return terms, marker
+
+
+def assert_matches_fold(nf, pairs, exact_to=None):
+    terms, marker = reference_fold(pairs, exact_to)
+    assert nf.terms == terms
+    assert list(nf.terms) == list(terms)
+    assert {g: cf.exact_to for g, cf in nf.terms.items()} == \
+        {g: cf.exact_to for g, cf in terms.items()}
+    assert nf.exact_to == marker
+
+
+fold_scalars = st.sampled_from([QI(1), QI(-1), QI(2), QI(Fraction(1, 2)),
+                                QI(0, 1), QI(-3, 1)])
+
+
+@st.composite
+def fold_cases(draw):
+    """(dim, cutoff, pairs, start marker) for dims 1-2 and cutoffs 1-3.
+    The pairs hold a zero scalar, a monomial that cancels and later
+    reappears exactly, and coefficients with exact_to set."""
+    dim = draw(st.integers(1, 2))
+    cutoff = draw(st.integers(1, 3))
+    gens = [(), (Generator(PSI_KIND, 1, 0, 0),),
+            (Generator(B_KIND, dim, 1, 0),),
+            (Generator(B_KIND, 1, 0, 1), Generator(PSI_KIND, dim, 0, 0))]
+    markers = st.one_of(st.none(), st.integers(0, cutoff))
+
+    def coeff(exact_to):
+        terms = {}
+        for _ in range(draw(st.integers(1, 2))):
+            e = [0] * dim
+            for _ in range(draw(st.integers(0, cutoff))):
+                e[draw(st.integers(0, dim - 1))] += 1
+            terms[tuple(e)] = QI(draw(st.integers(-2, 2)) or 1)
+        return CoeffFunction(dim, cutoff, terms, exact_to)
+
+    def state():
+        keys = draw(st.lists(st.sampled_from(gens), max_size=3, unique=True))
+        return NormalForm(dim, cutoff, {g: coeff(draw(markers))
+                                        for g in keys}, draw(markers))
+
+    pairs = [(draw(fold_scalars), state())
+             for _ in range(draw(st.integers(0, 3)))]
+    truncated = NormalForm(dim, cutoff, {}, draw(st.integers(0, cutoff)))
+    pairs.insert(draw(st.integers(0, len(pairs))),
+                 (QI(0), draw(st.sampled_from([truncated, state()]))))
+    # cancel the running coefficient of one monomial under a marker
+    g = draw(st.sampled_from(gens))
+    running = reference_fold(pairs)[0].get(g)
+    if running is None:
+        running = coeff(None)
+        pairs.append((QI(1), NormalForm(dim, cutoff, {g: running})))
+    cut = CoeffFunction(dim, cutoff, running.terms,
+                        draw(st.integers(0, cutoff)))
+    pairs.append((QI(-1), NormalForm(dim, cutoff, {g: cut})))
+    pairs += [(draw(fold_scalars), state())
+              for _ in range(draw(st.integers(0, 2)))]
+    # the same monomial again, exact
+    pairs.append((draw(fold_scalars), NormalForm(dim, cutoff,
+                                                 {g: coeff(None)})))
+    return dim, cutoff, pairs, draw(markers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fold_cases())
+def test_sums_of_states_match_the_pairwise_fold(case):
+    dim, cutoff, pairs, start = case
+    marker = NormalForm(dim, cutoff, {}, start)
+    scaled = [nf_scale(nf, q) for q, nf in pairs]
+    assert_matches_fold(nf_sum([marker] + scaled, dim, cutoff), pairs, start)
+    assert_matches_fold(reduce(nf_add, scaled, marker), pairs, start)
+    assert_matches_fold(reduce(nf_sub, [nf_scale(nf, -q) for q, nf in pairs],
+                               marker), pairs, start)
+    for (q, nf), s in zip(pairs, scaled):
+        assert_matches_fold(s, [(q, nf)])
+
+
+def reference_hp_fold(triples):
+    """{key: (terms, exact_to)} of a sum of (key, q, state) triples: the
+    pairwise fold of each key's pairs, without the states that vanish
+    exactly."""
+    out = {}
+    for key in dict.fromkeys(k for k, _, _ in triples):
+        terms, marker = reference_fold([(q, nf) for k, q, nf in triples
+                                        if k == key])
+        if terms or marker is not None:
+            out[key] = (terms, marker)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(fold_cases(), st.data())
+def test_sums_of_bracket_values_match_the_per_key_fold(case, data):
+    dim, cutoff, pairs, _ = case
+    keys = data.draw(st.lists(st.sampled_from([(0, 0, 0, 0), (1, 1, 0, 0)]),
+                              min_size=len(pairs), max_size=len(pairs)))
+    triples = [(k, q, nf) for k, (q, nf) in zip(keys, pairs)]
+    want = reference_hp_fold(triples)
+    for op, sign in ((hp_add, 1), (hp_sub, -1)):
+        got = reduce(op, [HPoly(dim, cutoff, {k: nf_scale(nf, sign * q)})
+                          for k, q, nf in triples], hp_zero(dim, cutoff))
+        assert {k: (nf.terms, nf.exact_to)
+                for k, nf in got.terms.items()} == want

@@ -16,9 +16,12 @@ a fresh Python process with that tree first on PYTHONPATH, in
     1 + xy, which fails; and 1 + xy again with omega = diag(i, -i);
   * `coordchange` on both shipped changes, and on the 2-D change
     rewritten to cutoffs 10 and 12;
-  * `--dim 2 --cutoff 4 --seed 0 verify jacobi`;
-  * the `bracket` and `normalize` examples of README.md, and two
-    bracket queries at `--dim 3`;
+  * `--dim 2 --cutoff 4 --seed 0 verify jacobi`, and `verify jacobi`
+    at `--dim 1 --cutoff 1` and `--dim 2 --cutoff 2`, which fail with
+    counts that move with any change to the degree markers of sums;
+  * the `bracket` and `normalize` examples of README.md, two bracket
+    queries at `--dim 3`, and one at `--dim 1 --cutoff 1` whose value
+    is certified through degree 1 only;
   * `normalize` and `bracket` invocations that together use every
     production of the expression grammar (see `scdr.parser`).
 
@@ -79,13 +82,18 @@ def matrix(workdir):
                for p in changes]
     suites.append(["--dim", "2", "--cutoff", "4", "--seed", "0",
                    "verify", "jacobi"])
+    for dim, cutoff in ((1, 1), (2, 2)):
+        suites.append(["--dim", str(dim), "--cutoff", str(cutoff),
+                       "verify", "jacobi"])
     queries = [["bracket", "[B1 _ Psi1]"],
                ["bracket", "[S(B1) _ Psi1]"],
                ["normalize", ":Psi1 S(B1): + :S(B1) Psi1:"],
                ["normalize", "S(S(B1))"],
                ["--dim", "3", "bracket",
                 "[:S(B1) Psi1 T(B2): _ :Psi2 S(Psi3): + :T(Psi1) B3:]"],
-               ["--dim", "3", "bracket", "[:S(B1) Psi1: _ :B2 S(Psi3):]"]]
+               ["--dim", "3", "bracket", "[:S(B1) Psi1: _ :B2 S(Psi3):]"],
+               ["--dim", "1", "--cutoff", "1", "bracket",
+                '[:f{"1": "1"} Psi1: _ :f{"1": "3"} T B1:]']]
     # one production of the grammar or more per line: bare number, i,
     # vac; S(...) and prefix T S; a three-factor chain with a Gaussian
     # literal; leading minus and scalar prefixes; nested parentheses;
