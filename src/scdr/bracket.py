@@ -13,9 +13,9 @@ temporarily use the Gamma pair (gamma, eta) and are integrated out.
 from __future__ import annotations
 
 from .scalars import QI, ONE, HMONO_ONE, hmono_parity, _min_exact
-from .terms import (PSI_KIND, Generator, NormalForm, gens_parity, nf_one,
+from .terms import (PSI_KIND, Generator, gens_parity, nf_one,
                     nf_mono, nf_apply_gen, unit_cf, HPoly, hp_zero, hp_add,
-                    hp_sub, hp_neg, hp_scale, hp_mul_lambda, hp_mul_mono,
+                    hp_combine, hp_neg, hp_scale, hp_mul_lambda, hp_mul_mono,
                     hp_op_lambda_plus_T, hp_op_chi_plus_S, hp_nf_mul_right,
                     hp_nf_mul_left, hp_reindex_to_gamma,
                     hp_subst_gamma_plus_lambda, hp_integrate_wick,
@@ -31,21 +31,16 @@ def clear_caches():
 def lambda_bracket(a, b):
     """[a_Lambda b] for states a, b; bilinear over Q(i)."""
     dim, cutoff = a.dim, a.cutoff
-    out = hp_zero(dim, cutoff)
-    exact = _min_exact(a.exact_to, b.exact_to)
+    triples = []
     right = [((c2, g2), _support(c2, g2)) for g2, c2 in b.terms.items()]
     for g1, c1 in a.terms.items():
         bs1, psis1 = _support(c1, g1)
         for m2, (bs2, psis2) in right:
             if bs1 & psis2 or psis1 & bs2:
-                p = bracket_mono(dim, cutoff, (c1, g1), m2)
-                if p.terms:
-                    out = hp_add(out, p)
-    if exact is not None:
-        # carry the input truncation even if every term cancels
-        marker = NormalForm(dim, cutoff, {}, exact)
-        out = hp_add(out, HPoly(dim, cutoff, {HMONO_ONE: marker}))
-    return out
+                triples += bracket_mono(dim, cutoff, (c1, g1), m2).triples()
+    # the input truncation stays even if every term cancels
+    return hp_combine(dim, cutoff, triples,
+                      _min_exact(a.exact_to, b.exact_to))
 
 
 def _support(f, gens):
@@ -182,18 +177,18 @@ def _wick_tail(ab, ac, pa, b, pb, c):
     """The Wick terms of [a_L :b c:] after [a_L b] c, from ab = [a_L b]
     and ac = [a_L c]: (-1)^{(p(a)+1) p(b)} b [a_L c] plus the integral
     of [[a_L b]_Gamma c] from 0 to Lambda."""
+    dim, cutoff = ab.dim, ab.cutoff
     t2 = hp_nf_mul_left(ac, b, pb)
-    if ((pa + 1) * pb) & 1:
-        t2 = hp_neg(t2)
-    t3 = hp_zero(ab.dim, ab.cutoff)
+    t3 = []
     for m, d_nf in ab.terms.items():
         inner = lambda_bracket(d_nf, c)
-        if not inner.terms:
-            continue
-        inner = hp_reindex_to_gamma(inner)
-        inner = hp_mul_mono(inner, m, extraction_parity=True)
-        t3 = hp_add(t3, inner)
-    return hp_add(t2, hp_integrate_wick(t3))
+        if inner.terms:
+            t3 += hp_mul_mono(hp_reindex_to_gamma(inner), m,
+                              extraction_parity=True).triples()
+    t3 = hp_integrate_wick(hp_combine(dim, cutoff, t3))
+    return hp_combine(dim, cutoff,
+                      t2.triples(-ONE if ((pa + 1) * pb) & 1 else ONE)
+                      + t3.triples())
 
 
 def skew(p, parity_a, parity_b):
@@ -204,19 +199,16 @@ def skew(p, parity_a, parity_b):
     (-1)^{k+K} (lambda+T)^k (chi+S)^K applied to c as left operators.
     """
     dim, cutoff = p.dim, p.cutoff
-    out = hp_zero(dim, cutoff)
+    triples = []
     for m, nf in p.terms.items():
         k, K = _lambda_only(m)
         q = HPoly(dim, cutoff, {HMONO_ONE: nf})
         if K:
             q = hp_op_chi_plus_S(q)
         q = hp_op_lambda_plus_T(q, repeat=k)
-        if (k + K) & 1:
-            q = hp_neg(q)
-        out = hp_add(out, q)
-    if (parity_a * parity_b) & 1:
-        out = hp_neg(out)
-    return out
+        triples += q.triples(-ONE if (k + K + parity_a * parity_b) & 1
+                             else ONE)
+    return hp_combine(dim, cutoff, triples)
 
 
 def wick(a, b, c):
@@ -236,16 +228,15 @@ def _bracket_into(x, px, p, to_gamma):
     [x_ d] times m, with a sign when m is odd and x even.  The brackets
     [x_ d] stay in the Lambda pair, or move to Gamma when to_gamma is
     set."""
-    out = hp_zero(p.dim, p.cutoff)
+    triples = []
     for m, d_nf in p.terms.items():
         q = lambda_bracket(x, d_nf)
         if to_gamma:
             q = hp_reindex_to_gamma(q)
         q = hp_mul_mono(q, m, extraction_parity=False)
-        if hmono_parity(m) and not px & 1:
-            q = hp_neg(q)
-        out = hp_add(out, q)
-    return out
+        triples += q.triples(-ONE if hmono_parity(m) and not px & 1
+                             else ONE)
+    return hp_combine(p.dim, p.cutoff, triples)
 
 
 def jacobi_defect(a, b, c):
@@ -262,26 +253,16 @@ def jacobi_defect(a, b, c):
                        False)
 
     # X2 = [[a_L b]_{G+L} c]
-    ab = lambda_bracket(a, b)
-    x2 = hp_zero(dim, cutoff)
-    for m, d_nf in ab.terms.items():
-        q = lambda_bracket(d_nf, c)
-        q = hp_reindex_to_gamma(q)
-        q = hp_subst_gamma_plus_lambda(q)
-        q = hp_mul_mono(q, m, extraction_parity=True)
-        x2 = hp_add(x2, q)
+    x2 = []
+    for m, d_nf in lambda_bracket(a, b).terms.items():
+        q = hp_subst_gamma_plus_lambda(
+            hp_reindex_to_gamma(lambda_bracket(d_nf, c)))
+        x2 += hp_mul_mono(q, m, extraction_parity=True).triples()
+    x2 = hp_combine(dim, cutoff, x2)
 
     # X3 = [b_G [a_L c]]
     x3 = _bracket_into(b, pb, lambda_bracket(a, c), True)
 
-    out = x1
-    if pa & 1:
-        out = hp_sub(out, x2)
-    else:
-        out = hp_add(out, x2)
-    s3 = (pa + 1) * (pb + 1)
-    if s3 & 1:
-        out = hp_add(out, x3)
-    else:
-        out = hp_sub(out, x3)
-    return out
+    return hp_combine(dim, cutoff, x1.triples()
+                      + x2.triples(-ONE if pa & 1 else ONE)
+                      + x3.triples(ONE if (pa + 1) * (pb + 1) & 1 else -ONE))

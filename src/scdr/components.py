@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import QI, HMONO_ONE
-from .terms import (NormalForm, nf_add, nf_sub, nf_neg, nf_scale, nf_scalar,
-                    apply_S, apply_T, hp_chi_part, hp_from)
+from .terms import (nf_combine, nf_scale, nf_scalar, apply_S, apply_T,
+                    hp_chi_part, hp_combine)
 from .bracket import lambda_bracket
 from .superconf import fold, check_ns, check_n2, check_n4
 
@@ -44,11 +44,10 @@ def _row_diff(a, b, want):
     on the lambda^j chi keys, certified no further than the whole
     bracket."""
     got, degree = classical_bracket(a, b)
-    dim, cutoff = a.dim, a.cutoff
-    items = [(HMONO_ONE, NormalForm(dim, cutoff, {}, degree))]
-    items += [((j, 1, 0, 0), nf) for j, nf in got.items()]
-    items += [((j, 1, 0, 0), nf_neg(nf)) for j, nf in want.items()]
-    return hp_from(dim, cutoff, items)
+    return hp_combine(a.dim, a.cutoff,
+                      [((j, 1, 0, 0), 1, nf) for j, nf in got.items()]
+                      + [((j, 1, 0, 0), -1, nf) for j, nf in want.items()],
+                      degree)
 
 
 def _table_report(name, c, rows, susy, susy_label):
@@ -95,11 +94,12 @@ def n2_components(h, j_s):
     """N=2 quadruple (L, J, G+, G-) from the superconformal pair:
     J = i J_s, G+- = (H -+ i S J_s)/2, L = S H / 2."""
     sj = apply_S(j_s)
+    dim, cutoff = h.dim, h.cutoff
     return {
         "L": nf_scale(apply_S(h), HALF),
         "J": nf_scale(j_s, IMAG),
-        "G+": nf_scale(nf_sub(h, nf_scale(sj, IMAG)), HALF),
-        "G-": nf_scale(nf_add(h, nf_scale(sj, IMAG)), HALF),
+        "G+": nf_combine(dim, cutoff, [(HALF, h), (-HALF * IMAG, sj)]),
+        "G-": nf_combine(dim, cutoff, [(HALF, h), (HALF * IMAG, sj)]),
     }
 
 
@@ -117,7 +117,8 @@ def check_n2_components(h, j_s, name="components-n2"):
     rows.append(("[J_l G+]", J, Gp, {0: Gp}))
     rows.append(("[J_l G-]", J, Gm, {0: nf_scale(Gm, -1)}))
     rows.append(("[G+_l G-]", Gp, Gm,
-                 {0: nf_add(L, nf_scale(apply_T(J), HALF)), 1: J,
+                 {0: nf_combine(dim, cutoff, [(1, L), (HALF, apply_T(J))]),
+              1: J,
                   2: nf_scalar(dim, cutoff, c / QI(6))}))
     rows.append(("[G+_l G+]", Gp, Gp, {}))
     rows.append(("[G-_l G-]", Gm, Gm, {}))
@@ -131,16 +132,17 @@ def n4_components(h, j0_s, j1_s, j2_s):
     sj0 = apply_S(j0_s)
     sj1 = apply_S(j1_s)
     sj2 = apply_S(j2_s)
+    dim, cutoff = h.dim, h.cutoff
+    hi = HALF * IMAG
     return {
         "L": nf_scale(apply_S(h), HALF),
         "J0": nf_scale(j0_s, IMAG),
-        "J+": nf_scale(nf_sub(j2_s, nf_scale(j1_s, IMAG)), HALF),
-        "J-": nf_scale(nf_add(nf_scale(j1_s, -IMAG),
-                              nf_scale(j2_s, -1)), HALF),
-        "G+": nf_scale(nf_sub(h, nf_scale(sj0, IMAG)), HALF),
-        "G-": nf_scale(nf_add(sj2, nf_scale(sj1, IMAG)), HALF),
-        "Gb+": nf_scale(nf_sub(sj2, nf_scale(sj1, IMAG)), HALF),
-        "Gb-": nf_scale(nf_add(h, nf_scale(sj0, IMAG)), HALF),
+        "J+": nf_combine(dim, cutoff, [(HALF, j2_s), (-hi, j1_s)]),
+        "J-": nf_combine(dim, cutoff, [(-hi, j1_s), (-HALF, j2_s)]),
+        "G+": nf_combine(dim, cutoff, [(HALF, h), (-hi, sj0)]),
+        "G-": nf_combine(dim, cutoff, [(HALF, sj2), (hi, sj1)]),
+        "Gb+": nf_combine(dim, cutoff, [(HALF, sj2), (-hi, sj1)]),
+        "Gb-": nf_combine(dim, cutoff, [(HALF, h), (hi, sj0)]),
     }
 
 
@@ -177,10 +179,12 @@ def check_n4_components(h, j0_s, j1_s, j2_s, name="components-n4"):
     rows.append(("[G-_l Gb-]", Gm, Gbm, {0: apply_T(Jm),
                                          1: nf_scale(Jm, 2)}))
     rows.append(("[G+_l Gb-]", Gp, Gbm,
-                 {0: nf_add(L, nf_scale(apply_T(J0), HALF)), 1: J0,
+                 {0: nf_combine(dim, cutoff, [(1, L), (HALF, apply_T(J0))]),
+                  1: J0,
                   2: nf_scalar(dim, cutoff, c / QI(6))}))
     rows.append(("[G-_l Gb+]", Gm, Gbp,
-                 {0: nf_sub(L, nf_scale(apply_T(J0), HALF)),
+                 {0: nf_combine(dim, cutoff,
+                                [(1, L), (-HALF, apply_T(J0))]),
                   1: nf_scale(J0, -1),
                   2: nf_scalar(dim, cutoff, c / QI(6))}))
     for label, a, b in (("[G+_l G-]", Gp, Gm), ("[Gb+_l Gb-]", Gbp, Gbm),

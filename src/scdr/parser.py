@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import re
 
-from .scalars import QI, ONE, parse_qi, parse_exponents, CoeffFunction
+from .scalars import QI, parse_qi, parse_exponents, CoeffFunction
 from .terms import (Algebra, B_KIND, PSI_KIND, apply_S, apply_T, nf_mul,
-                    nf_scale, nf_sum)
+                    nf_scale, nf_combine)
 
 
 class ParseError(ValueError):
@@ -111,10 +111,7 @@ class _Parser:
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
             items.append(self._signed_term(QI(1) if op == "+" else QI(-1)))
-        if len(items) == 1 and items[0][0] == ONE:
-            return items[0][1]
-        return nf_sum([nf_scale(nf, q) for q, nf in items], self.alg.dim,
-                      self.alg.cutoff)
+        return nf_combine(self.alg.dim, self.alg.cutoff, items)
 
     def _signed_term(self, sign):
         q, nf = self.parse_term()

@@ -11,9 +11,8 @@ from __future__ import annotations
 import random
 
 from .scalars import QI, CoeffFunction, render_qi
-from .terms import (Algebra, Generator, B_KIND, PSI_KIND, HPoly,
-                    nf_scale, nf_sum, nf_mul, hp_from, hp_add, hp_sub,
-                    nf_scalar, render_nf)
+from .terms import (Algebra, Generator, B_KIND, PSI_KIND, nf_sum, nf_mul,
+                    nf_one, hp_combine, hp_sub, render_nf)
 from .bracket import lambda_bracket, skew, jacobi_defect
 from .parser import parse_expression
 from .superconf import (StructureReport, holds, fold, primary_rhs,
@@ -69,21 +68,21 @@ def run_n2_suite(metric, omega, holo_split=None):
                    dim, cutoff)
         grad = nf_sum([nf_mul(alg.coeff_nf(pot.partial(a)), alg.SB(a))
                        for a in indices], dim, cutoff)
-        rhs = hp_add(primary_rhs(x, 2),
-                     HPoly(dim, cutoff, {(1, 1, 0, 0): nf_scale(grad, -1)}))
-        return fold(name, [(None, hp_sub(lambda_bracket(h, x), rhs))])
+        diff = hp_combine(dim, cutoff, lambda_bracket(h, x).triples()
+                          + primary_rhs(x, 2).triples(-1)
+                          + [((1, 1, 0, 0), 1, grad)])
+        return fold(name, [(None, diff)])
 
     out.append(quad_report("n2/holomorphic-quadratic", range(1, n + 1)))
     out.append(quad_report("n2/antiholomorphic-quadratic",
                            range(n + 1, dim + 1)))
 
     # check_n2's [J_L J] = -(H + (c/3) lambda chi) at c = 3 dim
-    rhs = hp_from(dim, cutoff, [
-        ((0, 0, 0, 0), nf_scale(h, -1)),
-        ((1, 1, 0, 0), nf_scalar(dim, cutoff, QI(-dim))),
+    diff = hp_combine(dim, cutoff, lambda_bracket(j, j).triples() + [
+        ((0, 0, 0, 0), 1, h),
+        ((1, 1, 0, 0), dim, nf_one(dim, cutoff)),
     ])
-    out.append(fold("n2/self-bracket-expansion",
-                    [(None, hp_sub(lambda_bracket(j, j), rhs))]))
+    out.append(fold("n2/self-bracket-expansion", [(None, diff)]))
     return out
 
 

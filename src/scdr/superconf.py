@@ -12,9 +12,8 @@ StructureReport with fold.
 from __future__ import annotations
 
 from .scalars import QI, ZERO, CoeffFunction, render_qi, _min_exact
-from .terms import (NormalForm, HPoly, nf_scale, apply_S, apply_T,
-                    hp_from, hp_add, hp_sub, hp_scale,
-                    render_hpoly, render_nf)
+from .terms import (NormalForm, HPoly, apply_S, apply_T, hp_combine,
+                    hp_sub, render_hpoly, render_nf)
 from .bracket import lambda_bracket
 
 
@@ -142,10 +141,10 @@ def primary_rhs(x, lam):
     """(2T + lam lambda + chi S) x as a Lambda-polynomial: the bracket
     of the NS current with a primary state x of conformal weight lam/2,
     and with the current itself for lam = 3."""
-    return hp_from(x.dim, x.cutoff, [
-        ((0, 0, 0, 0), nf_scale(apply_T(x), 2)),
-        ((1, 0, 0, 0), nf_scale(x, lam)),
-        ((0, 1, 0, 0), apply_S(x)),
+    return hp_combine(x.dim, x.cutoff, [
+        ((0, 0, 0, 0), 2, apply_T(x)),
+        ((1, 0, 0, 0), lam, x),
+        ((0, 1, 0, 0), 1, apply_S(x)),
     ])
 
 
@@ -177,8 +176,8 @@ def check_n2(h, j, name="n2"):
         raise ValueError("J must be even")
     ns = check_ns(h, name="%s/ns" % name)
     r1 = hp_sub(lambda_bracket(h, j), primary_rhs(j, 2))
-    r2 = hp_add(lambda_bracket(j, j),
-                HPoly(h.dim, h.cutoff, {(0, 0, 0, 0): h}))
+    r2 = hp_combine(h.dim, h.cutoff,
+                    lambda_bracket(j, j).triples() + [((0, 0, 0, 0), 1, h)])
     cneg3, r2 = _split_central(r2, (1, 1, 0, 0))
     c = -(cneg3 * QI(3))
     return fold(name, [
@@ -191,11 +190,10 @@ def check_n2(h, j, name="n2"):
 
 def charged_rhs(x, eps):
     """eps (S + 2 chi) x as a Lambda-polynomial, eps a scalar."""
-    p = hp_from(x.dim, x.cutoff, [
-        ((0, 0, 0, 0), apply_S(x)),
-        ((0, 1, 0, 0), nf_scale(x, 2)),
+    return hp_combine(x.dim, x.cutoff, [
+        ((0, 0, 0, 0), eps, apply_S(x)),
+        ((0, 1, 0, 0), 2 * eps, x),
     ])
-    return hp_scale(p, eps)
 
 
 _EPS = {(0, 1): (2, 1), (1, 2): (0, 1), (2, 0): (1, 1),

@@ -85,16 +85,10 @@ class NormalForm:
     def __init__(self, dim, cutoff, terms, exact_to=None):
         clean = {}
         for gens, cf in terms.items():
-            if cf.is_zero():
-                exact_to = _min_exact(exact_to, cf.exact_to)
-                continue
             exact_to = _min_exact(exact_to, cf.exact_to)
-            clean[gens] = cf
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "exact_to", exact_to)
-        object.__setattr__(self, "_hash", None)
+            if not cf.is_zero():
+                clean[gens] = cf
+        _fill_nf(self, dim, cutoff, clean, exact_to)
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalForm is immutable")
@@ -138,6 +132,15 @@ class NormalForm:
         return sorted(self.terms.items())
 
 
+def _fill_nf(nf, dim, cutoff, terms, exact_to):
+    object.__setattr__(nf, "dim", dim)
+    object.__setattr__(nf, "cutoff", cutoff)
+    object.__setattr__(nf, "terms", terms)
+    object.__setattr__(nf, "exact_to", exact_to)
+    object.__setattr__(nf, "_hash", None)
+    return nf
+
+
 def nf_zero(dim, cutoff):
     return NormalForm(dim, cutoff, {})
 
@@ -155,40 +158,59 @@ def nf_mono(dim, cutoff, cf, gens):
     return NormalForm(dim, cutoff, {tuple(gens): cf})
 
 
+def nf_combine(dim, cutoff, pairs, exact_to=None):
+    """The state sum of q * state over (q, state) pairs, in one pass.
+
+    This is where every sum folds its degree markers.  The sum starts
+    from the marker exact_to and takes in each state's marker, also for
+    q = 0.  Terms merge in the order given: a coefficient that cancels
+    drops out and leaves its exact_to on the sum, and a later term of the
+    same monomial starts afresh.
+
+    The terms come out clean and every coefficient's exact_to is at
+    least the sum's, so the sum skips the checks of the constructor.
+    """
+    terms = {}
+    for q, nf in pairs:
+        exact_to = _min_exact(exact_to, nf.exact_to)
+        if q is not ONE:
+            q = as_qi(q)
+            if not q:
+                continue
+        for gens, cf in nf.terms.items():
+            if q is not ONE:
+                cf = cf.scale(q)
+            old = terms.get(gens)
+            if old is None:
+                terms[gens] = cf
+                continue
+            cf = old + cf
+            if cf.terms:
+                terms[gens] = cf
+            else:
+                exact_to = _min_exact(exact_to, cf.exact_to)
+                del terms[gens]
+    return _fill_nf(object.__new__(NormalForm), dim, cutoff, terms, exact_to)
+
+
 def nf_add(a, b):
-    terms = dict(a.terms)
-    for gens, cf in b.terms.items():
-        if gens in terms:
-            terms[gens] = terms[gens] + cf
-        else:
-            terms[gens] = cf
-    return NormalForm(a.dim, a.cutoff, terms,
-                      _min_exact(a.exact_to, b.exact_to))
+    return nf_combine(a.dim, a.cutoff, ((ONE, a), (ONE, b)))
 
 
 def nf_neg(a):
-    return NormalForm(a.dim, a.cutoff,
-                      {g: -cf for g, cf in a.terms.items()}, a.exact_to)
+    return nf_combine(a.dim, a.cutoff, ((-ONE, a),))
 
 
 def nf_sub(a, b):
-    return nf_add(a, nf_neg(b))
+    return nf_combine(a.dim, a.cutoff, ((ONE, a), (-ONE, b)))
 
 
 def nf_scale(a, q):
-    q = as_qi(q)
-    if not q:
-        return NormalForm(a.dim, a.cutoff, {}, a.exact_to)
-    return NormalForm(a.dim, a.cutoff,
-                      {g: cf.scale(q) for g, cf in a.terms.items()},
-                      a.exact_to)
+    return nf_combine(a.dim, a.cutoff, ((q, a),))
 
 
 def nf_sum(items, dim, cutoff):
-    acc = nf_zero(dim, cutoff)
-    for it in items:
-        acc = nf_add(acc, it)
-    return acc
+    return nf_combine(dim, cutoff, ((ONE, it) for it in items))
 
 
 # -- the normally ordered product -------------------------------------
@@ -234,11 +256,9 @@ def mono_mul(dim, cutoff, m1, m2):
 
 
 def nf_apply_gen(dim, cutoff, nf, h):
-    out = nf_zero(dim, cutoff)
-    out = NormalForm(dim, cutoff, out.terms, nf.exact_to)
-    for gens, cf in nf.terms.items():
-        out = nf_add(out, nf_mul_gen(dim, cutoff, (cf, gens), h))
-    return out
+    return nf_combine(dim, cutoff,
+                      [(ONE, nf_mul_gen(dim, cutoff, (cf, gens), h))
+                       for gens, cf in nf.terms.items()], nf.exact_to)
 
 
 def nf_mul_gen(dim, cutoff, mono, h):
@@ -277,14 +297,12 @@ def _nf_mul_gen(dim, cutoff, mono, h):
     one = unit_cf(dim, cutoff)
     sign = QI((-1) ** (g.parity() * h.parity()))
     swapped = nf_apply_gen(dim, cutoff, nf_mul_gen(dim, cutoff, rest, h), g)
-    out = nf_scale(swapped, sign)
-    out = nf_sub(out, nf_scale(qa_terms(dim, cutoff, rest, (one, (h,)), g),
-                               sign))
-    out = nf_add(out, nf_mul(rest_nf,
-                             qc_integral(dim, cutoff, (one, (g,)),
-                                         (one, (h,)))))
-    out = nf_add(out, qa_terms(dim, cutoff, rest, (one, (g,)), h))
-    return out
+    return nf_combine(dim, cutoff, [
+        (sign, swapped),
+        (-sign, qa_terms(dim, cutoff, rest, (one, (h,)), g)),
+        (ONE, nf_mul(rest_nf, qc_integral(dim, cutoff, (one, (g,)),
+                                          (one, (h,))))),
+        (ONE, qa_terms(dim, cutoff, rest, (one, (g,)), h))])
 
 
 def unit_cf(dim, cutoff):
@@ -294,11 +312,11 @@ def unit_cf(dim, cutoff):
 def nf_mul(a, b):
     """Normally ordered product of two states (bilinear over Q(i))."""
     dim, cutoff = a.dim, a.cutoff
-    out = NormalForm(dim, cutoff, {}, _min_exact(a.exact_to, b.exact_to))
-    for g1, c1 in a.terms.items():
-        for g2, c2 in b.terms.items():
-            out = nf_add(out, mono_mul(dim, cutoff, (c1, g1), (c2, g2)))
-    return out
+    return nf_combine(dim, cutoff,
+                      [(ONE, mono_mul(dim, cutoff, (c1, g1), (c2, g2)))
+                       for g1, c1 in a.terms.items()
+                       for g2, c2 in b.terms.items()],
+                      _min_exact(a.exact_to, b.exact_to))
 
 
 def qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
@@ -312,28 +330,25 @@ def qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
     pa_par = gens_parity(a_mono[1])
     pb_par = gens_parity(b_mono[1])
     sign = QI((-1) ** (pa_par * pb_par))
-    exact = None
-    for nf in list(pa.terms.values()) + list(pb.terms.values()):
-        exact = _min_exact(exact, nf.exact_to)
-    out = NormalForm(dim, cutoff, {}, exact)
+    exact = _min_exact(pa.exact_to(), pb.exact_to())
     jmax = max((m[0] for m in list(pa.terms) + list(pb.terms) if m[1]),
                default=-1)
     if jmax < 0:
-        return out
+        return nf_combine(dim, cutoff, (), exact)
     ta = nf_mono(dim, cutoff, a_mono[0], a_mono[1])
     tb = nf_mono(dim, cutoff, b_mono[0], b_mono[1])
+    pairs = []
     for j in range(jmax + 1):
         ta = nf_scale(apply_T(ta), QI(Fraction(1, j + 1)))
         tb = nf_scale(apply_T(tb), QI(Fraction(1, j + 1)))
         jfact = QI(factorial(j))
         cb = pb.coeff((j, 1, 0, 0))
         if cb is not None and not cb.is_zero():
-            out = nf_add(out, nf_mul(ta, nf_scale(cb, jfact)))
+            pairs.append((ONE, nf_mul(ta, nf_scale(cb, jfact))))
         ca = pa.coeff((j, 1, 0, 0))
         if ca is not None and not ca.is_zero():
-            out = nf_add(out, nf_scale(nf_mul(tb, nf_scale(ca, jfact)),
-                                       sign))
-    return out
+            pairs.append((sign, nf_mul(tb, nf_scale(ca, jfact))))
+    return nf_combine(dim, cutoff, pairs, exact)
 
 
 def qc_integral(dim, cutoff, m1, m2):
@@ -362,25 +377,22 @@ def _leibniz(nf, t, s):
     gives d_j f T^t S^s B^j, each factor its own derivative, and S takes
     a sign past every odd factor."""
     dim, cutoff = nf.dim, nf.cutoff
-    out = NormalForm(dim, cutoff, {}, nf.exact_to)
+    pairs = []
     for gens, cf in nf.terms.items():
         mask = cf._variables()
         for j in range(1, dim + 1):
             if not mask >> j & 1:
                 continue
             lead = Generator(B_KIND, j, t, s)
-            out = nf_add(out, mono_from_factors(dim, cutoff, cf.partial(j),
-                                                (lead,) + gens))
-        sign = 1
+            pairs.append((ONE, mono_from_factors(dim, cutoff, cf.partial(j),
+                                                 (lead,) + gens)))
+        sign = ONE
         for i, g in enumerate(gens):
             repl = gens[:i] + (g.d_S() if s else g.d_T(),) + gens[i + 1:]
-            term = mono_from_factors(dim, cutoff, cf, repl)
-            if sign < 0:
-                term = nf_neg(term)
-            out = nf_add(out, term)
+            pairs.append((sign, mono_from_factors(dim, cutoff, cf, repl)))
             if s and g.parity():
                 sign = -sign
-    return out
+    return nf_combine(dim, cutoff, pairs, nf.exact_to)
 
 
 def mono_from_factors(dim, cutoff, cf, factors):
@@ -439,6 +451,10 @@ class HPoly:
     def coeff(self, mono):
         return self.terms.get(mono)
 
+    def triples(self, q=ONE):
+        """The (key, scalar, state) triples of q times this poly."""
+        return [(m, q, nf) for m, nf in self.terms.items()]
+
     def coeff_or_zero(self, mono):
         nf = self.terms.get(mono)
         return nf if nf is not None else nf_zero(self.dim, self.cutoff)
@@ -475,37 +491,39 @@ def hp_zero(dim, cutoff):
     return HPoly(dim, cutoff, {})
 
 
-def hp_from(dim, cutoff, items):
-    acc = {}
-    for m, nf in items:
-        if m in acc:
-            acc[m] = nf_add(acc[m], nf)
+def hp_combine(dim, cutoff, triples, exact_to=None):
+    """The bracket value sum of q * key * state over (key, q, state)
+    triples: the pairs of each key summed by nf_combine, in the order
+    given.  A marker exact_to joins the sum at the constant key last."""
+    groups = {}
+    for m, q, nf in triples:
+        group = groups.get(m)
+        if group is None:
+            groups[m] = [(q, nf)]
         else:
-            acc[m] = nf
-    return HPoly(dim, cutoff, acc)
+            group.append((q, nf))
+    if exact_to is not None:
+        groups.setdefault(HMONO_ONE, [])
+    return HPoly(dim, cutoff, {
+        m: nf_combine(dim, cutoff, pairs,
+                      exact_to if m == HMONO_ONE else None)
+        for m, pairs in groups.items()})
 
 
 def hp_add(a, b):
-    terms = dict(a.terms)
-    for m, nf in b.terms.items():
-        if m in terms:
-            terms[m] = nf_add(terms[m], nf)
-        else:
-            terms[m] = nf
-    return HPoly(a.dim, a.cutoff, terms)
-
-
-def hp_neg(a):
-    return HPoly(a.dim, a.cutoff, {m: nf_neg(nf) for m, nf in a.terms.items()})
+    return hp_combine(a.dim, a.cutoff, a.triples() + b.triples())
 
 
 def hp_sub(a, b):
-    return hp_add(a, hp_neg(b))
+    return hp_combine(a.dim, a.cutoff, a.triples() + b.triples(-ONE))
+
+
+def hp_neg(a):
+    return hp_combine(a.dim, a.cutoff, a.triples(-ONE))
 
 
 def hp_scale(a, q):
-    return HPoly(a.dim, a.cutoff,
-                 {m: nf_scale(nf, q) for m, nf in a.terms.items()})
+    return hp_combine(a.dim, a.cutoff, a.triples(q))
 
 
 def hp_op_T(p):
@@ -517,14 +535,12 @@ def hp_mul_mono(p, mono, extraction_parity=True):
     """Left-multiply every key by mono.  When extraction_parity is set
     the odd-slot rule applies: pulling an odd monomial out of a bracket
     slot costs a sign per odd variable."""
-    items = []
+    flip = -1 if extraction_parity and hmono_parity(mono) else 1
+    triples = []
     for m, nf in p.terms.items():
         sign, prod = hmono_mul(mono, m)
-        items.append((prod, nf_scale(nf, QI(sign))))
-    q = hp_from(p.dim, p.cutoff, items)
-    if extraction_parity and hmono_parity(mono):
-        q = hp_neg(q)
-    return q
+        triples.append((prod, ONE if sign == flip else -ONE, nf))
+    return hp_combine(p.dim, p.cutoff, triples)
 
 
 def hp_mul_lambda(p):
@@ -541,14 +557,9 @@ def hp_nf_mul_right(p, b):
 def hp_nf_mul_left(p, b, b_parity):
     """Multiply every coefficient state on the left by the homogeneous
     state b; b passes the odd chi variables with the Koszul sign."""
-    out = []
-    for m, nf in p.terms.items():
-        sgn = -1 if (b_parity and hmono_parity(m)) else 1
-        term = nf_mul(b, nf)
-        if sgn < 0:
-            term = nf_neg(term)
-        out.append((m, term))
-    return hp_from(p.dim, p.cutoff, out)
+    return hp_combine(p.dim, p.cutoff, [
+        (m, -ONE if b_parity and hmono_parity(m) else ONE, nf_mul(b, nf))
+        for m, nf in p.terms.items()])
 
 
 def hp_op_S(p):
@@ -557,13 +568,13 @@ def hp_op_S(p):
     S passes the central even variables, satisfies S chi =
     2 lambda - chi S against the Lambda pair, anticommutes with eta, and
     acts on the coefficient state."""
-    items = []
+    triples = []
     for (j, J, k, K), nf in p.terms.items():
-        s_nf = apply_S(nf)
-        items.append(((j, J, k, K), nf_neg(s_nf) if (J + K) & 1 else s_nf))
+        triples.append(((j, J, k, K), -ONE if (J + K) & 1 else ONE,
+                        apply_S(nf)))
         if J:
-            items.append(((j + 1, 0, k, K), nf_scale(nf, QI(2))))
-    return hp_from(p.dim, p.cutoff, items)
+            triples.append(((j + 1, 0, k, K), QI(2), nf))
+    return hp_combine(p.dim, p.cutoff, triples)
 
 
 def hp_op_lambda_plus_T(p, repeat=1):
@@ -595,16 +606,15 @@ def hp_reindex_to_gamma(p):
 
 def hp_subst_gamma_plus_lambda(p):
     """Substitute gamma -> gamma + lambda, eta -> eta + chi."""
-    items = []
+    triples = []
     for (j, J, k, K), nf in p.terms.items():
         # (eta + chi) expands into two words
         odd = ((0, 0, 0, 1), (0, 1, 0, 0)) if K else (HMONO_ONE,)
         for i in range(k + 1):
-            coeff = nf_scale(nf, QI(comb(k, i)))
             for w in odd:
                 sign, mono = hmono_mul((j + i, J, k - i, 0), w)
-                items.append((mono, coeff if sign > 0 else nf_neg(coeff)))
-    return hp_from(p.dim, p.cutoff, items)
+                triples.append((mono, QI(sign * comb(k, i)), nf))
+    return hp_combine(p.dim, p.cutoff, triples)
 
 
 def hp_integrate_wick(p):
@@ -612,23 +622,16 @@ def hp_integrate_wick(p):
 
     Keys with no eta die; for the others eta is removed (a sign for
     passing chi) and gamma^k becomes lambda^{k+1}/(k+1)."""
-    dim, cutoff = p.dim, p.cutoff
-    items = [(HMONO_ONE, NormalForm(dim, cutoff, {}, p.exact_to()))]
-    for (j, J, k, K), nf in p.terms.items():
-        if K == 0:
-            continue
-        sign = -1 if J else 1
-        coeff = nf_scale(nf, QI(Fraction(sign, k + 1)))
-        items.append(((j + k + 1, J, 0, 0), coeff))
-    return hp_from(dim, cutoff, items)
+    return hp_combine(p.dim, p.cutoff, [
+        ((j + k + 1, J, 0, 0), QI(Fraction(-1 if J else 1, k + 1)), nf)
+        for (j, J, k, K), nf in p.terms.items() if K], p.exact_to())
 
 
 def hp_integrate_qc(p):
     """Integrate a pure-Lambda poly over Lambda from -grad to 0,
     yielding a state: chi must be present, lambda^j becomes
     (-1)^j T^{j+1}/(j+1) applied to the coefficient."""
-    dim, cutoff = p.dim, p.cutoff
-    out = NormalForm(dim, cutoff, {}, p.exact_to())
+    pairs = []
     for m, nf in p.terms.items():
         j, J = _lambda_only(m)
         if not J:
@@ -636,8 +639,8 @@ def hp_integrate_qc(p):
         term = nf
         for _ in range(j + 1):
             term = apply_T(term)
-        out = nf_add(out, nf_scale(term, QI(Fraction((-1) ** j, j + 1))))
-    return out
+        pairs.append((QI(Fraction((-1) ** j, j + 1)), term))
+    return nf_combine(p.dim, p.cutoff, pairs, p.exact_to())
 
 
 def hp_chi_part(p):

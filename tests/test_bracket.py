@@ -16,7 +16,7 @@ from scdr.suites import random_state
 from scdr.geometry import MetricData, build_H, build_H0
 from scdr.scalars import QI, CoeffFunction
 from scdr.terms import (B_KIND, PSI_KIND, Algebra, Generator, HPoly,
-                        NormalForm, apply_S, apply_T, hp_add, hp_from,
+                        NormalForm, apply_S, apply_T, hp_add, hp_combine,
                         hp_mul_lambda, hp_mul_mono, hp_neg, hp_op_chi_plus_S,
                         hp_op_lambda_plus_T, hp_scale, hp_sub, hp_zero,
                         mono_from_factors, nf_add, nf_mul, nf_neg, nf_scale)
@@ -30,7 +30,7 @@ LAM2CHI = (2, 1, 0, 0)
 
 
 def hp(alg, items):
-    return hp_from(alg.dim, alg.cutoff, items)
+    return hp_combine(alg.dim, alg.cutoff, [(m, 1, nf) for m, nf in items])
 
 
 def assert_hp_zero(p):

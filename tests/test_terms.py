@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from scdr.scalars import QI, CoeffFunction, _min_exact
 from scdr.terms import (Algebra, Generator, B_KIND, PSI_KIND, NormalForm,
                         HPoly, nf_mul, nf_add, nf_sub, nf_scale, nf_sum,
-                        hp_zero, hp_add, hp_sub, apply_S, apply_T, render_nf)
+                        nf_combine, hp_zero, hp_add, hp_sub, hp_combine,
+                        apply_S, apply_T, render_nf)
 from scdr.parser import parse_expression
 from scdr.superconf import holds
 from scdr.suites import random_state
@@ -245,6 +246,7 @@ def fold_cases(draw):
 @given(fold_cases())
 def test_sums_of_states_match_the_pairwise_fold(case):
     dim, cutoff, pairs, start = case
+    assert_matches_fold(nf_combine(dim, cutoff, pairs, start), pairs, start)
     marker = NormalForm(dim, cutoff, {}, start)
     scaled = [nf_scale(nf, q) for q, nf in pairs]
     assert_matches_fold(nf_sum([marker] + scaled, dim, cutoff), pairs, start)
@@ -276,8 +278,12 @@ def test_sums_of_bracket_values_match_the_per_key_fold(case, data):
                               min_size=len(pairs), max_size=len(pairs)))
     triples = [(k, q, nf) for k, (q, nf) in zip(keys, pairs)]
     want = reference_hp_fold(triples)
+    sums = [hp_combine(dim, cutoff, triples)]
     for op, sign in ((hp_add, 1), (hp_sub, -1)):
-        got = reduce(op, [HPoly(dim, cutoff, {k: nf_scale(nf, sign * q)})
-                          for k, q, nf in triples], hp_zero(dim, cutoff))
+        sums.append(reduce(op, [HPoly(dim, cutoff,
+                                      {k: nf_scale(nf, sign * q)})
+                                for k, q, nf in triples],
+                           hp_zero(dim, cutoff)))
+    for got in sums:
         assert {k: (nf.terms, nf.exact_to)
                 for k, nf in got.terms.items()} == want
