@@ -182,6 +182,10 @@ def cmd_verify(args, config):
                   file=sys.stderr)
             return 2
         reports = run_coordchange_suite(changes)
+    elif cutoff < 1:
+        # random states hold the coordinates, which need degree 1
+        print("error: the jacobi suite needs --cutoff >= 1", file=sys.stderr)
+        return 2
     else:
         reports = run_jacobi_suite(dim, cutoff, args.seed)
     if config["format"] == "json":

@@ -190,6 +190,20 @@ def test_verify_n4_needs_dim_multiple_of_four(capsys):
     assert "divisible by 4" in err
 
 
+@pytest.mark.parametrize("via_env", [False, True])
+def test_verify_jacobi_needs_positive_cutoff(capsys, monkeypatch, via_env):
+    # random states hold the coordinate x_i, which cutoff 0 cannot store
+    if via_env:
+        monkeypatch.setenv("SCDR_CUTOFF", "0")
+        argv = ["verify", "jacobi"]
+    else:
+        monkeypatch.delenv("SCDR_CUTOFF", raising=False)
+        argv = ["--cutoff", "0", "verify", "jacobi"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == "error: the jacobi suite needs --cutoff >= 1\n"
+
+
 def test_verify_components_dim1(capsys):
     rc, out, _ = run(capsys, "--dim", "1", "--cutoff", "4",
                      "verify", "components")
