@@ -118,7 +118,7 @@ def check_n2_components(h, j_s, name="components-n2"):
     rows.append(("[J_l G-]", J, Gm, {0: nf_scale(Gm, -1)}))
     rows.append(("[G+_l G-]", Gp, Gm,
                  {0: nf_combine(dim, cutoff, [(1, L), (HALF, apply_T(J))]),
-              1: J,
+                  1: J,
                   2: nf_scalar(dim, cutoff, c / QI(6))}))
     rows.append(("[G+_l G+]", Gp, Gp, {}))
     rows.append(("[G-_l G-]", Gm, Gm, {}))

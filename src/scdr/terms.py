@@ -497,11 +497,7 @@ def hp_combine(dim, cutoff, triples, exact_to=None):
     given.  A marker exact_to joins the sum at the constant key last."""
     groups = {}
     for m, q, nf in triples:
-        group = groups.get(m)
-        if group is None:
-            groups[m] = [(q, nf)]
-        else:
-            group.append((q, nf))
+        groups.setdefault(m, []).append((q, nf))
     if exact_to is not None:
         groups.setdefault(HMONO_ONE, [])
     return HPoly(dim, cutoff, {
