@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from scdr import terms
 from scdr.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,6 +67,20 @@ def test_cli_output_is_pinned(name):
     want = (GOLDEN / (name + ".out")).read_text(encoding="utf-8")
     assert out == want
     assert rc == expected_exit_codes()[name]
+
+
+def test_warm_caches_give_cold_output():
+    # a run on the caches an earlier run left prints what a fresh
+    # process prints
+    terms.clear_caches()
+    seed0 = CASES["jacobi_dim2"]
+    seed1 = ["1" if a == "0" else a for a in seed0]  # --seed 1
+    want = (GOLDEN / "jacobi_dim2.out").read_text(encoding="utf-8")
+    code = expected_exit_codes()["jacobi_dim2"]
+    runs = [invoke(seed0), invoke(seed0)]
+    invoke(seed1)
+    runs.append(invoke(seed0))
+    assert runs == [(code, want)] * 3
 
 
 def _regenerate():

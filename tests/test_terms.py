@@ -1,17 +1,24 @@
 """Normal forms, derivations, and the normally ordered product."""
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 from functools import reduce
+from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from scdr.scalars import QI, CoeffFunction, _min_exact
+import scdr
+from scdr import terms
+from scdr.bracket import bracket_mono, lambda_bracket
+from scdr.scalars import QI, ONE, CoeffFunction, _min_exact
 from scdr.terms import (Algebra, Generator, B_KIND, PSI_KIND, NormalForm,
                         HPoly, nf_mul, nf_add, nf_sub, nf_scale, nf_sum,
-                        nf_combine, hp_zero, hp_add, hp_sub, hp_combine,
-                        apply_S, apply_T, render_nf)
+                        nf_combine, nf_mono, nf_apply_gen, hp_zero, hp_add,
+                        hp_sub, hp_combine, apply_S, apply_T, render_nf,
+                        gens_parity, mono_from_factors, qa_terms, unit_cf)
 from scdr.parser import parse_expression
 from scdr.superconf import holds
 from scdr.suites import random_state
@@ -194,6 +201,38 @@ fold_scalars = st.sampled_from([QI(1), QI(-1), QI(2), QI(Fraction(1, 2)),
                                 QI(0, 1), QI(-3, 1)])
 
 
+def draw_coeff(draw, dim, cutoff, exact_to):
+    """A nonzero series with one or two terms and the given exact_to."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        e = [0] * dim
+        for _ in range(draw(st.integers(0, cutoff))):
+            e[draw(st.integers(0, dim - 1))] += 1
+        terms[tuple(e)] = QI(draw(st.integers(-2, 2)) or 1)
+    return CoeffFunction(dim, cutoff, terms, exact_to)
+
+
+def fold_gens(dim):
+    return [(), (Generator(PSI_KIND, 1, 0, 0),),
+            (Generator(B_KIND, dim, 1, 0),),
+            (Generator(B_KIND, 1, 0, 1), Generator(PSI_KIND, dim, 0, 0))]
+
+
+def fold_markers(cutoff):
+    return st.one_of(st.none(), st.integers(0, cutoff))
+
+
+def draw_state(draw, dim, cutoff):
+    """Up to three monomials of fold_gens, each coefficient and the
+    state with a marker or none."""
+    markers = fold_markers(cutoff)
+    keys = draw(st.lists(st.sampled_from(fold_gens(dim)), max_size=3,
+                         unique=True))
+    return NormalForm(dim, cutoff,
+                      {g: draw_coeff(draw, dim, cutoff, draw(markers))
+                       for g in keys}, draw(markers))
+
+
 @st.composite
 def fold_cases(draw):
     """(dim, cutoff, pairs, start marker) for dims 1-2 and cutoffs 1-3.
@@ -201,24 +240,14 @@ def fold_cases(draw):
     reappears exactly, and coefficients with exact_to set."""
     dim = draw(st.integers(1, 2))
     cutoff = draw(st.integers(1, 3))
-    gens = [(), (Generator(PSI_KIND, 1, 0, 0),),
-            (Generator(B_KIND, dim, 1, 0),),
-            (Generator(B_KIND, 1, 0, 1), Generator(PSI_KIND, dim, 0, 0))]
-    markers = st.one_of(st.none(), st.integers(0, cutoff))
+    gens = fold_gens(dim)
+    markers = fold_markers(cutoff)
 
     def coeff(exact_to):
-        terms = {}
-        for _ in range(draw(st.integers(1, 2))):
-            e = [0] * dim
-            for _ in range(draw(st.integers(0, cutoff))):
-                e[draw(st.integers(0, dim - 1))] += 1
-            terms[tuple(e)] = QI(draw(st.integers(-2, 2)) or 1)
-        return CoeffFunction(dim, cutoff, terms, exact_to)
+        return draw_coeff(draw, dim, cutoff, exact_to)
 
     def state():
-        keys = draw(st.lists(st.sampled_from(gens), max_size=3, unique=True))
-        return NormalForm(dim, cutoff, {g: coeff(draw(markers))
-                                        for g in keys}, draw(markers))
+        return draw_state(draw, dim, cutoff)
 
     pairs = [(draw(fold_scalars), state())
              for _ in range(draw(st.integers(0, 3)))]
@@ -287,3 +316,199 @@ def test_sums_of_bracket_values_match_the_per_key_fold(case, data):
     for got in sums:
         assert {k: (nf.terms, nf.exact_to)
                 for k, nf in got.terms.items()} == want
+
+
+@pytest.mark.parametrize("relation", ["none", "equal", "above", "below"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_sum_of_one_unit_state_matches_the_fold(relation, data):
+    # one (ONE, state) pair, the start marker absent, equal to the
+    # state's, above it or below it; given as list, tuple and generator
+    dim = data.draw(st.integers(1, 2))
+    cutoff = data.draw(st.integers(1, 3))
+    nf = draw_state(data.draw, dim, cutoff)
+    if relation in ("equal", "above") and nf.exact_to is None:
+        nf = NormalForm(dim, cutoff, nf.terms,
+                        data.draw(st.integers(0, cutoff)))
+    top = cutoff if nf.exact_to is None else nf.exact_to
+    step = data.draw(st.integers(1, 2))
+    start = {"none": None, "equal": nf.exact_to, "above": top + step,
+             "below": top - step}[relation]
+    pairs = [(ONE, nf)]
+    for given_pairs in (pairs, tuple(pairs), iter(pairs)):
+        assert_matches_fold(nf_combine(dim, cutoff, given_pairs, start),
+                            pairs, start)
+    if start is None:
+        assert_matches_fold(nf_sum([nf], dim, cutoff), pairs)
+
+
+# -- products and quasi-associativity against one step at a time --------
+
+
+def reference_mono_from_factors(dim, cutoff, cf, factors):
+    """The product of cf and the factors, each factor applied to the
+    running product by nf_apply_gen."""
+    nf = nf_mono(dim, cutoff, cf, ())
+    for h in factors:
+        nf = nf_apply_gen(dim, cutoff, nf, h)
+    return nf
+
+
+def reference_qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
+    """qa_terms with both T-chains advanced to the top lambda degree of
+    either bracket."""
+    one = unit_cf(dim, cutoff)
+    c_nf_mono = (one, (c_gen,))
+    pb = bracket_mono(dim, cutoff, b_mono, c_nf_mono)
+    pa = bracket_mono(dim, cutoff, a_mono, c_nf_mono)
+    sign = QI((-1) ** (gens_parity(a_mono[1]) * gens_parity(b_mono[1])))
+    exact = _min_exact(pa.exact_to(), pb.exact_to())
+    jmax = max((m[0] for m in list(pa.terms) + list(pb.terms) if m[1]),
+               default=-1)
+    if jmax < 0:
+        return nf_combine(dim, cutoff, (), exact)
+    ta = nf_mono(dim, cutoff, a_mono[0], a_mono[1])
+    tb = nf_mono(dim, cutoff, b_mono[0], b_mono[1])
+    pairs = []
+    for j in range(jmax + 1):
+        ta = nf_scale(apply_T(ta), QI(Fraction(1, j + 1)))
+        tb = nf_scale(apply_T(tb), QI(Fraction(1, j + 1)))
+        jfact = QI(factorial(j))
+        cb = pb.coeff((j, 1, 0, 0))
+        if cb is not None and not cb.is_zero():
+            pairs.append((ONE, nf_mul(ta, nf_scale(cb, jfact))))
+        ca = pa.coeff((j, 1, 0, 0))
+        if ca is not None and not ca.is_zero():
+            pairs.append((sign, nf_mul(tb, nf_scale(ca, jfact))))
+    return nf_combine(dim, cutoff, pairs, exact)
+
+
+def assert_same_state(got, want):
+    assert got.terms == want.terms
+    assert list(got.terms) == list(want.terms)
+    assert {g: cf.exact_to for g, cf in got.terms.items()} == \
+        {g: cf.exact_to for g, cf in want.terms.items()}
+    assert got.exact_to == want.exact_to
+
+
+def factor_pool(dim):
+    """Every generator with t + s <= 1, the underived B's included."""
+    return [Generator(kind, i, t, s) for kind in (B_KIND, PSI_KIND)
+            for i in range(1, dim + 1) for t, s in ((0, 0), (0, 1), (1, 0))]
+
+
+def is_underived_b(g):
+    return g.kind == B_KIND and not g.t and not g.s
+
+
+def draw_factor_coeff(draw, dim, cutoff):
+    """An exact or a truncated series, or the zero d_1 c of a truncated
+    constant c, which keeps c's marker lowered by one."""
+    kind = draw(st.sampled_from(["exact", "truncated", "zero"]))
+    if kind == "zero":
+        c = CoeffFunction(dim, cutoff, {(0,) * dim: QI(draw(
+            st.integers(1, 3)))}, draw(st.integers(0, cutoff)))
+        return c.partial(1)
+    markers = st.none() if kind == "exact" else st.integers(0, cutoff)
+    return draw_coeff(draw, dim, cutoff, draw(markers))
+
+
+@st.composite
+def factor_cases(draw):
+    """(dim, cutoff, cf, factors) for dims 1-2 and cutoffs 1-3: up to four
+    factors, sorted or not, with an underived B inserted anywhere."""
+    dim = draw(st.integers(1, 2))
+    cutoff = draw(st.integers(1, 3))
+    pool = factor_pool(dim)
+    factors = draw(st.lists(st.sampled_from(pool), max_size=4))
+    if draw(st.booleans()):
+        factors.sort()
+    if draw(st.booleans()):
+        factors.insert(draw(st.integers(0, len(factors))),
+                       Generator(B_KIND, draw(st.integers(1, dim)), 0, 0))
+    return dim, cutoff, draw_factor_coeff(draw, dim, cutoff), tuple(factors)
+
+
+SB1, TB1 = Generator(B_KIND, 1, 0, 1), Generator(B_KIND, 1, 1, 0)
+B2, SB2 = Generator(B_KIND, 2, 0, 0), Generator(B_KIND, 2, 0, 1)
+PSI1, PSI2 = Generator(PSI_KIND, 1, 0, 0), Generator(PSI_KIND, 2, 0, 0)
+X1 = CoeffFunction(2, 2, {(1, 0): QI(1), (0, 1): QI(2)})
+TRUNCATED_X1 = CoeffFunction(2, 2, X1.terms, 1)
+ZERO_MARKED = CoeffFunction(2, 2, {(0, 0): QI(3)}, 2).partial(1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_cases())
+@example((2, 2, X1, (SB1, B2, PSI1)))              # underived B inside
+@example((2, 2, X1, (B2, TB1, PSI2)))              # underived B first
+@example((2, 2, X1, (TB1, TB1, PSI2)))             # equal even factors
+@example((2, 2, X1, (SB1, PSI1, PSI1)))            # a repeated odd one
+@example((2, 2, X1, (PSI2, SB1, TB1)))             # out of order
+@example((2, 2, TRUNCATED_X1, (SB1, TB1, PSI2, SB2)))
+@example((2, 2, ZERO_MARKED, (TB1, PSI2, PSI1)))
+def test_products_of_factors_match_one_factor_at_a_time(case):
+    dim, cutoff, cf, factors = case
+    assert_same_state(mono_from_factors(dim, cutoff, cf, factors),
+                      reference_mono_from_factors(dim, cutoff, cf, factors))
+
+
+def normal_order(gens):
+    """The generators sorted, with repeated odd ones dropped."""
+    out = []
+    for g in sorted(gens):
+        if not (out and out[-1] == g and g.parity()):
+            out.append(g)
+    return tuple(out)
+
+
+@st.composite
+def qa_cases(draw):
+    """(dim, cutoff, a, b, c) for dims 1-2 and cutoffs 1-3: monomials a
+    and b in normal order with up to two factors, and a derived
+    generator c."""
+    dim = draw(st.integers(1, 2))
+    cutoff = draw(st.integers(1, 3))
+    pool = [g for g in factor_pool(dim) if not is_underived_b(g)]
+
+    def mono():
+        gens = draw(st.lists(st.sampled_from(pool), max_size=2))
+        return draw_factor_coeff(draw, dim, cutoff), normal_order(gens)
+
+    return dim, cutoff, mono(), mono(), draw(st.sampled_from(pool))
+
+
+@settings(max_examples=100, deadline=None)
+@given(qa_cases())
+@example((2, 2, (X1, (SB1,)), (unit_cf(2, 2), (PSI1,)), PSI1))
+@example((2, 2, (TRUNCATED_X1, (PSI2,)), (X1, (TB1,)), SB1))
+def test_quasi_associativity_matches_both_chains_in_full(case):
+    dim, cutoff, a, b, c = case
+    assert_same_state(qa_terms(dim, cutoff, a, b, c),
+                      reference_qa_terms(dim, cutoff, a, b, c))
+
+
+# -- memo caches ----------------------------------------------------------
+
+
+def module_memos():
+    """{module.name: dict} of every module-level dict named _*_CACHE in
+    the scdr package."""
+    memos = {}
+    for info in pkgutil.iter_modules(scdr.__path__):
+        module = importlib.import_module("scdr." + info.name)
+        for name, value in vars(module).items():
+            if (name.startswith("_") and name.endswith("_CACHE")
+                    and isinstance(value, dict)):
+                memos["%s.%s" % (info.name, name)] = value
+    return memos
+
+
+def test_clear_caches_empties_every_memo(alg):
+    a = parse(":f{\"1,0\": \"1\"} S B1 Psi2: + T Psi1", alg)
+    b = parse(":Psi1 T B2 S Psi2:", alg)
+    lambda_bracket(a, b)
+    memos = module_memos()
+    filled = {"terms._MUL_CACHE", "terms._GEN_CACHE", "bracket._BR_CACHE"}
+    assert {name for name, memo in memos.items() if memo} >= filled
+    terms.clear_caches()
+    assert {name: len(memo) for name, memo in memos.items() if memo} == {}
