@@ -46,6 +46,10 @@ class Generator(NamedTuple):
         # B is even, Psi is odd, S flips parity, T preserves it
         return (self.kind + self.s) & 1
 
+    def is_coordinate(self):
+        """An underived B^i, which is the coordinate function x_i."""
+        return self.kind == B_KIND and self.t == 0 and self.s == 0
+
     def d_S(self):
         # S^2 = T on generators
         if self.s == 0:
@@ -169,7 +173,14 @@ def nf_combine(dim, cutoff, pairs, exact_to=None):
 
     The terms come out clean and every coefficient's exact_to is at
     least the sum's, so the sum skips the checks of the constructor.
+    States are immutable, so a lone state at the scalar ONE whose
+    marker does not drop is the sum itself.
     """
+    pairs = tuple(pairs)  # nf_sum passes a generator
+    if len(pairs) == 1:
+        (q, nf), = pairs
+        if q is ONE and _min_exact(exact_to, nf.exact_to) == nf.exact_to:
+            return nf
     terms = {}
     for q, nf in pairs:
         exact_to = _min_exact(exact_to, nf.exact_to)
@@ -274,14 +285,13 @@ def nf_mul_gen(dim, cutoff, mono, h):
 
 def _nf_mul_gen(dim, cutoff, mono, h):
     f, gens = mono
-    if h.kind == B_KIND and h.t == 0 and h.s == 0:
-        # an underived B is the coordinate function x_i
+    if h.is_coordinate():
         xi = CoeffFunction.coordinate(dim, cutoff, h.index)
         return mono_mul(dim, cutoff, mono, (xi, ()))
     if not gens:
         return nf_mono(dim, cutoff, f, (h,))
     g = gens[-1]
-    if g < h or (g == h and g.parity() == 0):
+    if _in_order(g, h):
         return nf_mono(dim, cutoff, f, gens + (h,))
     rest = (f, gens[:-1])
     rest_nf = nf_mono(dim, cutoff, f, gens[:-1])
@@ -303,6 +313,11 @@ def _nf_mul_gen(dim, cutoff, mono, h):
         (ONE, nf_mul(rest_nf, qc_integral(dim, cutoff, (one, (g,)),
                                           (one, (h,))))),
         (ONE, qa_terms(dim, cutoff, rest, (one, (g,)), h))])
+
+
+def _in_order(g, h):
+    """Whether the factor h may follow g in a normal-form monomial."""
+    return g < h or (g == h and g.parity() == 0)
 
 
 def unit_cf(dim, cutoff):
@@ -331,16 +346,17 @@ def qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
     pb_par = gens_parity(b_mono[1])
     sign = QI((-1) ** (pa_par * pb_par))
     exact = _min_exact(pa.exact_to(), pb.exact_to())
-    jmax = max((m[0] for m in list(pa.terms) + list(pb.terms) if m[1]),
-               default=-1)
-    if jmax < 0:
-        return nf_combine(dim, cutoff, (), exact)
+    # T^(j+1) a / (j+1)! pairs with the lambda^j chi coefficient of pb,
+    # T^(j+1) b / (j+1)! with that of pa: each chain stops at its last use
+    top_a, top_b = _top_chi_degree(pb), _top_chi_degree(pa)
     ta = nf_mono(dim, cutoff, a_mono[0], a_mono[1])
     tb = nf_mono(dim, cutoff, b_mono[0], b_mono[1])
     pairs = []
-    for j in range(jmax + 1):
-        ta = nf_scale(apply_T(ta), QI(Fraction(1, j + 1)))
-        tb = nf_scale(apply_T(tb), QI(Fraction(1, j + 1)))
+    for j in range(max(top_a, top_b) + 1):
+        if j <= top_a:
+            ta = nf_scale(apply_T(ta), QI(Fraction(1, j + 1)))
+        if j <= top_b:
+            tb = nf_scale(apply_T(tb), QI(Fraction(1, j + 1)))
         jfact = QI(factorial(j))
         cb = pb.coeff((j, 1, 0, 0))
         if cb is not None and not cb.is_zero():
@@ -349,6 +365,12 @@ def qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
         if ca is not None and not ca.is_zero():
             pairs.append((sign, nf_mul(tb, nf_scale(ca, jfact))))
     return nf_combine(dim, cutoff, pairs, exact)
+
+
+def _top_chi_degree(p):
+    """The highest j with a nonzero lambda^j chi coefficient, or -1."""
+    return max((m[0] for m, nf in p.terms.items() if m[1] and nf.terms),
+               default=-1)
 
 
 def qc_integral(dim, cutoff, m1, m2):
@@ -397,9 +419,15 @@ def _leibniz(nf, t, s):
 
 def mono_from_factors(dim, cutoff, cf, factors):
     """Left-nested normally ordered product of cf and the given
-    generator factors, in the given order."""
-    nf = nf_mono(dim, cutoff, cf, ())
+    generator factors, in the given order.  The leading run of derived
+    factors already in normal order is one monomial as it stands."""
+    n = 0
     for h in factors:
+        if h.is_coordinate() or n and not _in_order(factors[n - 1], h):
+            break
+        n += 1
+    nf = nf_mono(dim, cutoff, cf, factors[:n])
+    for h in factors[n:]:
         nf = nf_apply_gen(dim, cutoff, nf, h)
     return nf
 
@@ -671,7 +699,7 @@ class Algebra:
 
     def nf_gen(self, kind, index, t=0, s=0):
         g = Generator(kind, index, t, s)
-        if kind == B_KIND and t == 0 and s == 0:
+        if g.is_coordinate():
             return nf_mono(self.dim, self.cutoff, self.coordinate(index), ())
         return nf_mono(self.dim, self.cutoff,
                        unit_cf(self.dim, self.cutoff), (g,))

@@ -342,6 +342,17 @@ def test_a_sum_of_one_unit_state_matches_the_fold(relation, data):
         assert_matches_fold(nf_sum([nf], dim, cutoff), pairs)
 
 
+def test_a_lone_unit_state_whose_marker_holds_is_the_sum(alg):
+    nf = parse(":S B1 Psi2: + T Psi1", alg)
+    marked = NormalForm(2, 6, nf.terms, 3)
+    assert nf_combine(2, 6, [(ONE, nf)]) is nf
+    assert nf_sum([nf], 2, 6) is nf
+    assert nf_combine(2, 6, ((ONE, marked),), 3) is marked
+    assert nf_combine(2, 6, [(ONE, marked)], 4) is marked
+    lowered = nf_combine(2, 6, [(ONE, marked)], 2)
+    assert lowered is not marked and lowered.exact_to == 2
+
+
 # -- products and quasi-associativity against one step at a time --------
 
 
