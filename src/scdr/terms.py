@@ -423,7 +423,7 @@ def mono_from_factors(dim, cutoff, cf, factors):
     factors already in normal order is one monomial as it stands."""
     n = 0
     for h in factors:
-        if h.is_coordinate() or n and not _in_order(factors[n - 1], h):
+        if h.is_coordinate() or (n and not _in_order(factors[n - 1], h)):
             break
         n += 1
     nf = nf_mono(dim, cutoff, cf, factors[:n])
