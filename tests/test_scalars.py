@@ -87,6 +87,105 @@ def test_parse_qi_forms():
         parse_qi("")
 
 
+# -- QI against (Fraction, Fraction) pairs -----------------------------
+
+
+def ref_render(re, im):
+    """The canonical text of re + im*i, written out from the pair."""
+    if not im:
+        return str(re)
+    mag = "" if abs(im) == 1 else "%s " % abs(im)
+    if not re:
+        return "%s%si" % ("-" if im < 0 else "", mag)
+    return "%s %s %si" % (re, "-" if im < 0 else "+", mag)
+
+
+small_fraction = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+
+
+@st.composite
+def qi_with_pair(draw):
+    """A QI and the (re, im) pair of Fractions it stands for.  The QI is
+    built from ints, from two Fractions, or from two Fractions written
+    as a*k/(d*k) and b*k/(d*k), whose common factors must cancel."""
+    how = draw(st.sampled_from(("fractions", "ints", "scaled")))
+    if how == "ints":
+        re, im = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+        return QI(re, im), (Fraction(re), Fraction(im))
+    if how == "fractions":
+        re, im = draw(small_fraction), draw(small_fraction)
+        return QI(re, im), (re, im)
+    a, b = draw(st.integers(-12, 12)), draw(st.integers(-12, 12))
+    d, k = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    re, im = Fraction(a * k, d * k), Fraction(b * k, d * k)
+    return QI(re, im), (re, im)
+
+
+def assert_is_pair(q, pair):
+    """q equals the pair, as QI, in both parts and in its text."""
+    re, im = pair
+    assert isinstance(q, QI)
+    assert (q.re, q.im) == (re, im)
+    assert type(q.re) is Fraction and type(q.im) is Fraction
+    ref = QI(re, im)
+    assert q == ref and hash(q) == hash(ref)
+    assert render_qi(q) == ref_render(re, im)
+    assert parse_qi(render_qi(q)) == q
+
+
+def test_qi_lowest_terms_and_mixed_equality():
+    q = QI(Fraction(2, 4), Fraction(6, 4))
+    assert q == QI(Fraction(1, 2), Fraction(3, 2))
+    assert hash(q) == hash(QI(Fraction(1, 2), Fraction(3, 2)))
+    assert render_qi(q) == "1/2 + 3/2 i"
+    assert QI(Fraction(4, 2)) == 2 == QI(2) and 2 == QI(Fraction(4, 2))
+    assert hash(QI(Fraction(4, 2))) == hash(QI(2, 0))
+    assert QI(Fraction(3, 6)) == Fraction(1, 2) == QI(1) / QI(2)
+    assert QI(1, 1) * QI(Fraction(1, 2), Fraction(1, 2)) == QI(0, 1)
+    assert QI(0, 2) / QI(0, 2) == ONE and hash(QI(0, 2) / QI(0, 2)) == \
+        hash(ONE)
+    assert QI(1, 1) != 1 and QI(0, 1) != Fraction(0)
+    assert (QI(0, 0) == 0) and not QI(Fraction(0, 5), 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(qi_with_pair(), qi_with_pair())
+def test_qi_matches_fraction_pairs(x, y):
+    p, (pr, pi) = x
+    q, (qr, qi_) = y
+    assert_is_pair(p, (pr, pi))
+    assert_is_pair(p + q, (pr + qr, pi + qi_))
+    assert_is_pair(p - q, (pr - qr, pi - qi_))
+    assert_is_pair(p * q, (pr * qr - pi * qi_, pr * qi_ + pi * qr))
+    assert_is_pair(-p, (-pr, -pi))
+    assert_is_pair(p.conj(), (pr, -pi))
+    assert p.is_rational() == (pi == 0)
+    assert bool(p) == bool(pr or pi)
+    n = qr * qr + qi_ * qi_
+    if n:
+        assert_is_pair(p / q, ((pr * qr + pi * qi_) / n,
+                               (pi * qr - pr * qi_) / n))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            p / q
+    # mixed operands: ints and Fractions on either side
+    k = qr.numerator
+    assert_is_pair(p + k, (pr + k, pi))
+    assert_is_pair(k - p, (k - pr, -pi))
+    assert_is_pair(qr * p, (qr * pr, qr * pi))
+    assert_is_pair(p - qr, (pr - qr, pi))
+    if pr or pi:
+        assert_is_pair(qr / p, ((qr * pr) / (pr * pr + pi * pi),
+                                (-qr * pi) / (pr * pr + pi * pi)))
+    # equality and hash against QI, int and Fraction
+    assert (p == q) == ((pr, pi) == (qr, qi_))
+    if p == q:
+        assert hash(p) == hash(q)
+    assert (p == pr) == (pi == 0) and (pr == p) == (pi == 0)
+    assert (p == k) == ((pr, pi) == (k, 0)) and (k == p) == (p == k)
+    assert p != "1" and p != 0.5
+
+
 # -- CoeffFunction ----------------------------------------------------
 
 

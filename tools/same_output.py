@@ -14,6 +14,9 @@ a fresh Python process with that tree first on PYTHONPATH, in
   * curved `n2` on three 2-D Kaehler metrics g = [[0, h], [h, 0]]
     written at cutoff 6: h = (1 + x)(1 + y), flat in disguise; h =
     1 + xy, which fails; and 1 + xy again with omega = diag(i, -i);
+  * curved NS on a 2-D metric with Gaussian entries whose denominators
+    are not 1, written at cutoff 5, so that inverting its constant
+    part divides by scalars with imaginary parts;
   * `coordchange` on both shipped changes, and on the 2-D change
     rewritten to cutoffs 10 and 12;
   * `--dim 2 --cutoff 4 --seed 0 verify jacobi`, and `verify jacobi`
@@ -23,7 +26,9 @@ a fresh Python process with that tree first on PYTHONPATH, in
     queries at `--dim 3`, and one at `--dim 1 --cutoff 1` whose value
     is certified through degree 1 only;
   * `normalize` and `bracket` invocations that together use every
-    production of the expression grammar (see `scdr.parser`).
+    production of the expression grammar (see `scdr.parser`);
+  * `--scalar-ring rational` on a real sum, which prints, and on an
+    imaginary scalar, which exits 2.
 
 The stdout and exit code of each pair are compared.  The first pair
 that differs is named and the script exits 1; when all agree it prints
@@ -71,6 +76,13 @@ def matrix(workdir):
         path = Path(workdir) / ("kaehler_%s.json" % name)
         path.write_text(json.dumps(doc))
         suites.append(["verify", "n2", "--metric", str(path)])
+    g12 = {"0,0": "i", "0,1": "1/2 i"}
+    doc = {"dim": 2, "cutoff": 5,
+           "g": [[{"0,0": "2", "1,0": "1/3"}, g12],
+                 [g12, {"0,0": "3/2", "1,1": "-2/5"}]]}
+    path = Path(workdir) / "metric_gaussian.json"
+    path.write_text(json.dumps(doc))
+    suites.append(["verify", "ns", "--metric", str(path)])
     changes = [DATA / "change_quad_1d.json", DATA / "change_quad_2d.json"]
     doc = json.loads((DATA / "change_quad_2d.json").read_text())
     for cutoff in (10, 12):
@@ -113,7 +125,10 @@ def matrix(workdir):
                 '[f{"1,1": "2 - i"} _ - S(Psi1) + 3 * T(B2)]'],
                ["--dim", "2", "bracket",
                 "[:B1 Psi2: _ 2 * i * :B2 S(Psi1):]"],
-               ["bracket", "T S B1", "Psi1"]]
+               ["bracket", "T S B1", "Psi1"],
+               ["--scalar-ring", "rational", "normalize",
+                "1/2 * T B1 + 2/4 * S Psi1"],
+               ["--scalar-ring", "rational", "normalize", "1/2 * i * B1"]]
     return [["--format", fmt] + argv
             for argv in suites + queries + grammar
             for fmt in ("text", "json")]
