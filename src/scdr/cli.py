@@ -44,7 +44,7 @@ def _check_state(nf, config):
     if nf.parity() is None:
         raise ValueError("expression is not homogeneous")
     if config["scalar_ring"] == "rational" and any(
-            q.im for cf in nf.terms.values() for q in cf.terms.values()):
+            q.b for cf in nf.terms.values() for q in cf.terms.values()):
         raise ValueError("imaginary scalar under --scalar-ring rational")
 
 

@@ -2,7 +2,7 @@
 
 Three layers live here:
 
-  * QI           -- Gaussian rationals a + b*i with Fraction components.
+  * QI           -- Gaussian rationals (a + b*i) / d on reduced int triples.
   * CoeffFunction -- truncated multivariate power series over QI, the
                      coefficient functions f(B^1, ..., B^n) of the algebra.
   * super-monomials -- exponent bookkeeping for polynomials in the
@@ -19,21 +19,38 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 
 
 class QI:
-    """A Gaussian rational re + im*i."""
+    """A Gaussian rational (a + b*i) / d.
 
-    __slots__ = ("re", "im", "_hash")
+    a, b and d are ints with d > 0 and gcd(a, b, d) == 1, so every value
+    has one triple (zero is (0, 0, 1)), and equality and hashing read
+    it.  re and im give the two parts as Fractions."""
+
+    __slots__ = ("a", "b", "d", "_hash")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-        object.__setattr__(self, "_hash", None)
+        if type(re) is int and type(im) is int:
+            _init(self, re, im, 1)
+            return
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of two reduced denominators the triple is reduced
+        d = lcm(re.denominator, im.denominator)
+        _init(self, re.numerator * (d // re.denominator),
+              im.numerator * (d // im.denominator), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QI is immutable")
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __repr__(self):
         return "QI(%s, %s)" % (self.re, self.im)
@@ -42,37 +59,49 @@ class QI:
         return render_qi(self)
 
     def __eq__(self, other):
-        other = as_qi(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not QI:
+            other = as_qi(other)
+            if other is None:
+                return NotImplemented
+        return (self.a == other.a and self.b == other.b
+                and self.d == other.d)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.re, self.im))
-            object.__setattr__(self, "_hash", h)
+            h = hash((self.a, self.b, self.d))
+            _set_hash(self, h)
         return h
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __add__(self, other):
-        other = as_qi(other)
-        if other is None:
-            return NotImplemented
-        return _qi(self.re + other.re, self.im + other.im)
+        if type(other) is not QI:
+            other = as_qi(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _qi(self.a + other.a, self.b + other.b, d1)
+        return _qi(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1,
+                   d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _qi(-self.re, -self.im)
+        return _init(_new(QI), -self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = as_qi(other)
-        if other is None:
-            return NotImplemented
-        return _qi(self.re - other.re, self.im - other.im)
+        if type(other) is not QI:
+            other = as_qi(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _qi(self.a - other.a, self.b - other.b, d1)
+        return _qi(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1,
+                   d1 * d2)
 
     def __rsub__(self, other):
         other = as_qi(other)
@@ -81,23 +110,28 @@ class QI:
         return other - self
 
     def __mul__(self, other):
-        other = as_qi(other)
-        if other is None:
-            return NotImplemented
-        return _qi(self.re * other.re - self.im * other.im,
-                   self.re * other.im + self.im * other.re)
+        if type(other) is not QI:
+            other = as_qi(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _qi(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_qi(other)
-        if other is None:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        if type(other) is not QI:
+            other = as_qi(other)
+            if other is None:
+                return NotImplemented
+        # times d2 (a2 - b2 i) / (a2^2 + b2^2), the inverse of other
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero in QI")
-        return _qi((self.re * other.re + self.im * other.im) / n,
-                   (self.im * other.re - self.re * other.im) / n)
+        d2 = other.d
+        return _qi((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                   self.d * n)
 
     def __rtruediv__(self, other):
         other = as_qi(other)
@@ -106,26 +140,42 @@ class QI:
         return other / self
 
     def conj(self):
-        return _qi(self.re, -self.im)
+        return _init(_new(QI), self.a, -self.b, self.d)
 
     def is_rational(self):
-        return self.im == 0
+        return self.b == 0
 
 
-def _qi(re, im):
-    """A QI from two Fractions without the coercion of the public
-    constructor: the results of QI and series arithmetic."""
-    q = object.__new__(QI)
-    object.__setattr__(q, "re", re)
-    object.__setattr__(q, "im", im)
-    object.__setattr__(q, "_hash", None)
+_new = object.__new__
+# the slots' own setters, which pass by QI.__setattr__
+_set_a, _set_b, _set_d, _set_hash = (
+    QI.a.__set__, QI.b.__set__, QI.d.__set__, QI._hash.__set__)
+
+
+def _init(q, a, b, d):
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d)
+    _set_hash(q, None)
     return q
+
+
+def _qi(a, b, d):
+    """The QI (a + b*i) / d from ints with d > 0, reduced by one gcd,
+    without the coercion of the public constructor: the results of QI
+    and series arithmetic."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _init(_new(QI), a, b, d)
 
 
 ZERO = QI(0)
 ONE = QI(1)
 I = QI(0, 1)
-_F0 = Fraction(0)
 
 
 def as_qi(x):
@@ -133,7 +183,7 @@ def as_qi(x):
     if isinstance(x, QI):
         return x
     if isinstance(x, (int, Fraction)):
-        return QI(x)
+        return _qi(x.numerator, 0, x.denominator)
     return None
 
 
@@ -205,21 +255,28 @@ def parse_exponents(key, dim, seen=()):
     return exps
 
 
+def _ratio(n, d):
+    """The text of n / d for ints with d > 0, as str(Fraction(n, d))."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else "%d/%d" % (n // g, d // g)
+
+
 def render_qi(q):
     """Canonical text for a QI scalar, e.g. '1/2', '-i', '1/2 - 1/3 i'."""
-    if q.im == 0:
-        return str(q.re)
-    if q.im == 1:
+    a, b, d = q.a, q.b, q.d
+    if not b:
+        return _ratio(a, d)
+    if b == d:
         im = "i"
-    elif q.im == -1:
+    elif b == -d:
         im = "-i"
     else:
-        im = "%s i" % q.im
-    if q.re == 0:
+        im = _ratio(b, d) + " i"
+    if not a:
         return im
-    if q.im > 0:
-        return "%s + %s" % (q.re, im if q.im != 1 else "i")
-    return "%s - %s" % (q.re, im[1:] if im.startswith("-") else im)
+    if b > 0:
+        return "%s + %s" % (_ratio(a, d), im)
+    return "%s - %s" % (_ratio(a, d), im[1:])
 
 
 def _min_exact(a, b):
@@ -360,8 +417,8 @@ class CoeffFunction:
         q = as_qi(q)
         if not q:
             return _cf(self.dim, self.cutoff, {}, self.exact_to)
-        if not q.im and q.re in (1, -1):
-            return self if q.re == 1 else -self
+        if not q.b and q.d == 1 and q.a in (1, -1):
+            return self if q.a == 1 else -self
         return _cf(self.dim, self.cutoff,
                    {e: c * q for e, c in self.terms.items()}, self.exact_to)
 
@@ -371,12 +428,10 @@ class CoeffFunction:
         digits in base cutoff + 1, so keys add as exponent tuples do."""
         packed = self._packed
         if packed is None:
-            den = lcm(*[q.denominator for c in self.terms.values()
-                        for q in (c.re, c.im)])
+            den = lcm(*[c.d for c in self.terms.values()])
             base = self.cutoff + 1
             rows = sorted((sum(e), reduce(lambda k, p: k * base + p, e, 0),
-                           c.re.numerator * (den // c.re.denominator),
-                           c.im.numerator * (den // c.im.denominator))
+                           c.a * (den // c.d), c.b * (den // c.d))
                           for e, c in self.terms.items())
             packed = (den, rows)
             object.__setattr__(self, "_packed", packed)
@@ -423,8 +478,7 @@ class CoeffFunction:
             e = [0] * dim
             for j in range(dim - 1, -1, -1):
                 k, e[j] = divmod(k, cutoff + 1)
-            terms[tuple(e)] = _qi(Fraction(a, den),
-                                  Fraction(b, den) if b else _F0)
+            terms[tuple(e)] = _qi(a, b, den)
         exact = _min_exact(self.exact_to, other.exact_to)
         if rows1 and rows2 and rows1[-1][0] + rows2[-1][0] > cutoff:
             exact = _min_exact(exact, cutoff)  # some pair left the cutoff
@@ -437,11 +491,12 @@ class CoeffFunction:
         k = i - 1
         terms = {}
         for e, c in self.terms.items():
-            if e[k] == 0:
+            p = e[k]
+            if not p:
                 continue
             ne = list(e)
-            ne[k] -= 1
-            terms[tuple(ne)] = c * e[k]
+            ne[k] = p - 1
+            terms[tuple(ne)] = _qi(c.a * p, c.b * p, c.d)
         exact = self.exact_to if self.exact_to is None else self.exact_to - 1
         return _cf(self.dim, self.cutoff, terms, exact)
 
@@ -527,7 +582,7 @@ def log_series_normalized(f):
     term = CoeffFunction.constant(f.dim, f.cutoff, ONE)
     for k in range(1, f.cutoff + 1):
         term = term * u
-        acc = acc + term.scale(QI(Fraction((-1) ** (k + 1), k)))
+        acc = acc + term.scale(_qi((-1) ** (k + 1), 0, k))
     return CoeffFunction(f.dim, f.cutoff, acc.terms,
                          _min_exact(_min_exact(acc.exact_to, f.exact_to),
                                     f.cutoff))

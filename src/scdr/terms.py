@@ -23,13 +23,12 @@ brackets, with NormalForm coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
 
 from .scalars import (CoeffFunction, QI, ONE, as_qi, render_qi,
-                      _min_exact, HMONO_ONE, hmono_mul, hmono_parity,
-                      hmono_render)
+                      _min_exact, _qi, _ratio, HMONO_ONE, hmono_mul,
+                      hmono_parity, hmono_render)
 
 B_KIND = 0
 PSI_KIND = 1
@@ -299,7 +298,7 @@ def _nf_mul_gen(dim, cutoff, mono, h):
         # odd square: g g = (1/2) integral of [g_Lambda g]
         gg = nf_scale(qc_integral(dim, cutoff, (unit_cf(dim, cutoff), (g,)),
                                   (unit_cf(dim, cutoff), (g,))),
-                      QI(Fraction(1, 2)))
+                      _qi(1, 0, 2))
         out = nf_mul(rest_nf, gg)
         return nf_add(out, qa_terms(dim, cutoff, rest,
                                     (unit_cf(dim, cutoff), (g,)), g))
@@ -354,9 +353,9 @@ def qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
     pairs = []
     for j in range(max(top_a, top_b) + 1):
         if j <= top_a:
-            ta = nf_scale(apply_T(ta), QI(Fraction(1, j + 1)))
+            ta = nf_scale(apply_T(ta), _qi(1, 0, j + 1))
         if j <= top_b:
-            tb = nf_scale(apply_T(tb), QI(Fraction(1, j + 1)))
+            tb = nf_scale(apply_T(tb), _qi(1, 0, j + 1))
         jfact = QI(factorial(j))
         cb = pb.coeff((j, 1, 0, 0))
         if cb is not None and not cb.is_zero():
@@ -647,7 +646,7 @@ def hp_integrate_wick(p):
     Keys with no eta die; for the others eta is removed (a sign for
     passing chi) and gamma^k becomes lambda^{k+1}/(k+1)."""
     return hp_combine(p.dim, p.cutoff, [
-        ((j + k + 1, J, 0, 0), QI(Fraction(-1 if J else 1, k + 1)), nf)
+        ((j + k + 1, J, 0, 0), _qi(-1 if J else 1, 0, k + 1), nf)
         for (j, J, k, K), nf in p.terms.items() if K], p.exact_to())
 
 
@@ -663,7 +662,7 @@ def hp_integrate_qc(p):
         term = nf
         for _ in range(j + 1):
             term = apply_T(term)
-        pairs.append((QI(Fraction((-1) ** j, j + 1)), term))
+        pairs.append((_qi((-1) ** j, 0, j + 1), term))
     return nf_combine(p.dim, p.cutoff, pairs, p.exact_to())
 
 
@@ -743,11 +742,12 @@ def render_cf_literal(cf):
 
 
 def _scalar_addends(q):
+    a, b, d = q.a, q.b, q.d
     out = []
-    if q.re:
-        out.append(str(q.re))
-    if q.im:
-        out.append("i" if q.im == 1 else "%s * i" % q.im)
+    if a:
+        out.append(_ratio(a, d))
+    if b:
+        out.append("i" if b == d else _ratio(b, d) + " * i")
     return out or ["0"]
 
 
@@ -768,14 +768,15 @@ def _render_mono_addends(cf, gens):
     core = gen_parts[0] if len(gen_parts) == 1 else \
         ":%s:" % " ".join(gen_parts)
     q = cf.constant_term()
+    a, b, d = q.a, q.b, q.d
     out = []
-    if q.re:
-        out.append(core if q.re == 1 else "%s * %s" % (q.re, core))
-    if q.im:
-        if q.im == 1:
+    if a:
+        out.append(core if a == d else "%s * %s" % (_ratio(a, d), core))
+    if b:
+        if b == d:
             out.append("i * %s" % core)
         else:
-            out.append("%s * i * %s" % (q.im, core))
+            out.append("%s * i * %s" % (_ratio(b, d), core))
     return out
 
 

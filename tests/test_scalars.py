@@ -121,10 +121,19 @@ def qi_with_pair(draw):
     return QI(re, im), (re, im)
 
 
+def assert_reduced(q):
+    """q holds the one triple of its value."""
+    assert type(q.a) is int and type(q.b) is int and type(q.d) is int
+    assert q.d > 0 and math.gcd(q.a, q.b, q.d) == 1
+    if not q:
+        assert (q.a, q.b, q.d) == (0, 0, 1)
+
+
 def assert_is_pair(q, pair):
     """q equals the pair, as QI, in both parts and in its text."""
     re, im = pair
     assert isinstance(q, QI)
+    assert_reduced(q)
     assert (q.re, q.im) == (re, im)
     assert type(q.re) is Fraction and type(q.im) is Fraction
     ref = QI(re, im)
@@ -146,6 +155,10 @@ def test_qi_lowest_terms_and_mixed_equality():
         hash(ONE)
     assert QI(1, 1) != 1 and QI(0, 1) != Fraction(0)
     assert (QI(0, 0) == 0) and not QI(Fraction(0, 5), 0)
+    assert (q.a, q.b, q.d) == (1, 3, 2)
+    for z in (QI(Fraction(0, 5), 0), QI(3, 1) - QI(3, 1), ZERO * q,
+              QI(Fraction(1, 6)) - QI(Fraction(2, 12))):
+        assert (z.a, z.b, z.d) == (0, 0, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -447,6 +460,57 @@ def test_cf_products_of_results_and_public_checks():
         f.partial(1), g.partial(2))[0]
     with pytest.raises(ValueError):
         CoeffFunction(1, 3, {(-1,): ONE})
+
+
+def assert_series_reduced(f):
+    for c in f.terms.values():
+        assert_reduced(c)
+
+
+def test_cf_products_come_out_reduced():
+    # (x/2 + 1/2)(2x + 2) = x^2 + 2x + 1: the common denominator cancels
+    f = CoeffFunction(1, 3, {(1,): qi(Fraction(1, 2)),
+                             (0,): qi(Fraction(1, 2))})
+    g = CoeffFunction(1, 3, {(1,): qi(2), (0,): qi(2)})
+    want = CoeffFunction(1, 3, {(2,): QI(1), (1,): QI(2), (0,): QI(1)})
+    for h in (f * g, g * f):
+        assert h == want and hash(h) == hash(want)
+        assert_series_reduced(h)
+        assert all(c.d == 1 for c in h.terms.values())
+    # Gaussian: (1 + i)/2 x times (1 - i) = x, with d == 1
+    u = CoeffFunction(1, 3, {(1,): QI(Fraction(1, 2), Fraction(1, 2))})
+    v = CoeffFunction.constant(1, 3, QI(1, -1))
+    assert u * v == CoeffFunction.coordinate(1, 3, 1)
+    assert ((u * v).terms[(1,)].a, (u * v).terms[(1,)].d) == (1, 1)
+
+
+def test_cf_partial_and_scale_come_out_reduced():
+    f = CoeffFunction(1, 4, {(2,): qi(Fraction(1, 2))})
+    x = CoeffFunction.coordinate(1, 4, 1)
+    assert f.partial(1) == x and hash(f.partial(1)) == hash(x)
+    assert f.partial(1).terms[(1,)].d == 1
+    g = CoeffFunction(2, 5, {(3, 1): QI(Fraction(1, 6), Fraction(1, 3)),
+                             (0, 2): QI(Fraction(5, 4))}, exact_to=4)
+    assert_series_reduced(g.partial(1))
+    assert g.partial(1).terms == {(2, 1): QI(Fraction(1, 2), 1)}
+    assert g.partial(2).terms == {(3, 0): QI(Fraction(1, 6), Fraction(1, 3)),
+                                  (0, 1): QI(Fraction(5, 2))}
+    for f in (f, g):
+        assert f.scale(QI(2) / QI(2)) is f
+        assert f.scale(QI(-2) / QI(2)) == -f
+        half = f.scale(QI(1) / QI(2)).scale(QI(2))
+        assert half == f and hash(half) == hash(f)
+        assert_series_reduced(half)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs())
+def test_cf_results_are_reduced(pair):
+    f, g = pair
+    for h in (f * g, f + g, f - g, -f, f.scale(QI(Fraction(2, 3), 1))):
+        assert_series_reduced(h)
+    for i in range(1, f.dim + 1):
+        assert_series_reduced(f.partial(i))
 
 
 # -- sympy oracle for compose, inverses and log ------------------------
