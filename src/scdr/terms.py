@@ -172,13 +172,17 @@ def nf_combine(dim, cutoff, pairs, exact_to=None):
 
     The terms come out clean and every coefficient's exact_to is at
     least the sum's, so the sum skips the checks of the constructor.
-    States are immutable, so a lone state at the scalar ONE whose
-    marker does not drop is the sum itself.
+    States are immutable, so when only one state has terms, its scalar
+    is 1 and no marker lowers its own, that state is the sum itself.
     """
     pairs = tuple(pairs)  # nf_sum passes a generator
-    if len(pairs) == 1:
-        (q, nf), = pairs
-        if q is ONE and _min_exact(exact_to, nf.exact_to) == nf.exact_to:
+    live = [p for p in pairs if p[1].terms]
+    if len(live) == 1 and live[0][0] == ONE:
+        nf = live[0][1]
+        marker = exact_to
+        for _, other in pairs:
+            marker = _min_exact(marker, other.exact_to)
+        if marker == nf.exact_to:
             return nf
     terms = {}
     for q, nf in pairs:

@@ -351,6 +351,18 @@ def test_a_lone_unit_state_whose_marker_holds_is_the_sum(alg):
     assert nf_combine(2, 6, [(ONE, marked)], 4) is marked
     lowered = nf_combine(2, 6, [(ONE, marked)], 2)
     assert lowered is not marked and lowered.exact_to == 2
+    # the unit scalar by value, and states without terms beside it
+    assert nf_combine(2, 6, [(QI(Fraction(2, 2)), nf)]) is nf
+    exact, held, low = (NormalForm(2, 6, {}, e) for e in (None, 3, 1))
+    assert nf_sub(nf, exact) is nf and nf_add(exact, nf) is nf
+    assert nf_combine(2, 6, [(QI(0), held), (ONE, marked),
+                             (-ONE, exact)]) is marked
+    for pairs in ([(ONE, marked), (ONE, low)], [(ONE, nf), (QI(0), low)]):
+        got = nf_combine(2, 6, pairs)
+        assert got.terms == nf.terms and got.exact_to == 1
+    # two states with terms, or one at another scalar, are summed
+    assert nf_combine(2, 6, [(ONE, nf), (QI(0), nf)]) is not nf
+    assert nf_combine(2, 6, [(-ONE, nf), (ONE, exact)]) is not nf
 
 
 # -- products and quasi-associativity against one step at a time --------
