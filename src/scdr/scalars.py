@@ -93,15 +93,10 @@ class QI:
         return _init(_new(QI), -self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        if type(other) is not QI:
-            other = as_qi(other)
-            if other is None:
-                return NotImplemented
-        d1, d2 = self.d, other.d
-        if d1 == d2:
-            return _qi(self.a - other.a, self.b - other.b, d1)
-        return _qi(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1,
-                   d1 * d2)
+        other = as_qi(other)
+        if other is None:
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
         other = as_qi(other)
