@@ -16,10 +16,10 @@ from scdr.suites import random_state
 from scdr.geometry import MetricData, build_H, build_H0
 from scdr.scalars import QI, CoeffFunction
 from scdr.terms import (B_KIND, PSI_KIND, Algebra, Generator, HPoly,
-                        NormalForm, apply_S, apply_T, hp_add, hp_combine,
-                        hp_mul_lambda, hp_mul_mono, hp_neg, hp_op_chi_plus_S,
-                        hp_op_lambda_plus_T, hp_scale, hp_sub, hp_zero,
-                        mono_from_factors, nf_add, nf_mul, nf_neg, nf_scale)
+                        NormalForm, apply_S, apply_T, gens_parity, hp_add,
+                        hp_combine, hp_mul_mono, hp_sub, hp_zero,
+                        mono_from_factors, nf_add, nf_mono, nf_mul, nf_neg,
+                        nf_scale)
 
 ONE = (0, 0, 0, 0)
 LAM = (1, 0, 0, 0)
@@ -35,6 +35,115 @@ def hp(alg, items):
 
 def assert_hp_zero(p):
     assert p.is_zero(), "nonzero: %r" % (p,)
+
+
+# -- step-by-step references ------------------------------------------
+#
+# The sesquilinearity rules and skew-symmetry as Lambda-polynomial
+# operators, applied one derivation at a time.  The engine computes the
+# atomic bracket and skew in closed form; these references share none
+# of that code.
+
+def hp_neg(p):
+    return hp_scale(p, QI(-1))
+
+
+def hp_scale(p, q):
+    return hp_combine(p.dim, p.cutoff, p.triples(q))
+
+
+def hp_mul_lambda(p):
+    return hp_mul_mono(p, LAM, extraction_parity=False)
+
+
+def hp_op_T(p):
+    return HPoly(p.dim, p.cutoff,
+                 {m: apply_T(nf) for m, nf in p.terms.items()})
+
+
+def hp_op_S(p):
+    """S passes the even variables, satisfies S chi = 2 lambda - chi S,
+    anticommutes with eta, and acts on the coefficient state."""
+    triples = []
+    for (j, J, k, K), nf in p.terms.items():
+        triples.append(((j, J, k, K), QI(-1) if (J + K) & 1 else QI(1),
+                        apply_S(nf)))
+        if J:
+            triples.append(((j + 1, 0, k, K), QI(2), nf))
+    return hp_combine(p.dim, p.cutoff, triples)
+
+
+def hp_op_lambda_plus_T(p, repeat=1):
+    for _ in range(repeat):
+        p = hp_add(hp_mul_lambda(p), hp_op_T(p))
+    return p
+
+
+def hp_op_chi_plus_S(p):
+    return hp_add(hp_mul_mono(p, CHI, extraction_parity=False), hp_op_S(p))
+
+
+def stepwise_atomic(alg, m1, m2):
+    """[m1_Lambda m2] for a left monomial (c, (T^t S^s X,)) or (c, ())
+    with c constant, and a right one that is a pure coefficient or
+    (c', (T^u S^v Y,)) with c' constant: [T a_L b] = -lambda [a_L b],
+    [S a_L b] = chi [a_L b], [a_L T b] = (lambda + T) [a_L b] and
+    [a_L S b] = -(-1)^{p(a)} (S + chi) [a_L b], one at a time."""
+    (f1, g1), (f2, g2) = m1, m2
+    if not g1:
+        return hp_zero(alg.dim, alg.cutoff)
+    x = g1[0]
+    if not g2:
+        p = hp_zero(alg.dim, alg.cutoff)
+        if x.kind == PSI_KIND:
+            p = HPoly(alg.dim, alg.cutoff,
+                      {ONE: nf_mono(alg.dim, alg.cutoff,
+                                    f2.partial(x.index), ())})
+    else:
+        y = g2[0]
+        p = hp_zero(alg.dim, alg.cutoff)
+        if x.kind != y.kind and x.index == y.index:
+            p = HPoly(alg.dim, alg.cutoff, {ONE: alg.one()})
+        if y.s:
+            p = hp_op_chi_plus_S(p)
+            if x.kind == B_KIND:
+                p = hp_neg(p)
+        p = hp_scale(hp_op_lambda_plus_T(p, repeat=y.t), f2.constant_term())
+    if x.s:
+        p = hp_mul_mono(p, CHI, extraction_parity=False)
+    for _ in range(x.t):
+        p = hp_neg(hp_mul_lambda(p))
+    return hp_scale(p, f1.constant_term())
+
+
+def stepwise_skew(p, parity_a, parity_b):
+    """[b_Lambda a] from p = [a_Lambda b]: lambda^k chi^K (x) c goes to
+    (-1)^{k+K+p(a)p(b)} (lambda+T)^k (chi+S)^K c."""
+    triples = []
+    for (k, K, _, _), nf in p.terms.items():
+        q = HPoly(p.dim, p.cutoff, {ONE: nf})
+        if K:
+            q = hp_op_chi_plus_S(q)
+        q = hp_op_lambda_plus_T(q, repeat=k)
+        triples += q.triples(QI(-1) if (k + K + parity_a * parity_b) & 1
+                             else QI(1))
+    return hp_combine(p.dim, p.cutoff, triples)
+
+
+def stepwise_bracket(alg, a, b):
+    """lambda_bracket of two one-term states, each a constant times at
+    most one derived generator or a pure coefficient; a non-constant
+    coefficient on the left flips by skew-symmetry."""
+    (g1, f1), = a.terms.items()
+    (g2, f2), = b.terms.items()
+    if g1 or f1.is_constant():
+        p = stepwise_atomic(alg, (f1, g1), (f2, g2))
+    else:
+        p = stepwise_skew(stepwise_atomic(alg, (f2, g2), (f1, g1)),
+                          gens_parity(g2), 0)
+    marker = min((e for e in (a.exact_to, b.exact_to) if e is not None),
+                 default=None)
+    return hp_combine(alg.dim, alg.cutoff, p.triples(), marker)
 
 
 # -- base pairing -----------------------------------------------------
@@ -102,6 +211,104 @@ def test_odd_translation_squares_to_even():
     ssb = apply_S(apply_S(alg.B(1)))
     assert lambda_bracket(ssb, alg.Psi(1)) == \
         lambda_bracket(alg.TB(1), alg.Psi(1))
+
+
+# -- the atomic table against the step-by-step references ------------
+
+TABLE_CUTOFF = 4
+TABLE_SCALARS = [QI(1), QI(-1), QI(2), QI(0, 1),
+                 QI(1, 0) / QI(2) - QI(0, 1) / QI(3), None]
+
+
+def _table_coeff(dim, c):
+    """The constant c, or for None the constant 1 known only through
+    degree 3."""
+    if c is None:
+        return CoeffFunction(dim, TABLE_CUTOFF, {(0,) * dim: 1}, exact_to=3)
+    return CoeffFunction.constant(dim, TABLE_CUTOFF, c)
+
+
+def _table_states(dim, kind, index):
+    """c T^t S^s X for X = B^index or Psi^index, t in 0..2, s in {0, 1}
+    and every table scalar c; an underived B is c x_index."""
+    out = []
+    for t in range(3):
+        for s in range(2):
+            g = Generator(kind, index, t, s)
+            for c in TABLE_SCALARS:
+                cf = _table_coeff(dim, c)
+                if g.is_coordinate():
+                    out.append(nf_mono(dim, TABLE_CUTOFF,
+                                       cf * CoeffFunction.coordinate(
+                                           dim, TABLE_CUTOFF, index), ()))
+                else:
+                    out.append(nf_mono(dim, TABLE_CUTOFF, cf, (g,)))
+    return out
+
+
+@pytest.mark.parametrize("dim,i,j", [(1, 1, 1), (2, 2, 2), (2, 1, 2)])
+@pytest.mark.parametrize("x_kind", [B_KIND, PSI_KIND])
+@pytest.mark.parametrize("y_kind", [B_KIND, PSI_KIND])
+def test_atomic_table_matches_stepwise(dim, i, j, x_kind, y_kind):
+    alg = Algebra(dim, TABLE_CUTOFF)
+    rights = _table_states(dim, y_kind, j)
+    for a in _table_states(dim, x_kind, i):
+        for b in rights:
+            assert lambda_bracket(a, b) == stepwise_bracket(alg, a, b), \
+                (a, b)
+
+
+def _table_functions(dim):
+    x = [CoeffFunction.coordinate(dim, TABLE_CUTOFF, k)
+         for k in range(1, dim + 1)]
+    f = (x[0] * x[-1]).scale(QI(3)) + x[-1].scale(QI(0, -1)) \
+        + x[0] * x[0] * x[0]
+    truncated = CoeffFunction(dim, TABLE_CUTOFF, f.terms, exact_to=3)
+    return [f, truncated, x[-1] * x[-1]]
+
+
+@pytest.mark.parametrize("dim,i", [(1, 1), (2, 1), (2, 2)])
+def test_atomic_table_against_coefficients(dim, i):
+    alg = Algebra(dim, TABLE_CUTOFF)
+    for a in _table_states(dim, PSI_KIND, i):
+        for f in _table_functions(dim):
+            b = alg.coeff_nf(f)
+            assert lambda_bracket(a, b) == stepwise_bracket(alg, a, b)
+            assert lambda_bracket(b, a) == stepwise_bracket(alg, b, a)
+
+
+def _skew_cases():
+    """Bracket values with their argument parities: random states at
+    dims 1 and 2, the same times a truncated coefficient, and the
+    curved current against itself and its potential."""
+    rng = random.Random(11)
+    cases = []
+    for dim, cutoff in ((1, 3), (2, 4)):
+        alg = Algebra(dim, cutoff)
+        trunc = alg.coeff_nf(CoeffFunction(
+            dim, cutoff, {(0,) * dim: 1, (1,) + (0,) * (dim - 1): 2},
+            exact_to=cutoff - 1))
+        for n in range(12):
+            a = random_state(rng, alg, rng.randrange(2))
+            b = random_state(rng, alg, rng.randrange(2))
+            if n % 2:
+                b = nf_mul(trunc, b)
+            cases.append((lambda_bracket(a, b), a.parity(), b.parity()))
+    alg, metric = _curved_setup()
+    h = build_H(metric)
+    pot = alg.coeff_nf(metric.logdet_half)
+    tsp = apply_T(apply_S(pot))
+    cases += [(lambda_bracket(h, h), 1, 1), (lambda_bracket(h, tsp), 1, 1),
+              (lambda_bracket(tsp, h), 1, 1), (lambda_bracket(h, pot), 1, 0)]
+    return cases
+
+
+def test_skew_matches_stepwise():
+    for p, pa, pb in _skew_cases():
+        got, want = skew(p, pa, pb), stepwise_skew(p, pa, pb)
+        assert got == want
+        # later sums merge in key order, which moves degree markers
+        assert list(got.terms) == list(want.terms)
 
 
 # -- sesquilinearity on random states ---------------------------------

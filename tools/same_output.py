@@ -25,6 +25,9 @@ a fresh Python process with that tree first on PYTHONPATH, in
   * the `bracket` and `normalize` examples of README.md, two bracket
     queries at `--dim 3`, and one at `--dim 1 --cutoff 1` whose value
     is certified through degree 1 only;
+  * bracket queries over the table of derived generators c T^t S^s X:
+    two at `--dim 1`, one against a coefficient at `--dim 2`, and a
+    coefficient times T B1 against T S Psi1 at `--dim 1 --cutoff 1`;
   * `normalize` and `bracket` invocations that together use every
     production of the expression grammar (see `scdr.parser`);
   * `--scalar-ring rational` on a real sum, which prints, and on an
@@ -105,7 +108,12 @@ def matrix(workdir):
                 "[:S(B1) Psi1 T(B2): _ :Psi2 S(Psi3): + :T(Psi1) B3:]"],
                ["--dim", "3", "bracket", "[:S(B1) Psi1: _ :B2 S(Psi3):]"],
                ["--dim", "1", "--cutoff", "1", "bracket",
-                '[:f{"1": "1"} Psi1: _ :f{"1": "3"} T B1:]']]
+                '[:f{"1": "1"} Psi1: _ :f{"1": "3"} T B1:]'],
+               ["bracket", "[2 * T T S B1 _ i * T S Psi1]"],
+               ["bracket", "[T S Psi1 _ T T B1]"],
+               ["--dim", "2", "bracket", '[T T Psi2 _ f{"0,3": "1/2"}]'],
+               ["--dim", "1", "--cutoff", "1", "bracket",
+                '[:f{"1": "2"} T B1: _ T S Psi1]']]
     # one production of the grammar or more per line: bare number, i,
     # vac; S(...) and prefix T S; a three-factor chain with a Gaussian
     # literal; leading minus and scalar prefixes; nested parentheses;
