@@ -300,6 +300,8 @@ def _skew_cases():
     tsp = apply_T(apply_S(pot))
     cases += [(lambda_bracket(h, h), 1, 1), (lambda_bracket(h, tsp), 1, 1),
               (lambda_bracket(tsp, h), 1, 1), (lambda_bracket(h, pot), 1, 0)]
+    # T kills the constant at lambda before lambda^2 opens the key 1
+    cases.append((HPoly(1, 8, {LAM: alg.one(), LAM2: alg.TB(1)}), 0, 0))
     return cases
 
 
