@@ -2,9 +2,12 @@
 
 Base brackets: [B^i_Lambda Psi^j] = delta_ij = [Psi^j_Lambda B^i], all
 other generator pairs vanish, and [Psi^i_Lambda f(B)] = d_i f.  The
-bracket extends by sesquilinearity in both slots (stripping S and T
-derivatives), by the non-commutative Wick formula on normally ordered
-products, and by skew-symmetry when only the left argument is composite.
+bracket extends by sesquilinearity in both slots, by the non-commutative
+Wick formula on normally ordered products, and by skew-symmetry when
+only the left argument is composite.  The bracket of two derived
+generators (or of one and a coefficient) and the skew-symmetry map are
+closed forms of the sesquilinearity rules: each is one sum, not one
+derivation at a time.
 
 Values are HPoly in the Lambda pair (lambda, chi); iterated brackets
 temporarily use the Gamma pair (gamma, eta) and are integrated out.
@@ -12,11 +15,12 @@ temporarily use the Gamma pair (gamma, eta) and are integrated out.
 
 from __future__ import annotations
 
-from .scalars import QI, ONE, HMONO_ONE, hmono_parity, _min_exact
-from .terms import (PSI_KIND, Generator, gens_parity, nf_one,
-                    nf_mono, nf_apply_gen, unit_cf, HPoly, hp_zero, hp_add,
-                    hp_combine, hp_neg, hp_scale, hp_mul_lambda, hp_mul_mono,
-                    hp_op_lambda_plus_T, hp_op_chi_plus_S, hp_nf_mul_right,
+from math import comb
+
+from .scalars import QI, ONE, HMONO_ONE, hmono_mul, hmono_parity, _min_exact
+from .terms import (B_KIND, PSI_KIND, gens_parity, nf_one, nf_mono,
+                    nf_apply_gen, unit_cf, apply_S, apply_T, HPoly, hp_zero,
+                    hp_add, hp_combine, hp_mul_mono, hp_nf_mul_right,
                     hp_nf_mul_left, hp_reindex_to_gamma,
                     hp_subst_gamma_plus_lambda, hp_integrate_wick,
                     _lambda_only)
@@ -92,70 +96,34 @@ def _bracket_mono(dim, cutoff, m1, m2):
 
 
 def _atomic_bracket(dim, cutoff, m1, m2):
-    """Left argument is a constant multiple of vacuum or of one derived
-    generator; strip its derivatives, then the right ones."""
-    f1, g1 = m1
+    """[c T^t S^s x_Lambda m2] for a constant c and an underived
+    generator x, in closed form.  The left derivations give
+    (-lambda)^t chi^s.  Against a pure coefficient f the base value is
+    d_i f for x = Psi^i and 0 for x = B^i.  Against c' T^u S^v y it is
+    the vacuum for a B/Psi pair of one index and 0 otherwise; T and S
+    kill the vacuum, so (lambda + T)^u and -(-1)^{p(x)} (S + chi) leave
+    lambda^u (-(-1)^{p(x)} chi)^v."""
+    (f1, g1), (f2, g2) = m1, m2
     if not g1:
         # constants bracket to zero
         return hp_zero(dim, cutoff)
-    scale = f1.constant_term()
-    g = g1[0]
-    p = _atomic_deriv_left(dim, cutoff, g, m2)
-    if scale != ONE:
-        p = hp_scale(p, scale)
-    return p
-
-
-def _atomic_deriv_left(dim, cutoff, g, m2):
-    # [T a_L b] = -lambda [a_L b], [S a_L b] = chi [a_L b];
-    # strip the outer T powers first, then S
-    if g.t > 0:
-        inner = _atomic_deriv_left(dim, cutoff,
-                                   Generator(g.kind, g.index, g.t - 1, g.s),
-                                   m2)
-        return hp_scale(hp_mul_lambda(inner), QI(-1))
-    if g.s:
-        inner = _atomic_deriv_left(dim, cutoff,
-                                   Generator(g.kind, g.index, 0, 0), m2)
-        return hp_mul_mono(inner, (0, 1, 0, 0), extraction_parity=False)
-    return _atomic_deriv_right(dim, cutoff, g, m2)
-
-
-def _atomic_deriv_right(dim, cutoff, x, m2):
-    # x is an underived generator; m2 is a pure coefficient or a
-    # constant multiple of a single derived generator
-    f2, g2 = m2
-    if not g2:
-        if x.kind == PSI_KIND:
-            d = f2.partial(x.index)
-            return HPoly(dim, cutoff, {HMONO_ONE: nf_mono(dim, cutoff, d, ())})
+    x = g1[0]
+    q = f1.constant_term()
+    if g2:
+        y = g2[0]
+        if x.kind == y.kind or x.index != y.index:
+            return hp_zero(dim, cutoff)
+        right, state = (y.t, y.s, 0, 0), nf_one(dim, cutoff)
+        q *= f2.constant_term()
+        flips = x.t + (y.s and x.kind == B_KIND)
+    elif x.kind == PSI_KIND:
+        right, flips = HMONO_ONE, x.t
+        state = nf_mono(dim, cutoff, f2.partial(x.index), ())
+    else:
         return hp_zero(dim, cutoff)
-    h = g2[0]
-    p = _strip_right(dim, cutoff, x, h)
-    scale = f2.constant_term()
-    if scale != ONE:
-        p = hp_scale(p, scale)
-    return p
-
-
-def _strip_right(dim, cutoff, x, h):
-    # [a_L T b] = (lambda + T)[a_L b]
-    # [a_L S b] = -(-1)^{p(a)} (S + chi)[a_L b]
-    if h.t > 0:
-        inner = _strip_right(dim, cutoff, x,
-                             Generator(h.kind, h.index, h.t - 1, h.s))
-        return hp_op_lambda_plus_T(inner)
-    if h.s:
-        inner = _strip_right(dim, cutoff, x,
-                             Generator(h.kind, h.index, 0, 0))
-        out = hp_op_chi_plus_S(inner)
-        if x.parity() == 0:
-            out = hp_neg(out)
-        return out
-    # base pairing of underived generators
-    if x.kind != h.kind and x.index == h.index:
-        return HPoly(dim, cutoff, {HMONO_ONE: nf_one(dim, cutoff)})
-    return hp_zero(dim, cutoff)
+    sign, key = hmono_mul((x.t, x.s, 0, 0), right)
+    return hp_combine(dim, cutoff,
+                      [(key, -q if (flips + (sign < 0)) & 1 else q, state)])
 
 
 def _wick(dim, cutoff, a, b, c_gen):
@@ -195,20 +163,29 @@ def skew(p, parity_a, parity_b):
     """Given [a_Gamma b] computed in the Lambda pair, return
     (-1)^{p(a) p(b)} [a_{-Lambda-grad} b], the skew image [b_Lambda a].
 
-    Each monomial lambda^k chi^K (x) c maps to
-    (-1)^{k+K} (lambda+T)^k (chi+S)^K applied to c as left operators.
+    Each key lambda^k chi^K (x) c maps to (-1)^{k+K+p(a)p(b)} times
+    sum_i C(k, i) lambda^i T^{k-i} of chi c, plus of S c when K = 1:
+    the closed form of (lambda+T)^k (chi+S)^K applied to c as left
+    operators.
     """
-    dim, cutoff = p.dim, p.cutoff
     triples = []
     for m, nf in p.terms.items():
         k, K = _lambda_only(m)
-        q = HPoly(dim, cutoff, {HMONO_ONE: nf})
-        if K:
-            q = hp_op_chi_plus_S(q)
-        q = hp_op_lambda_plus_T(q, repeat=k)
-        triples += q.triples(-ONE if (k + K + parity_a * parity_b) & 1
-                             else ONE)
-    return hp_combine(dim, cutoff, triples)
+        sign = -1 if (k + K + parity_a * parity_b) & 1 else 1
+        chains = []
+        for J, head in ((1, nf), (0, apply_S(nf))) if K else ((0, nf),):
+            chain = [head]
+            for _ in range(k):
+                chain.append(apply_T(chain[-1]))
+            chains.append((J, chain))
+        for i in range(k, -1, -1):
+            q = QI(sign * comb(k, i))
+            # a state that is zero with no marker opens no key
+            triples += [((i, J, 0, 0), q, chain[k - i])
+                        for J, chain in chains
+                        if chain[k - i].terms
+                        or chain[k - i].exact_to is not None]
+    return hp_combine(p.dim, p.cutoff, triples)
 
 
 def wick(a, b, c):

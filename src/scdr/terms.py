@@ -545,19 +545,6 @@ def hp_sub(a, b):
     return hp_combine(a.dim, a.cutoff, a.triples() + b.triples(-ONE))
 
 
-def hp_neg(a):
-    return hp_combine(a.dim, a.cutoff, a.triples(-ONE))
-
-
-def hp_scale(a, q):
-    return hp_combine(a.dim, a.cutoff, a.triples(q))
-
-
-def hp_op_T(p):
-    return HPoly(p.dim, p.cutoff,
-                 {m: apply_T(nf) for m, nf in p.terms.items()})
-
-
 def hp_mul_mono(p, mono, extraction_parity=True):
     """Left-multiply every key by mono.  When extraction_parity is set
     the odd-slot rule applies: pulling an odd monomial out of a bracket
@@ -568,10 +555,6 @@ def hp_mul_mono(p, mono, extraction_parity=True):
         sign, prod = hmono_mul(mono, m)
         triples.append((prod, ONE if sign == flip else -ONE, nf))
     return hp_combine(p.dim, p.cutoff, triples)
-
-
-def hp_mul_lambda(p):
-    return hp_mul_mono(p, (1, 0, 0, 0), extraction_parity=False)
 
 
 def hp_nf_mul_right(p, b):
@@ -587,32 +570,6 @@ def hp_nf_mul_left(p, b, b_parity):
     return hp_combine(p.dim, p.cutoff, [
         (m, -ONE if b_parity and hmono_parity(m) else ONE, nf_mul(b, nf))
         for m, nf in p.terms.items()])
-
-
-def hp_op_S(p):
-    """Left action of the odd derivation S on a bracket value.
-
-    S passes the central even variables, satisfies S chi =
-    2 lambda - chi S against the Lambda pair, anticommutes with eta, and
-    acts on the coefficient state."""
-    triples = []
-    for (j, J, k, K), nf in p.terms.items():
-        triples.append(((j, J, k, K), -ONE if (J + K) & 1 else ONE,
-                        apply_S(nf)))
-        if J:
-            triples.append(((j + 1, 0, k, K), QI(2), nf))
-    return hp_combine(p.dim, p.cutoff, triples)
-
-
-def hp_op_lambda_plus_T(p, repeat=1):
-    for _ in range(repeat):
-        p = hp_add(hp_mul_lambda(p), hp_op_T(p))
-    return p
-
-
-def hp_op_chi_plus_S(p):
-    chi = hp_mul_mono(p, (0, 1, 0, 0), extraction_parity=False)
-    return hp_add(chi, hp_op_S(p))
 
 
 def _lambda_only(m):
