@@ -17,6 +17,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -69,7 +70,17 @@ class QI:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.a, self.b, self.d))
+            a, d = self.a, self.d
+            if self.b:
+                h = hash((a, self.b, d))
+            elif d == 1:
+                h = hash(a)
+            elif d % _HASH_MODULUS:
+                # as Fraction(a, d) hashes: |a| times the inverse of d
+                h = hash(abs(a)) * pow(d, -1, _HASH_MODULUS) % _HASH_MODULUS
+                h = h if a > 0 else -2 if h == 1 else -h
+            else:
+                h = hash(Fraction(a, d))
             _set_hash(self, h)
         return h
 
@@ -142,6 +153,7 @@ class QI:
 
 
 _new = object.__new__
+_HASH_MODULUS = sys.hash_info.modulus
 # the slots' own setters, which pass by QI.__setattr__
 _set_a, _set_b, _set_d, _set_hash = (
     QI.a.__set__, QI.b.__set__, QI.d.__set__, QI._hash.__set__)
@@ -393,11 +405,12 @@ class CoeffFunction:
         self._check_compat(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, ZERO) + c
+            old = terms.get(e)
+            s = c if old is None else old + c
             if s:
                 terms[e] = s
             else:
-                terms.pop(e, None)
+                del terms[e]
         return _cf(self.dim, self.cutoff, terms,
                    _min_exact(self.exact_to, other.exact_to))
 

@@ -8,6 +8,7 @@ product) or with sympy, independent of the series code under test.
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,10 @@ def test_qi_lowest_terms_and_mixed_equality():
     assert QI(1, 1) != 1 and QI(0, 1) != Fraction(0)
     assert (QI(0, 0) == 0) and not QI(Fraction(0, 5), 0)
     assert (q.a, q.b, q.d) == (1, 3, 2)
+    assert 3 in {QI(3)} and Fraction(1, 2) in {QI(1) / QI(2)}
+    for r in (-1, Fraction(-1, 2), Fraction(1, sys.hash_info.modulus),
+              Fraction(-2, 3 * sys.hash_info.modulus)):
+        assert hash(QI(r)) == hash(r)
     for z in (QI(Fraction(0, 5), 0), QI(3, 1) - QI(3, 1), ZERO * q,
               QI(Fraction(1, 6)) - QI(Fraction(2, 12))):
         assert (z.a, z.b, z.d) == (0, 0, 1)
@@ -197,6 +202,10 @@ def test_qi_matches_fraction_pairs(x, y):
     assert (p == pr) == (pi == 0) and (pr == p) == (pi == 0)
     assert (p == k) == ((pr, pi) == (k, 0)) and (k == p) == (p == k)
     assert p != "1" and p != 0.5
+    # a real value hashes as the int or Fraction it equals
+    assert hash(QI(pr)) == hash(pr) and hash(QI(k)) == hash(k)
+    if not pi:
+        assert hash(p) == hash(pr) and pr in {p} and p in {pr}
 
 
 # -- CoeffFunction ----------------------------------------------------
