@@ -12,7 +12,7 @@ import random
 
 from .scalars import QI, CoeffFunction, render_qi
 from .terms import (Algebra, Generator, B_KIND, PSI_KIND, nf_sum, nf_mul,
-                    nf_one, hp_combine, hp_sub, render_nf)
+                    hp_combine, hp_sub, render_nf)
 from .bracket import lambda_bracket, skew, jacobi_defect
 from .parser import parse_expression
 from .superconf import (StructureReport, holds, fold, primary_rhs,
@@ -76,13 +76,6 @@ def run_n2_suite(metric, omega, holo_split=None):
     out.append(quad_report("n2/holomorphic-quadratic", range(1, n + 1)))
     out.append(quad_report("n2/antiholomorphic-quadratic",
                            range(n + 1, dim + 1)))
-
-    # check_n2's [J_L J] = -(H + (c/3) lambda chi) at c = 3 dim
-    diff = hp_combine(dim, cutoff, lambda_bracket(j, j).triples() + [
-        ((0, 0, 0, 0), 1, h),
-        ((1, 1, 0, 0), dim, nf_one(dim, cutoff)),
-    ])
-    out.append(fold("n2/self-bracket-expansion", [(None, diff)]))
     return out
 
 

