@@ -4,10 +4,8 @@ Base brackets: [B^i_Lambda Psi^j] = delta_ij = [Psi^j_Lambda B^i], all
 other generator pairs vanish, and [Psi^i_Lambda f(B)] = d_i f.  The
 bracket extends by sesquilinearity in both slots, by the non-commutative
 Wick formula on normally ordered products, and by skew-symmetry when
-only the left argument is composite.  The bracket of two derived
-generators (or of one and a coefficient) and the skew-symmetry map are
-closed forms of the sesquilinearity rules: each is one sum, not one
-derivation at a time.
+only the left argument is composite.  The atomic bracket and the skew
+map are closed forms of the sesquilinearity rules.
 
 Values are HPoly in the Lambda pair (lambda, chi); iterated brackets
 temporarily use the Gamma pair (gamma, eta) and are integrated out.
@@ -78,17 +76,11 @@ def bracket_mono(dim, cutoff, m1, m2):
     return out
 
 
-def _is_atomic(m):
-    f, gens = m
-    return len(gens) <= 1 and f.is_constant()
-
-
 def _bracket_mono(dim, cutoff, m1, m2):
-    f1, g1 = m1
-    f2, g2 = m2
+    (f1, g1), (f2, g2) = m1, m2
     if g2 and (len(g2) >= 2 or not f2.is_constant()):
         return _wick(dim, cutoff, m1, (f2, g2[:-1]), g2[-1])
-    if _is_atomic(m1):
+    if len(g1) <= 1 and f1.is_constant():
         return _atomic_bracket(dim, cutoff, m1, m2)
     # left argument composite, right atomic: flip by skew-symmetry
     flipped = bracket_mono(dim, cutoff, m2, m1)
@@ -181,10 +173,8 @@ def skew(p, parity_a, parity_b):
         for i in range(k, -1, -1):
             q = QI(sign * comb(k, i))
             # a state that is zero with no marker opens no key
-            triples += [((i, J, 0, 0), q, chain[k - i])
-                        for J, chain in chains
-                        if chain[k - i].terms
-                        or chain[k - i].exact_to is not None]
+            triples += [((i, J, 0, 0), q, c[k - i]) for J, c in chains
+                        if c[k - i].terms or c[k - i].exact_to is not None]
     return hp_combine(p.dim, p.cutoff, triples)
 
 
