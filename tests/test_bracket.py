@@ -7,17 +7,20 @@ Sign conventions exercised here: chi^2 = -lambda, [Ta_b] = -lambda[a_b],
 """
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scdr.bracket
+from scdr import terms
 from scdr.bracket import jacobi_defect, lambda_bracket, skew, wick
 from scdr.suites import random_state
 from scdr.geometry import MetricData, build_H, build_H0
-from scdr.scalars import QI, CoeffFunction
+from scdr.scalars import QI, CoeffFunction, hmono_mul, hmono_parity
 from scdr.terms import (B_KIND, PSI_KIND, Algebra, Generator, HPoly,
                         NormalForm, apply_S, apply_T, gens_parity, hp_add,
-                        hp_combine, hp_mul_mono, hp_sub, hp_zero,
+                        hp_combine, hp_nf_mul_left, hp_sub, hp_zero,
                         mono_from_factors, nf_add, nf_mono, nf_mul, nf_neg,
                         nf_scale)
 
@@ -43,6 +46,18 @@ def assert_hp_zero(p):
 # operators, applied one derivation at a time.  The engine computes the
 # atomic bracket and skew in closed form; these references share none
 # of that code.
+
+def hp_mul_mono(p, mono, extraction_parity=True):
+    """Left-multiply every key by mono.  When extraction_parity is set
+    the odd-slot rule applies: pulling an odd monomial out of a bracket
+    slot costs a sign per odd variable."""
+    flip = -1 if extraction_parity and hmono_parity(mono) else 1
+    triples = []
+    for m, nf in p.terms.items():
+        sign, prod = hmono_mul(mono, m)
+        triples.append((prod, QI(1) if sign == flip else QI(-1), nf))
+    return hp_combine(p.dim, p.cutoff, triples)
+
 
 def hp_neg(p):
     return hp_scale(p, QI(-1))
@@ -144,6 +159,109 @@ def stepwise_bracket(alg, a, b):
     marker = min((e for e in (a.exact_to, b.exact_to) if e is not None),
                  default=None)
     return hp_combine(alg.dim, alg.cutoff, p.triples(), marker)
+
+
+# The Gamma-pair stages of the Wick integral and of the Jacobi defect:
+# rename a bracket value into the Gamma pair, multiply by the outer key,
+# substitute Gamma + Lambda and integrate, each stage a full sum.  The
+# engine computes both in closed form; these references share none of
+# that code.
+
+def hp_reindex_to_gamma(p):
+    """Rename the Lambda pair into the Gamma pair; the poly must not
+    use the Gamma pair yet."""
+    out = {}
+    for (j, J, k, K), nf in p.terms.items():
+        assert not (k or K)
+        out[(0, 0, j, J)] = nf
+    return HPoly(p.dim, p.cutoff, out)
+
+
+def hp_subst_gamma_plus_lambda(p):
+    """Substitute gamma -> gamma + lambda, eta -> eta + chi."""
+    triples = []
+    for (j, J, k, K), nf in p.terms.items():
+        # (eta + chi) expands into two words
+        odd = ((0, 0, 0, 1), (0, 1, 0, 0)) if K else (ONE,)
+        for i in range(k + 1):
+            for w in odd:
+                sign, mono = hmono_mul((j + i, J, k - i, 0), w)
+                triples.append((mono, QI(sign * comb(k, i)), nf))
+    return hp_combine(p.dim, p.cutoff, triples)
+
+
+def hp_integrate_wick(p):
+    """Integrate the Gamma pair over the segment from 0 to Lambda.
+
+    Keys with no eta die; for the others eta is removed (a sign for
+    passing chi) and gamma^k becomes lambda^{k+1}/(k+1)."""
+    return hp_combine(p.dim, p.cutoff, [
+        ((j + k + 1, J, 0, 0), QI(-1 if J else 1) / QI(k + 1), nf)
+        for (j, J, k, K), nf in p.terms.items() if K], p.exact_to())
+
+
+def bracket_into(x, px, p, to_gamma):
+    """The bracket of x with a bracket value p = sum m (x) d: each
+    [x_ d] times m, with a sign when m is odd and x even.  The brackets
+    [x_ d] stay in the Lambda pair, or move to Gamma when to_gamma is
+    set."""
+    triples = []
+    for m, d_nf in p.terms.items():
+        q = lambda_bracket(x, d_nf)
+        if to_gamma:
+            q = hp_reindex_to_gamma(q)
+        q = hp_mul_mono(q, m, extraction_parity=False)
+        triples += q.triples(QI(-1) if hmono_parity(m) and not px & 1
+                             else QI(1))
+    return hp_combine(p.dim, p.cutoff, triples)
+
+
+def stepwise_wick_tail(ab, ac, pa, b, pb, c):
+    """The Wick terms of [a_L :b c:] after [a_L b] c, from ab = [a_L b]
+    and ac = [a_L c]: (-1)^{(p(a)+1) p(b)} b [a_L c] plus the integral
+    of [[a_L b]_Gamma c] from 0 to Lambda."""
+    dim, cutoff = ab.dim, ab.cutoff
+    t2 = hp_nf_mul_left(ac, b, pb)
+    t3 = []
+    for m, d_nf in ab.terms.items():
+        inner = lambda_bracket(d_nf, c)
+        if inner.terms:
+            t3 += hp_mul_mono(hp_reindex_to_gamma(inner), m,
+                              extraction_parity=True).triples()
+    t3 = hp_integrate_wick(hp_combine(dim, cutoff, t3))
+    return hp_combine(dim, cutoff,
+                      t2.triples(QI(-1) if ((pa + 1) * pb) & 1 else QI(1))
+                      + t3.triples())
+
+
+def stepwise_wick(a, b, c):
+    """[a_L :b c:] assembled from the three Wick terms: [a_L b] c, then
+    the stepwise tail."""
+    ab = lambda_bracket(a, b)
+    head = HPoly(a.dim, a.cutoff,
+                 {m: nf_mul(nf, c) for m, nf in ab.terms.items()})
+    return hp_add(head, stepwise_wick_tail(ab, lambda_bracket(a, c),
+                                           a.parity(), b, b.parity(), c))
+
+
+def stepwise_jacobi_defect(a, b, c):
+    """[a_L [b_G c]] + (-1)^{p(a)} [[a_L b]_{G+L} c]
+    - (-1)^{(p(a)+1)(p(b)+1)} [b_G [a_L c]], one stage at a time."""
+    dim, cutoff = a.dim, a.cutoff
+    pa, pb = a.parity(), b.parity()
+    x1 = bracket_into(a, pa, hp_reindex_to_gamma(lambda_bracket(b, c)),
+                      False)
+    x2 = []
+    for m, d_nf in lambda_bracket(a, b).terms.items():
+        q = hp_subst_gamma_plus_lambda(
+            hp_reindex_to_gamma(lambda_bracket(d_nf, c)))
+        x2 += hp_mul_mono(q, m, extraction_parity=True).triples()
+    x2 = hp_combine(dim, cutoff, x2)
+    x3 = bracket_into(b, pb, lambda_bracket(a, c), True)
+    return hp_combine(dim, cutoff, x1.triples()
+                      + x2.triples(QI(-1) if pa & 1 else QI(1))
+                      + x3.triples(QI(1) if (pa + 1) * (pb + 1) & 1
+                                   else QI(-1)))
 
 
 # -- base pairing -----------------------------------------------------
@@ -426,6 +544,66 @@ def test_wick_rejects_mixed_parity():
     mixed = nf_add(alg.B(1), alg.Psi(1))
     with pytest.raises(ValueError):
         wick(mixed, alg.B(1), alg.B(1))
+
+
+# -- the Gamma-pair stages against the step-by-step references -------
+
+GAMMA_SIZES = [(1, 1), (1, 2), (2, 2), (2, 4)]
+
+
+def _gamma_triples(dim, cutoff, count=6):
+    """Homogeneous triples of states with more terms and higher
+    coefficient degrees than random_state draws by default, each pair
+    bracketing to a nonzero value, with a truncated coefficient
+    multiplied into every other b; or, for dim None, the curved current
+    three times."""
+    if dim is None:
+        alg, metric = _curved_setup()
+        h = build_H(metric)
+        return [(h, h, h)]
+    rng = random.Random(1000 * dim + cutoff)
+    alg = Algebra(dim, cutoff)
+    trunc = alg.coeff_nf(CoeffFunction(
+        dim, cutoff, {(0,) * dim: 1, (1,) + (0,) * (dim - 1): 2},
+        exact_to=cutoff - 1))
+    out = []
+    while len(out) < count:
+        a, b, c = (random_state(rng, alg, rng.randrange(2), max_monos=3,
+                                coeff_degree=min(2, cutoff))
+                   for _ in range(3))
+        if len(out) % 2:
+            b = nf_mul(trunc, b)
+        if all(lambda_bracket(x, y).terms
+               for x, y in ((a, b), (b, c), (a, c))):
+            out.append((a, b, c))
+    return out
+
+
+def _assert_same_hp(got, want):
+    assert got == want
+    # later sums merge in key order, which moves degree markers
+    assert list(got.terms) == list(want.terms)
+
+
+@pytest.mark.parametrize("dim,cutoff", GAMMA_SIZES + [(None, None)])
+def test_jacobi_defect_matches_stepwise(dim, cutoff):
+    for a, b, c in _gamma_triples(dim, cutoff):
+        _assert_same_hp(jacobi_defect(a, b, c),
+                        stepwise_jacobi_defect(a, b, c))
+
+
+@pytest.mark.parametrize("dim,cutoff", GAMMA_SIZES + [(None, None)])
+def test_wick_tail_matches_stepwise(dim, cutoff, monkeypatch):
+    def bracket_of_product(a, b, c):
+        terms.clear_caches()
+        return lambda_bracket(a, nf_mul(b, c))
+
+    cases = _gamma_triples(dim, cutoff)
+    engine = [bracket_of_product(*t) for t in cases]
+    monkeypatch.setattr(scdr.bracket, "_wick_tail", stepwise_wick_tail)
+    for t, got in zip(cases, engine):
+        _assert_same_hp(got, bracket_of_product(*t))
+    terms.clear_caches()
 
 
 # -- Jacobi -----------------------------------------------------------

@@ -19,9 +19,11 @@ a fresh Python process with that tree first on PYTHONPATH, in
     part divides by scalars with imaginary parts;
   * `coordchange` on both shipped changes, and on the 2-D change
     rewritten to cutoffs 10 and 12;
-  * `--dim 2 --cutoff 4 --seed 0 verify jacobi`, and `verify jacobi`
-    at `--dim 1 --cutoff 1` and `--dim 2 --cutoff 2`, which fail with
-    counts that move with any change to the degree markers of sums;
+  * `verify jacobi` at `--dim 2 --cutoff 4 --seed 0`, `--dim 1
+    --cutoff 2 --seed 1` and `--dim 3 --cutoff 2 --seed 2`, and at
+    `--dim 1 --cutoff 1` and `--dim 2 --cutoff 2`; all but the first
+    fail with counts that move with any change to the degree markers
+    of sums;
   * the `bracket` and `normalize` examples of README.md, two bracket
     queries at `--dim 3`, and one at `--dim 1 --cutoff 1` whose value
     is certified through degree 1 only;
@@ -95,8 +97,9 @@ def matrix(workdir):
         changes.append(path)
     suites += [["verify", "coordchange", "--change", str(p)]
                for p in changes]
-    suites.append(["--dim", "2", "--cutoff", "4", "--seed", "0",
-                   "verify", "jacobi"])
+    for dim, cutoff, seed in ((2, 4, 0), (1, 2, 1), (3, 2, 2)):
+        suites.append(["--dim", str(dim), "--cutoff", str(cutoff),
+                       "--seed", str(seed), "verify", "jacobi"])
     for dim, cutoff in ((1, 1), (2, 2)):
         suites.append(["--dim", str(dim), "--cutoff", str(cutoff),
                        "verify", "jacobi"])
