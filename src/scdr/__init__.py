@@ -4,7 +4,7 @@ free superfield algebra of the chiral de Rham complex."""
 from .scalars import QI, CoeffFunction
 from .terms import (Algebra, Generator, NormalForm, HPoly,
                     apply_S, apply_T, nf_mul, render_nf, render_hpoly)
-from .bracket import lambda_bracket, skew, wick, jacobi_defect
+from .bracket import lambda_bracket, skew, jacobi_defect
 from .parser import parse_expression, parse_bracket_query, ParseError
 from .superconf import (StructureReport, check_ns, check_ns_against,
                         check_n2, check_n4)
@@ -20,7 +20,7 @@ from .components import (classical_bracket, sres_action, n1_components,
 __all__ = [
     "QI", "CoeffFunction", "Algebra", "Generator", "NormalForm", "HPoly",
     "apply_S", "apply_T", "nf_mul", "render_nf", "render_hpoly",
-    "lambda_bracket", "skew", "wick", "jacobi_defect",
+    "lambda_bracket", "skew", "jacobi_defect",
     "parse_expression", "parse_bracket_query", "ParseError",
     "StructureReport", "check_ns", "check_ns_against", "check_n2",
     "check_n4",

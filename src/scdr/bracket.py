@@ -5,23 +5,22 @@ other generator pairs vanish, and [Psi^i_Lambda f(B)] = d_i f.  The
 bracket extends by sesquilinearity in both slots, by the non-commutative
 Wick formula on normally ordered products, and by skew-symmetry when
 only the left argument is composite.  The atomic bracket and the skew
-map are closed forms of the sesquilinearity rules.
+map are closed forms of the sesquilinearity rules; the Wick integral
+and the Jacobi defect are closed forms in the keys of the two brackets
+they nest.
 
-Values are HPoly in the Lambda pair (lambda, chi); iterated brackets
-temporarily use the Gamma pair (gamma, eta) and are integrated out.
+Values are HPoly in the Lambda pair (lambda, chi).  Only the Jacobi
+defect also uses the Gamma pair (gamma, eta) of its second bracket.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .scalars import QI, ONE, HMONO_ONE, hmono_mul, hmono_parity, _min_exact
+from .scalars import QI, ONE, HMONO_ONE, hmono_mul, _min_exact, _qi
 from .terms import (B_KIND, PSI_KIND, gens_parity, nf_one, nf_mono,
                     nf_apply_gen, unit_cf, apply_S, apply_T, HPoly, hp_zero,
-                    hp_add, hp_combine, hp_mul_mono, hp_nf_mul_right,
-                    hp_nf_mul_left, hp_reindex_to_gamma,
-                    hp_subst_gamma_plus_lambda, hp_integrate_wick,
-                    _lambda_only)
+                    hp_add, hp_combine, hp_nf_mul_left, _lambda_only)
 
 _BR_CACHE = {}
 
@@ -136,16 +135,20 @@ def _wick(dim, cutoff, a, b, c_gen):
 def _wick_tail(ab, ac, pa, b, pb, c):
     """The Wick terms of [a_L :b c:] after [a_L b] c, from ab = [a_L b]
     and ac = [a_L c]: (-1)^{(p(a)+1) p(b)} b [a_L c] plus the integral
-    of [[a_L b]_Gamma c] from 0 to Lambda."""
+    of [[a_L b]_Gamma c] from 0 to Lambda.  In closed form,
+    lambda^j chi^J (x) d in ab and lambda^k chi^K (x) e in [d_L c] give
+    lambda^{j+k+1} chi^J (x) e / (k+1) when K = 1; the odd-slot sign of
+    chi^J cancels the sign of removing eta past it.  The integral is
+    known through the least marker of every e."""
     dim, cutoff = ab.dim, ab.cutoff
     t2 = hp_nf_mul_left(ac, b, pb)
-    t3 = []
-    for m, d_nf in ab.terms.items():
-        inner = lambda_bracket(d_nf, c)
-        if inner.terms:
-            t3 += hp_mul_mono(hp_reindex_to_gamma(inner), m,
-                              extraction_parity=True).triples()
-    t3 = hp_integrate_wick(hp_combine(dim, cutoff, t3))
+    t3, marker = [], None
+    for (j, J, _, _), d_nf in ab.terms.items():
+        for (k, K, _, _), e in lambda_bracket(d_nf, c).terms.items():
+            marker = _min_exact(marker, e.exact_to)
+            if K:
+                t3.append(((j + k + 1, J, 0, 0), _qi(1, 0, k + 1), e))
+    t3 = hp_combine(dim, cutoff, t3, marker)
     return hp_combine(dim, cutoff,
                       t2.triples(-ONE if ((pa + 1) * pb) & 1 else ONE)
                       + t3.triples())
@@ -178,57 +181,41 @@ def skew(p, parity_a, parity_b):
     return hp_combine(p.dim, p.cutoff, triples)
 
 
-def wick(a, b, c):
-    """[a_L :bc:] assembled from the three Wick terms, for states whose
-    product :bc: need not be reassociated first."""
-    pa = a.parity()
-    pb = b.parity()
-    if pa is None or pb is None:
-        raise ValueError("wick needs homogeneous arguments")
-    ab = lambda_bracket(a, b)
-    return hp_add(hp_nf_mul_right(ab, c),
-                  _wick_tail(ab, lambda_bracket(a, c), pa, b, pb, c))
-
-
-def _bracket_into(x, px, p, to_gamma):
-    """The bracket of x with a bracket value p = sum m (x) d: each
-    [x_ d] times m, with a sign when m is odd and x even.  The brackets
-    [x_ d] stay in the Lambda pair, or move to Gamma when to_gamma is
-    set."""
-    triples = []
-    for m, d_nf in p.terms.items():
-        q = lambda_bracket(x, d_nf)
-        if to_gamma:
-            q = hp_reindex_to_gamma(q)
-        q = hp_mul_mono(q, m, extraction_parity=False)
-        triples += q.triples(-ONE if hmono_parity(m) and not px & 1
-                             else ONE)
-    return hp_combine(p.dim, p.cutoff, triples)
-
-
 def jacobi_defect(a, b, c):
     """[a_L [b_G c]] + (-1)^{p(a)} [[a_L b]_{G+L} c]
-    - (-1)^{(p(a)+1)(p(b)+1)} [b_G [a_L c]]; zero when Jacobi holds."""
+    - (-1)^{(p(a)+1)(p(b)+1)} [b_G [a_L c]]; zero when Jacobi holds.
+
+    Each term is built from the key (j, J, k, K), for lambda^j chi^J
+    gamma^k eta^K, of the state d in an outer bracket and the state e in
+    the bracket with d."""
     dim, cutoff = a.dim, a.cutoff
     pa = a.parity()
     pb = b.parity()
     if pa is None or pb is None:
         raise ValueError("jacobi_defect needs homogeneous arguments")
 
-    # X1 = [a_L [b_G c]]
-    x1 = _bracket_into(a, pa, hp_reindex_to_gamma(lambda_bracket(b, c)),
-                       False)
+    # X1 = [a_L [b_G c]]: gamma^k eta^K (x) d in [b_L c]
+    x1 = hp_combine(dim, cutoff, [
+        ((j, J, k, K), -ONE if K * (J + pa + 1) & 1 else ONE, e)
+        for (k, K, _, _), d_nf in lambda_bracket(b, c).terms.items()
+        for (j, J, _, _), e in lambda_bracket(a, d_nf).terms.items()])
 
-    # X2 = [[a_L b]_{G+L} c]
-    x2 = []
-    for m, d_nf in lambda_bracket(a, b).terms.items():
-        q = hp_subst_gamma_plus_lambda(
-            hp_reindex_to_gamma(lambda_bracket(d_nf, c)))
-        x2 += hp_mul_mono(q, m, extraction_parity=True).triples()
-    x2 = hp_combine(dim, cutoff, x2)
+    # X2 = [[a_L b]_{G+L} c]: lambda^j chi^J (x) d in [a_L b]; gamma +
+    # lambda and eta + chi expand lambda^k chi^K (x) e in [d_L c] into
+    # C(k, i) lambda^i gamma^{k-i} and the words chi^A eta^B
+    x2 = hp_combine(dim, cutoff, [
+        ((j + i + J * A, J ^ A, k - i, B),
+         QI((-1 if J * (A + 1) & 1 else 1) * comb(k, i)), e)
+        for (j, J, _, _), d_nf in lambda_bracket(a, b).terms.items()
+        for (k, K, _, _), e in lambda_bracket(d_nf, c).terms.items()
+        for i in range(k + 1)
+        for A, B in (((0, 1), (1, 0)) if K else ((0, 0),))])
 
-    # X3 = [b_G [a_L c]]
-    x3 = _bracket_into(b, pb, lambda_bracket(a, c), True)
+    # X3 = [b_G [a_L c]]: lambda^j chi^J (x) d in [a_L c]
+    x3 = hp_combine(dim, cutoff, [
+        ((j, J, k, K), -ONE if J * (pb + 1) & 1 else ONE, e)
+        for (j, J, _, _), d_nf in lambda_bracket(a, c).terms.items()
+        for (k, K, _, _), e in lambda_bracket(b, d_nf).terms.items()])
 
     return hp_combine(dim, cutoff, x1.triples()
                       + x2.triples(-ONE if pa & 1 else ONE)

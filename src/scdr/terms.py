@@ -17,18 +17,18 @@ the bracket module and this one are mutually recursive, so bracket
 imports are deferred to call time.
 
 Lambda-bracket values are HPoly: polynomials in the Lambda pair
-(lambda, chi) and the auxiliary Gamma pair (gamma, eta) of iterated
-brackets, with NormalForm coefficients.
+(lambda, chi), and for the Jacobi defect also in the Gamma pair
+(gamma, eta), with NormalForm coefficients.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial
 from typing import NamedTuple
 
 from .scalars import (CoeffFunction, QI, ONE, as_qi, render_qi,
-                      _min_exact, _qi, _ratio, HMONO_ONE, hmono_mul,
-                      hmono_parity, hmono_render)
+                      _min_exact, _qi, _ratio, HMONO_ONE, hmono_parity,
+                      hmono_render)
 
 B_KIND = 0
 PSI_KIND = 1
@@ -378,10 +378,20 @@ def _top_chi_degree(p):
 
 def qc_integral(dim, cutoff, m1, m2):
     """The quasi-commutativity correction: the bracket [m1_Lambda m2]
-    integrated over Lambda from -grad to 0."""
+    integrated over Lambda from -grad to 0.  Only keys with chi count,
+    and lambda^j chi (x) d gives (-1)^j T^{j+1} d / (j+1)."""
     from .bracket import bracket_mono
     p = bracket_mono(dim, cutoff, m1, m2)
-    return hp_integrate_qc(p)
+    pairs = []
+    for m, nf in p.terms.items():
+        j, J = _lambda_only(m)
+        if not J:
+            continue
+        term = nf
+        for _ in range(j + 1):
+            term = apply_T(term)
+        pairs.append((_qi((-1) ** j, 0, j + 1), term))
+    return nf_combine(dim, cutoff, pairs, p.exact_to())
 
 
 # -- derivations ------------------------------------------------------
@@ -440,8 +450,8 @@ def mono_from_factors(dim, cutoff, cf, factors):
 
 class HPoly:
     """Polynomial in the Lambda pair (lambda, chi) and the Gamma pair
-    (gamma, eta) with state coefficients; Gamma is the auxiliary pair
-    used inside iterated brackets.  Monomial keys are the (j, J, k, K)
+    (gamma, eta) with state coefficients; only the Jacobi defect uses
+    Gamma, for its second bracket.  Monomial keys are the (j, J, k, K)
     tuples of scalars.hmono_*.
     """
 
@@ -545,25 +555,6 @@ def hp_sub(a, b):
     return hp_combine(a.dim, a.cutoff, a.triples() + b.triples(-ONE))
 
 
-def hp_mul_mono(p, mono, extraction_parity=True):
-    """Left-multiply every key by mono.  When extraction_parity is set
-    the odd-slot rule applies: pulling an odd monomial out of a bracket
-    slot costs a sign per odd variable."""
-    flip = -1 if extraction_parity and hmono_parity(mono) else 1
-    triples = []
-    for m, nf in p.terms.items():
-        sign, prod = hmono_mul(mono, m)
-        triples.append((prod, ONE if sign == flip else -ONE, nf))
-    return hp_combine(p.dim, p.cutoff, triples)
-
-
-def hp_nf_mul_right(p, b):
-    """Multiply every coefficient state on the right by the state b;
-    the lambda/chi prefactors pass by with no sign."""
-    return HPoly(p.dim, p.cutoff,
-                 {m: nf_mul(nf, b) for m, nf in p.terms.items()})
-
-
 def hp_nf_mul_left(p, b, b_parity):
     """Multiply every coefficient state on the left by the homogeneous
     state b; b passes the odd chi variables with the Koszul sign."""
@@ -576,55 +567,6 @@ def _lambda_only(m):
     if m[2] or m[3]:
         raise ValueError("expected a pure-Lambda polynomial")
     return m[0], m[1]
-
-
-def hp_reindex_to_gamma(p):
-    """Rename the Lambda pair into the Gamma pair; the poly must not
-    use the Gamma pair yet."""
-    out = {}
-    for m, nf in p.terms.items():
-        j, J = _lambda_only(m)
-        out[(0, 0, j, J)] = nf
-    return HPoly(p.dim, p.cutoff, out)
-
-
-def hp_subst_gamma_plus_lambda(p):
-    """Substitute gamma -> gamma + lambda, eta -> eta + chi."""
-    triples = []
-    for (j, J, k, K), nf in p.terms.items():
-        # (eta + chi) expands into two words
-        odd = ((0, 0, 0, 1), (0, 1, 0, 0)) if K else (HMONO_ONE,)
-        for i in range(k + 1):
-            for w in odd:
-                sign, mono = hmono_mul((j + i, J, k - i, 0), w)
-                triples.append((mono, QI(sign * comb(k, i)), nf))
-    return hp_combine(p.dim, p.cutoff, triples)
-
-
-def hp_integrate_wick(p):
-    """Integrate the Gamma pair over the segment from 0 to Lambda.
-
-    Keys with no eta die; for the others eta is removed (a sign for
-    passing chi) and gamma^k becomes lambda^{k+1}/(k+1)."""
-    return hp_combine(p.dim, p.cutoff, [
-        ((j + k + 1, J, 0, 0), _qi(-1 if J else 1, 0, k + 1), nf)
-        for (j, J, k, K), nf in p.terms.items() if K], p.exact_to())
-
-
-def hp_integrate_qc(p):
-    """Integrate a pure-Lambda poly over Lambda from -grad to 0,
-    yielding a state: chi must be present, lambda^j becomes
-    (-1)^j T^{j+1}/(j+1) applied to the coefficient."""
-    pairs = []
-    for m, nf in p.terms.items():
-        j, J = _lambda_only(m)
-        if not J:
-            continue
-        term = nf
-        for _ in range(j + 1):
-            term = apply_T(term)
-        pairs.append((_qi((-1) ** j, 0, j + 1), term))
-    return nf_combine(p.dim, p.cutoff, pairs, p.exact_to())
 
 
 def hp_chi_part(p):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import scdr.bracket
 from scdr import terms
-from scdr.bracket import jacobi_defect, lambda_bracket, skew, wick
+from scdr.bracket import jacobi_defect, lambda_bracket, skew
 from scdr.suites import random_state
 from scdr.geometry import MetricData, build_H, build_H0
 from scdr.scalars import QI, CoeffFunction, hmono_mul, hmono_parity
@@ -536,14 +536,8 @@ WICK_TRIPLES = _random_triples(10, 2, 6, seed=404)
 @pytest.mark.parametrize("idx", range(len(WICK_TRIPLES)))
 def test_wick_matches_bracket_of_product(idx):
     alg, a, b, c = WICK_TRIPLES[idx]
-    assert_hp_zero(hp_sub(wick(a, b, c), lambda_bracket(a, nf_mul(b, c))))
-
-
-def test_wick_rejects_mixed_parity():
-    alg = Algebra(1, 6)
-    mixed = nf_add(alg.B(1), alg.Psi(1))
-    with pytest.raises(ValueError):
-        wick(mixed, alg.B(1), alg.B(1))
+    assert_hp_zero(hp_sub(stepwise_wick(a, b, c),
+                          lambda_bracket(a, nf_mul(b, c))))
 
 
 # -- the Gamma-pair stages against the step-by-step references -------
