@@ -18,7 +18,8 @@ from scdr.terms import (Algebra, Generator, B_KIND, PSI_KIND, NormalForm,
                         HPoly, nf_mul, nf_add, nf_sub, nf_scale, nf_sum,
                         nf_combine, nf_mono, nf_apply_gen, hp_zero, hp_add,
                         hp_sub, hp_combine, apply_S, apply_T, render_nf,
-                        gens_parity, mono_from_factors, qa_terms, unit_cf)
+                        gens_parity, mono_from_factors, qa_terms,
+                        qc_integral, unit_cf)
 from scdr.parser import parse_expression
 from scdr.superconf import holds
 from scdr.suites import random_state
@@ -508,6 +509,91 @@ def test_quasi_associativity_matches_both_chains_in_full(case):
     dim, cutoff, a, b, c = case
     assert_same_state(qa_terms(dim, cutoff, a, b, c),
                       reference_qa_terms(dim, cutoff, a, b, c))
+
+
+# -- one generator at a time against the integrals it can drop -----------
+
+
+def stepwise_nf_mul_gen(dim, cutoff, mono, h):
+    """mono times h with the quasi-commutativity integrals of the two
+    generators it reorders: (1/2) of [g_L g] for an odd square and
+    [g_L h] for a swap, each multiplied onto the rest of the monomial."""
+    f, gens = mono
+    if h.is_coordinate():
+        xi = CoeffFunction.coordinate(dim, cutoff, h.index)
+        return terms.mono_mul(dim, cutoff, mono, (xi, ()))
+    if not gens:
+        return nf_mono(dim, cutoff, f, (h,))
+    g = gens[-1]
+    if terms._in_order(g, h):
+        return nf_mono(dim, cutoff, f, gens + (h,))
+    rest = (f, gens[:-1])
+    rest_nf = nf_mono(dim, cutoff, f, gens[:-1])
+    one = unit_cf(dim, cutoff)
+    if g == h:
+        gg = nf_scale(qc_integral(dim, cutoff, (one, (g,)), (one, (g,))),
+                      QI(Fraction(1, 2)))
+        return nf_add(nf_mul(rest_nf, gg),
+                      qa_terms(dim, cutoff, rest, (one, (g,)), g))
+    sign = QI((-1) ** (g.parity() * h.parity()))
+    swapped = nf_apply_gen(dim, cutoff,
+                           terms.nf_mul_gen(dim, cutoff, rest, h), g)
+    return nf_combine(dim, cutoff, [
+        (sign, swapped),
+        (-sign, qa_terms(dim, cutoff, rest, (one, (h,)), g)),
+        (ONE, nf_mul(rest_nf, qc_integral(dim, cutoff, (one, (g,)),
+                                          (one, (h,))))),
+        (ONE, qa_terms(dim, cutoff, rest, (one, (g,)), h))])
+
+
+def derived_generators(dim, top_t):
+    """Every generator T^t S^s X with t <= top_t but the underived B's."""
+    return [Generator(kind, i, t, s) for kind in (B_KIND, PSI_KIND)
+            for i in range(1, dim + 1) for t in range(top_t + 1)
+            for s in (0, 1) if kind == PSI_KIND or t or s]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 3])
+def test_integrals_of_two_generators_vanish(dim, cutoff):
+    # [g_L h] is a scalar times the vacuum, and T kills the vacuum
+    one = unit_cf(dim, cutoff)
+    gens = derived_generators(dim, 2)
+    for g in gens:
+        for h in gens:
+            got = qc_integral(dim, cutoff, (one, (g,)), (one, (h,)))
+            assert got.terms == {} and got.exact_to is None
+
+
+def test_an_odd_square_keeps_the_marker_of_its_coefficient():
+    f = CoeffFunction(2, 3, {(1, 0): QI(1)}, 2)
+    terms.clear_caches()
+    got = terms.nf_mul_gen(2, 3, (f, (SB1,)), SB1)
+    assert got.terms == {} and got.exact_to == 2
+
+
+@st.composite
+def gen_cases(draw):
+    """(dim, cutoff, mono, h) for dims 1-2 and cutoffs 1-3: a monomial in
+    normal order with up to three derived factors, and a derived h."""
+    dim = draw(st.integers(1, 2))
+    cutoff = draw(st.integers(1, 3))
+    pool = [g for g in factor_pool(dim) if not is_underived_b(g)]
+    gens = normal_order(draw(st.lists(st.sampled_from(pool), max_size=3)))
+    return (dim, cutoff, (draw_factor_coeff(draw, dim, cutoff), gens),
+            draw(st.sampled_from(pool)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gen_cases())
+@example((2, 2, (X1, (PSI1,)), SB1))                # a swap, both qa terms
+@example((2, 2, (TRUNCATED_X1, (SB1, PSI2)), PSI1))
+@example((2, 2, (ZERO_MARKED, (SB1,)), SB1))         # an odd square
+@example((2, 2, (X1, (TB1, PSI1)), PSI1))
+def test_one_generator_matches_the_product_with_its_integrals(case):
+    dim, cutoff, mono, h = case
+    assert_same_state(terms._nf_mul_gen(dim, cutoff, mono, h),
+                      stepwise_nf_mul_gen(dim, cutoff, mono, h))
 
 
 # -- memo caches ----------------------------------------------------------
