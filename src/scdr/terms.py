@@ -23,7 +23,6 @@ Lambda-bracket values are HPoly: polynomials in the Lambda pair
 
 from __future__ import annotations
 
-from math import factorial
 from typing import NamedTuple
 
 from .scalars import (CoeffFunction, QI, ONE, as_qi, render_qi,
@@ -83,7 +82,7 @@ class NormalForm:
     variables through which the stored coefficients are certified.
     """
 
-    __slots__ = ("dim", "cutoff", "terms", "exact_to", "_hash")
+    __slots__ = ("dim", "cutoff", "terms", "exact_to")
 
     def __init__(self, dim, cutoff, terms, exact_to=None):
         clean = {}
@@ -102,14 +101,6 @@ class NormalForm:
         return (self.dim == other.dim and self.cutoff == other.cutoff
                 and self.terms == other.terms
                 and self.exact_to == other.exact_to)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.dim, self.cutoff, self.exact_to,
-                      tuple(sorted(self.terms.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self):
         return "NormalForm(%s)" % render_nf(self)
@@ -140,7 +131,6 @@ def _fill_nf(nf, dim, cutoff, terms, exact_to):
     object.__setattr__(nf, "cutoff", cutoff)
     object.__setattr__(nf, "terms", terms)
     object.__setattr__(nf, "exact_to", exact_to)
-    object.__setattr__(nf, "_hash", None)
     return nf
 
 
@@ -291,31 +281,26 @@ def _nf_mul_gen(dim, cutoff, mono, h):
     if h.is_coordinate():
         xi = CoeffFunction.coordinate(dim, cutoff, h.index)
         return mono_mul(dim, cutoff, mono, (xi, ()))
-    if not gens:
-        return nf_mono(dim, cutoff, f, (h,))
-    g = gens[-1]
-    if _in_order(g, h):
+    if not gens or _in_order(gens[-1], h):
         return nf_mono(dim, cutoff, f, gens + (h,))
+    # [g_Lambda h] of two derived generators is a scalar times the
+    # vacuum, which T kills: the quasi-commutativity integral vanishes
+    # and leaves only the marker of f on the product
+    g = gens[-1]
     rest = (f, gens[:-1])
-    rest_nf = nf_mono(dim, cutoff, f, gens[:-1])
-    if g == h:
-        # odd square: g g = (1/2) integral of [g_Lambda g]
-        gg = nf_scale(qc_integral(dim, cutoff, (unit_cf(dim, cutoff), (g,)),
-                                  (unit_cf(dim, cutoff), (g,))),
-                      _qi(1, 0, 2))
-        out = nf_mul(rest_nf, gg)
-        return nf_add(out, qa_terms(dim, cutoff, rest,
-                                    (unit_cf(dim, cutoff), (g,)), g))
-    # h < g: swap the last two factors
     one = unit_cf(dim, cutoff)
+    if g == h:
+        # odd square: (rest g) g = qa(rest, g, g)
+        return nf_combine(dim, cutoff,
+                          [(ONE, qa_terms(dim, cutoff, rest, (one, (g,)), g))],
+                          f.exact_to)
+    # h < g: (rest g) h = +-(rest h) g -+ qa(rest, h, g) + qa(rest, g, h)
     sign = QI((-1) ** (g.parity() * h.parity()))
     swapped = nf_apply_gen(dim, cutoff, nf_mul_gen(dim, cutoff, rest, h), g)
     return nf_combine(dim, cutoff, [
         (sign, swapped),
         (-sign, qa_terms(dim, cutoff, rest, (one, (h,)), g)),
-        (ONE, nf_mul(rest_nf, qc_integral(dim, cutoff, (one, (g,)),
-                                          (one, (h,))))),
-        (ONE, qa_terms(dim, cutoff, rest, (one, (g,)), h))])
+        (ONE, qa_terms(dim, cutoff, rest, (one, (g,)), h))], f.exact_to)
 
 
 def _in_order(g, h):
@@ -349,24 +334,24 @@ def qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
     pb_par = gens_parity(b_mono[1])
     sign = QI((-1) ** (pa_par * pb_par))
     exact = _min_exact(pa.exact_to(), pb.exact_to())
-    # T^(j+1) a / (j+1)! pairs with the lambda^j chi coefficient of pb,
-    # T^(j+1) b / (j+1)! with that of pa: each chain stops at its last use
+    # T^(j+1) a / (j+1) pairs with the lambda^j chi coefficient of pb,
+    # T^(j+1) b / (j+1) with that of pa: each chain stops at its last use
     top_a, top_b = _top_chi_degree(pb), _top_chi_degree(pa)
     ta = nf_mono(dim, cutoff, a_mono[0], a_mono[1])
     tb = nf_mono(dim, cutoff, b_mono[0], b_mono[1])
     pairs = []
     for j in range(max(top_a, top_b) + 1):
         if j <= top_a:
-            ta = nf_scale(apply_T(ta), _qi(1, 0, j + 1))
+            ta = apply_T(ta)
         if j <= top_b:
-            tb = nf_scale(apply_T(tb), _qi(1, 0, j + 1))
-        jfact = QI(factorial(j))
+            tb = apply_T(tb)
+        q = _qi(1, 0, j + 1)
         cb = pb.coeff((j, 1, 0, 0))
         if cb is not None and not cb.is_zero():
-            pairs.append((ONE, nf_mul(ta, nf_scale(cb, jfact))))
+            pairs.append((q, nf_mul(ta, cb)))
         ca = pa.coeff((j, 1, 0, 0))
         if ca is not None and not ca.is_zero():
-            pairs.append((sign, nf_mul(tb, nf_scale(ca, jfact))))
+            pairs.append((sign * q, nf_mul(tb, ca)))
     return nf_combine(dim, cutoff, pairs, exact)
 
 
@@ -455,7 +440,7 @@ class HPoly:
     tuples of scalars.hmono_*.
     """
 
-    __slots__ = ("dim", "cutoff", "terms", "_hash")
+    __slots__ = ("dim", "cutoff", "terms")
 
     def __init__(self, dim, cutoff, terms):
         clean = {}
@@ -466,7 +451,6 @@ class HPoly:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HPoly is immutable")
@@ -476,15 +460,6 @@ class HPoly:
             return NotImplemented
         return (self.dim == other.dim and self.cutoff == other.cutoff
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.dim, self.cutoff,
-                      tuple(sorted(self.terms.items(),
-                                   key=lambda t: t[0]))))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self):
         return "HPoly(%s)" % render_hpoly(self)
@@ -511,21 +486,6 @@ class HPoly:
         for nf in self.terms.values():
             e = _min_exact(e, nf.exact_to)
         return e
-
-    def parity(self):
-        """Parity of the underlying bracket output: state parity plus
-        the parity of the attached odd variables."""
-        ps = set()
-        for m, nf in self.terms.items():
-            p = nf.parity()
-            if p is None:
-                return None
-            ps.add((p + hmono_parity(m)) & 1)
-        if not ps:
-            return 0
-        if len(ps) > 1:
-            return None
-        return ps.pop()
 
 
 def hp_zero(dim, cutoff):
