@@ -35,9 +35,9 @@ a fresh Python process with that tree first on PYTHONPATH, in
   * `--scalar-ring rational` on a real sum, which prints, and on an
     imaginary scalar, which exits 2.
 
-The stdout and exit code of each pair are compared.  The first pair
-that differs is named and the script exits 1; when all agree it prints
-one summary line and exits 0.  Standard library only; the engine does
+The stdout and exit code of each pair are compared.  Every pair that
+differs is named, with a count at the end, and the script exits 1; when
+all agree it prints one summary line and exits 0.  Standard library only; the engine does
 not import this file.
 """
 
@@ -165,14 +165,18 @@ def main(argv=None):
             ap.error("%s holds no scdr package" % src)
     with tempfile.TemporaryDirectory() as tmp:
         cases = matrix(tmp)
+        differ = 0
         for n, case in enumerate(cases, 1):
             parent = run(args.parent_src, case)
             change = run(args.change_src, case)
             if parent != change:
+                differ += 1
                 print("differs at %d of %d: scdr %s" % (
                     n, len(cases), " ".join(case)))
                 print("  exit codes: %d, %d" % (parent[0], change[0]))
-                return 1
+    if differ:
+        print("%d of %d invocations differ" % (differ, len(cases)))
+        return 1
     print("%d invocations: stdout and exit codes identical" % len(cases))
     return 0
 
