@@ -233,6 +233,24 @@ def test_verify_jacobi_small(capsys):
     assert "jacobi/normalize-idempotent: pass" in out
 
 
+@pytest.mark.parametrize("argv,want", [
+    # one skew pair holds only through degree 0
+    (["--dim", "1", "--cutoff", "3", "--seed", "5"],
+     ["jacobi/skew-symmetry: pass (degree 0)",
+      "jacobi/jacobi-identity: pass (exact)",
+      "jacobi/normalize-idempotent: pass (exact)"]),
+    # a certificate through degree -1 covers no coefficient
+    (["--dim", "1", "--cutoff", "1"],
+     ["jacobi/skew-symmetry: FAIL (degree -1)",
+      "jacobi/jacobi-identity: inconclusive (degree -1)",
+      "jacobi/normalize-idempotent: FAIL (exact)"]),
+])
+def test_verify_jacobi_states_the_degree_it_certifies(capsys, argv, want):
+    _, out, _ = run(capsys, *argv, "verify", "jacobi")
+    assert [line for line in out.splitlines()
+            if line.startswith("jacobi/")] == want
+
+
 def test_verify_missing_metric_file(capsys):
     rc, _, err = run(capsys, "verify", "ns", "--metric", "no-such.json")
     assert rc == 2
