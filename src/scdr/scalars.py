@@ -523,7 +523,7 @@ class CoeffFunction:
         for s in subs:
             exact = _min_exact(exact, s.exact_to)
         one = CoeffFunction.constant(tdim, cutoff, ONE)
-        # Horner-style evaluation over the (finitely many) stored terms.
+        # sum the stored terms; each power of a sub is computed once
         result = CoeffFunction.zero(tdim, cutoff)
         powers = [{0: one} for _ in range(self.dim)]
 
