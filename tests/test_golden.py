@@ -77,10 +77,13 @@ def test_warm_caches_give_cold_output():
     seed1 = ["1" if a == "0" else a for a in seed0]  # --seed 1
     want = (GOLDEN / "jacobi_dim2.out").read_text(encoding="utf-8")
     code = expected_exit_codes()["jacobi_dim2"]
+    cutoff3 = ["3" if a == "4" else a for a in seed0]  # --cutoff 3
     runs = [invoke(seed0), invoke(seed0)]
     invoke(seed1)
     runs.append(invoke(seed0))
-    assert runs == [(code, want)] * 3
+    invoke(cutoff3)
+    runs.append(invoke(seed0))
+    assert runs == [(code, want)] * 4
 
 
 def _regenerate():

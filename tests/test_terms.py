@@ -621,3 +621,33 @@ def test_clear_caches_empties_every_memo(alg):
     assert {name for name, memo in memos.items() if memo} >= filled
     terms.clear_caches()
     assert {name: len(memo) for name, memo in memos.items() if memo} == {}
+
+
+CROSS_ALGEBRA = ('f{"2": "1"}', ':f{"1": "1"} T B1:',
+                 ':f{"1": "1"} Psi1:', ':f{"2": "1"} T B1:')
+
+
+def cross_algebra_values(cutoff):
+    """x1^2 times :x1 T B1: and [:x1 Psi1: _ :x1^2 T B1:] at dim 1."""
+    f, a, b, c = (parse_expression(text, 1, cutoff) for text in CROSS_ALGEBRA)
+    return nf_mul(f, a), lambda_bracket(b, c)
+
+
+@pytest.mark.parametrize("order", [(2, 3), (3, 2)])
+def test_memo_keys_separate_algebras(order):
+    # one process computes both cutoffs on the caches the other left:
+    # each value must still be the one a fresh cache gives
+    fresh = {}
+    for cutoff in order:
+        terms.clear_caches()
+        fresh[cutoff] = cross_algebra_values(cutoff)
+    terms.clear_caches()
+    for cutoff in order:
+        product, bracket = cross_algebra_values(cutoff)
+        want_product, want_bracket = fresh[cutoff]
+        assert_same_state(product, want_product)
+        assert list(bracket.terms) == list(want_bracket.terms)
+        for key, nf in bracket.terms.items():
+            assert_same_state(nf, want_bracket.terms[key])
+    assert fresh[2][0].terms == {} and fresh[2][0].exact_to == 2
+    assert fresh[3][0] == parse_expression(':f{"3": "1"} T B1:', 1, 3)
