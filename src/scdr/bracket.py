@@ -31,17 +31,15 @@ def clear_caches():
 
 def lambda_bracket(a, b):
     """[a_Lambda b] for states a, b; bilinear over Q(i)."""
-    dim, cutoff = a.dim, a.cutoff
     triples = []
     right = [((c2, g2), _support(c2, g2)) for g2, c2 in b.terms.items()]
     for g1, c1 in a.terms.items():
         bs1, psis1 = _support(c1, g1)
         for m2, (bs2, psis2) in right:
             if bs1 & psis2 or psis1 & bs2:
-                triples += bracket_mono(dim, cutoff, (c1, g1), m2).triples()
+                triples += bracket_mono((c1, g1), m2).triples()
     # the input truncation stays even if every term cancels
-    return hp_combine(dim, cutoff, triples,
-                      _min_exact(a.exact_to, b.exact_to))
+    return hp_combine(triples, _min_exact(a.exact_to, b.exact_to))
 
 
 def _support(f, gens):
@@ -57,7 +55,7 @@ def _support(f, gens):
     return bs, psis
 
 
-def bracket_mono(dim, cutoff, m1, m2):
+def bracket_mono(m1, m2):
     # the base brackets pair B^i with Psi^i (or a function of x_i) only,
     # so by the Wick formula monomials that share no such pair bracket
     # to zero (two functions of the B fields commute, for one); those
@@ -65,28 +63,28 @@ def bracket_mono(dim, cutoff, m1, m2):
     bs1, psis1 = _support(*m1)
     bs2, psis2 = _support(*m2)
     if not (bs1 & psis2 or psis1 & bs2):
-        return hp_zero(dim, cutoff)
-    key = (dim, cutoff, m1, m2)
+        return hp_zero()
+    key = (m1, m2)
     hit = _BR_CACHE.get(key)
     if hit is not None:
         return hit
-    out = _bracket_mono(dim, cutoff, m1, m2)
+    out = _bracket_mono(m1, m2)
     _BR_CACHE[key] = out
     return out
 
 
-def _bracket_mono(dim, cutoff, m1, m2):
+def _bracket_mono(m1, m2):
     (f1, g1), (f2, g2) = m1, m2
     if g2 and (len(g2) >= 2 or not f2.is_constant()):
-        return _wick(dim, cutoff, m1, (f2, g2[:-1]), g2[-1])
+        return _wick(m1, (f2, g2[:-1]), g2[-1])
     if len(g1) <= 1 and f1.is_constant():
-        return _atomic_bracket(dim, cutoff, m1, m2)
+        return _atomic_bracket(m1, m2)
     # left argument composite, right atomic: flip by skew-symmetry
-    flipped = bracket_mono(dim, cutoff, m2, m1)
+    flipped = bracket_mono(m2, m1)
     return skew(flipped, gens_parity(g1), gens_parity(g2))
 
 
-def _atomic_bracket(dim, cutoff, m1, m2):
+def _atomic_bracket(m1, m2):
     """[c T^t S^s x_Lambda m2] for a constant c and an underived
     generator x, in closed form.  The left derivations give
     (-lambda)^t chi^s.  Against a pure coefficient f the base value is
@@ -97,39 +95,34 @@ def _atomic_bracket(dim, cutoff, m1, m2):
     (f1, g1), (f2, g2) = m1, m2
     if not g1:
         # constants bracket to zero
-        return hp_zero(dim, cutoff)
+        return hp_zero()
     x = g1[0]
     q = f1.constant_term()
     if g2:
         y = g2[0]
         if x.kind == y.kind or x.index != y.index:
-            return hp_zero(dim, cutoff)
-        right, state = (y.t, y.s, 0, 0), nf_one(dim, cutoff)
+            return hp_zero()
+        right, state = (y.t, y.s, 0, 0), nf_one(f1.dim, f1.cutoff)
         q *= f2.constant_term()
         flips = x.t + (y.s and x.kind == B_KIND)
     elif x.kind == PSI_KIND:
         right, flips = HMONO_ONE, x.t
-        state = nf_mono(dim, cutoff, f2.partial(x.index), ())
+        state = nf_mono(f2.partial(x.index), ())
     else:
-        return hp_zero(dim, cutoff)
+        return hp_zero()
     sign, key = hmono_mul((x.t, x.s, 0, 0), right)
-    return hp_combine(dim, cutoff,
-                      [(key, -q if (flips + (sign < 0)) & 1 else q, state)])
+    return hp_combine([(key, -q if (flips + (sign < 0)) & 1 else q, state)])
 
 
-def _wick(dim, cutoff, a, b, c_gen):
+def _wick(a, b, c_gen):
     """[a_L b c] by the non-commutative Wick formula, c a generator."""
-    one = unit_cf(dim, cutoff)
-    ab = bracket_mono(dim, cutoff, a, b)
-    ac = bracket_mono(dim, cutoff, a, (one, (c_gen,)))
+    one = unit_cf(a[0].dim, a[0].cutoff)
+    ab = bracket_mono(a, b)
+    ac = bracket_mono(a, (one, (c_gen,)))
     # [a_L b] c
-    t1 = HPoly(dim, cutoff,
-               {m: nf_apply_gen(dim, cutoff, nf, c_gen)
-                for m, nf in ab.terms.items()})
-    return hp_add(t1, _wick_tail(ab, ac, gens_parity(a[1]),
-                                 nf_mono(dim, cutoff, b[0], b[1]),
-                                 gens_parity(b[1]),
-                                 nf_mono(dim, cutoff, one, (c_gen,))))
+    t1 = HPoly({m: nf_apply_gen(nf, c_gen) for m, nf in ab.terms.items()})
+    return hp_add(t1, _wick_tail(ab, ac, gens_parity(a[1]), nf_mono(*b),
+                                 gens_parity(b[1]), nf_mono(one, (c_gen,))))
 
 
 def _wick_tail(ab, ac, pa, b, pb, c):
@@ -140,7 +133,6 @@ def _wick_tail(ab, ac, pa, b, pb, c):
     lambda^{j+k+1} chi^J (x) e / (k+1) when K = 1; the odd-slot sign of
     chi^J cancels the sign of removing eta past it.  The integral is
     known through the least marker of every e."""
-    dim, cutoff = ab.dim, ab.cutoff
     t2 = hp_nf_mul_left(ac, b, pb)
     t3, marker = [], None
     for (j, J, _, _), d_nf in ab.terms.items():
@@ -148,9 +140,8 @@ def _wick_tail(ab, ac, pa, b, pb, c):
             marker = _min_exact(marker, e.exact_to)
             if K:
                 t3.append(((j + k + 1, J, 0, 0), _qi(1, 0, k + 1), e))
-    t3 = hp_combine(dim, cutoff, t3, marker)
-    return hp_combine(dim, cutoff,
-                      t2.triples(-ONE if ((pa + 1) * pb) & 1 else ONE)
+    t3 = hp_combine(t3, marker)
+    return hp_combine(t2.triples(-ONE if ((pa + 1) * pb) & 1 else ONE)
                       + t3.triples())
 
 
@@ -178,7 +169,7 @@ def skew(p, parity_a, parity_b):
             # a state that is zero with no marker opens no key
             triples += [((i, J, 0, 0), q, c[k - i]) for J, c in chains
                         if c[k - i].terms or c[k - i].exact_to is not None]
-    return hp_combine(p.dim, p.cutoff, triples)
+    return hp_combine(triples)
 
 
 def jacobi_defect(a, b, c):
@@ -188,14 +179,13 @@ def jacobi_defect(a, b, c):
     Each term is built from the key (j, J, k, K), for lambda^j chi^J
     gamma^k eta^K, of the state d in an outer bracket and the state e in
     the bracket with d."""
-    dim, cutoff = a.dim, a.cutoff
     pa = a.parity()
     pb = b.parity()
     if pa is None or pb is None:
         raise ValueError("jacobi_defect needs homogeneous arguments")
 
     # X1 = [a_L [b_G c]]: gamma^k eta^K (x) d in [b_L c]
-    x1 = hp_combine(dim, cutoff, [
+    x1 = hp_combine([
         ((j, J, k, K), -ONE if K * (J + pa + 1) & 1 else ONE, e)
         for (k, K, _, _), d_nf in lambda_bracket(b, c).terms.items()
         for (j, J, _, _), e in lambda_bracket(a, d_nf).terms.items()])
@@ -203,7 +193,7 @@ def jacobi_defect(a, b, c):
     # X2 = [[a_L b]_{G+L} c]: lambda^j chi^J (x) d in [a_L b]; gamma +
     # lambda and eta + chi expand lambda^k chi^K (x) e in [d_L c] into
     # C(k, i) lambda^i gamma^{k-i} and the words chi^A eta^B
-    x2 = hp_combine(dim, cutoff, [
+    x2 = hp_combine([
         ((j + i + J * A, J ^ A, k - i, B),
          QI((-1 if J * (A + 1) & 1 else 1) * comb(k, i)), e)
         for (j, J, _, _), d_nf in lambda_bracket(a, b).terms.items()
@@ -212,11 +202,11 @@ def jacobi_defect(a, b, c):
         for A, B in (((0, 1), (1, 0)) if K else ((0, 0),))])
 
     # X3 = [b_G [a_L c]]: lambda^j chi^J (x) d in [a_L c]
-    x3 = hp_combine(dim, cutoff, [
+    x3 = hp_combine([
         ((j, J, k, K), -ONE if J * (pb + 1) & 1 else ONE, e)
         for (j, J, _, _), d_nf in lambda_bracket(a, c).terms.items()
         for (k, K, _, _), e in lambda_bracket(b, d_nf).terms.items()])
 
-    return hp_combine(dim, cutoff, x1.triples()
+    return hp_combine(x1.triples()
                       + x2.triples(-ONE if pa & 1 else ONE)
                       + x3.triples(ONE if (pa + 1) * (pb + 1) & 1 else -ONE))

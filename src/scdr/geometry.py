@@ -10,13 +10,14 @@ exact.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 from .scalars import (QI, ONE, HMONO_ONE, as_qi, parse_qi, parse_exponents,
                       render_qi, CoeffFunction, log_series_normalized,
                       functional_inverse, sum_cf, _matrix_inverse_qi,
                       _identity_matrix, _mat_mul, _mat_inverse)
 from .terms import (Algebra, nf_mul, nf_sum, nf_sub, apply_S, apply_T,
-                    HPoly, nf_one, hp_sub)
+                    HPoly, hp_sub)
 from .bracket import lambda_bracket
 from .superconf import fold
 
@@ -70,9 +71,6 @@ class MetricData:
         self.dim = dim
         self.cutoff = cutoff
         self.g = [list(row) for row in g]
-        self._inverse = None
-        self._det = None
-        self._logdet_half = None
 
     @staticmethod
     def flat(dim, cutoff):
@@ -94,24 +92,17 @@ class MetricData:
     def is_constant(self):
         return all(e.is_constant() for row in self.g for e in row)
 
-    @property
+    @cached_property
     def g_inverse(self):
-        if self._inverse is None:
-            self._inverse = _mat_inverse(self.g, self.dim, self.cutoff)
-        return self._inverse
+        return _mat_inverse(self.g, self.dim, self.cutoff)
 
-    @property
+    @cached_property
     def det(self):
-        if self._det is None:
-            self._det = _mat_det(self.g, self.dim, self.cutoff)
-        return self._det
+        return _mat_det(self.g, self.dim, self.cutoff)
 
-    @property
+    @cached_property
     def logdet_half(self):
-        if self._logdet_half is None:
-            self._logdet_half = log_series_normalized(self.det).scale(
-                QI(1, 0) / QI(2, 0))
-        return self._logdet_half
+        return log_series_normalized(self.det).scale(QI(1, 0) / QI(2, 0))
 
 
 class EndoTensor:
@@ -219,7 +210,7 @@ def build_H(metric):
     for i in range(1, metric.dim + 1):
         terms.append(nf_mul(alg.SB(i), alg.SPsi(i)))
         terms.append(nf_mul(alg.TB(i), alg.Psi(i)))
-    h0 = nf_sum(terms, metric.dim, metric.cutoff)
+    h0 = nf_sum(terms)
     pot = metric.logdet_half
     if pot.is_zero() and pot.exact_to is None:
         return h0
@@ -263,7 +254,7 @@ def _j_current(omega, sb, psi, tb, coeff, gamma):
             if ck.is_zero() and ck.exact_to is None:
                 continue
             terms.append(nf_mul(coeff(ck), tb[k]))
-    return nf_sum(terms, n, cutoff)
+    return nf_sum(terms)
 
 
 def flat_complex_structure(n, cutoff):
@@ -338,7 +329,7 @@ def transform_generators(ch):
     F = ch.pullback_jacobian()
     b_new = [alg.coeff_nf(ch.forward[i]) for i in range(ch.dim)]
     psi_new = [nf_sum([nf_mul(alg.coeff_nf(F[i][j]), alg.Psi(j + 1))
-                       for j in range(ch.dim)], ch.dim, ch.cutoff)
+                       for j in range(ch.dim)])
                for i in range(ch.dim)]
     return b_new, psi_new
 
@@ -387,10 +378,8 @@ def build_J_in_new_coordinates(omega, metric, ch):
                       christoffel(pushforward_metric(ch, metric)))
 
 
-def _delta_poly(dim, cutoff, equal):
-    if not equal:
-        return HPoly(dim, cutoff, {})
-    return HPoly(dim, cutoff, {HMONO_ONE: nf_one(dim, cutoff)})
+def _delta_poly(alg, equal):
+    return HPoly({HMONO_ONE: alg.one()} if equal else {})
 
 
 def check_coordinate_change(ch):
@@ -416,13 +405,13 @@ def check_coordinate_change(ch):
                           lambda_bracket(b_new[i], b_new[j])))
             parts.append(("[B~%d_L Psi~%d] = %d" % (i + 1, j + 1, i == j),
                           hp_sub(lambda_bracket(b_new[i], psi_new[j]),
-                                 _delta_poly(n, cutoff, i == j))))
+                                 _delta_poly(alg, i == j))))
             parts.append(("[Psi~%d_L Psi~%d] = 0" % (i + 1, j + 1),
                           lambda_bracket(psi_new[i], psi_new[j])))
 
     for i in range(n):
         rhs = nf_sum([nf_mul(alg.coeff_nf(ch.forward[i].partial(j + 1)),
-                             alg.SB(j + 1)) for j in range(n)], n, cutoff)
+                             alg.SB(j + 1)) for j in range(n)])
         parts.append(("S B~%d chain rule" % (i + 1),
                       nf_sub(apply_S(b_new[i]), rhs)))
 
@@ -441,7 +430,7 @@ def check_coordinate_change(ch):
                 terms.append(nf_mul(alg.coeff_nf(m),
                                     nf_mul(alg.SB(r + 1), alg.Psi(k + 1))))
         parts.append(("S Psi~%d chain rule" % (i + 1),
-                      nf_sub(apply_S(psi_new[i]), nf_sum(terms, n, cutoff))))
+                      nf_sub(apply_S(psi_new[i]), nf_sum(terms))))
     return fold("coordchange", parts)
 
 

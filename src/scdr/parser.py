@@ -73,9 +73,9 @@ MAX_DEPTH = 100
 
 
 class _Parser:
-    def __init__(self, text, dim, cutoff):
+    def __init__(self, text, alg):
         self.text = text
-        self.alg = Algebra(dim, cutoff)
+        self.alg = alg
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
@@ -111,7 +111,7 @@ class _Parser:
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
             items.append(self._signed_term(QI(1) if op == "+" else QI(-1)))
-        return nf_combine(self.alg.dim, self.alg.cutoff, items)
+        return nf_combine(items)
 
     def _signed_term(self, sign):
         q, nf = self.parse_term()
@@ -228,7 +228,7 @@ class _Parser:
 
 def parse_expression(text, dim, cutoff):
     """The normal form of the state that text denotes."""
-    p = _Parser(text, dim, cutoff)
+    p = _Parser(text, Algebra(dim, cutoff))
     nf = p.parse_expr()
     p.finish()
     return nf
@@ -236,7 +236,7 @@ def parse_expression(text, dim, cutoff):
 
 def parse_bracket_query(text, dim, cutoff):
     """The normal forms of the two states of a '[e1 _ e2]' query."""
-    p = _Parser(text, dim, cutoff)
+    p = _Parser(text, Algebra(dim, cutoff))
     pair = p.parse_query()
     p.finish()
     return pair

@@ -57,25 +57,23 @@ def run_n2_suite(metric, omega, holo_split=None):
     if holo_split is None:
         return out
     n = holo_split
-    dim, cutoff = metric.dim, metric.cutoff
-    alg = Algebra(dim, cutoff)
+    alg = Algebra(metric.dim, metric.cutoff)
     pot = metric.logdet_half
 
     def quad_report(name, indices):
         # [H_L sum :SB^a Psi_a:] closes on the weight-one shape up to
         # a lambda chi correction by the potential gradient
-        x = nf_sum([nf_mul(alg.SB(a), alg.Psi(a)) for a in indices],
-                   dim, cutoff)
+        x = nf_sum([nf_mul(alg.SB(a), alg.Psi(a)) for a in indices])
         grad = nf_sum([nf_mul(alg.coeff_nf(pot.partial(a)), alg.SB(a))
-                       for a in indices], dim, cutoff)
-        diff = hp_combine(dim, cutoff, lambda_bracket(h, x).triples()
+                       for a in indices])
+        diff = hp_combine(lambda_bracket(h, x).triples()
                           + primary_rhs(x, 2).triples(-1)
                           + [((1, 1, 0, 0), 1, grad)])
         return fold(name, [(None, diff)])
 
     out.append(quad_report("n2/holomorphic-quadratic", range(1, n + 1)))
     out.append(quad_report("n2/antiholomorphic-quadratic",
-                           range(n + 1, dim + 1)))
+                           range(n + 1, metric.dim + 1)))
     return out
 
 
@@ -166,7 +164,7 @@ def random_state(rng, alg, parity, max_monos=2, max_factors=2,
                               rng.choice((0, 0, 1)))
                 nf = nf_mul(nf, alg.nf_gen(g.kind, g.index, g.t, g.s))
             monos.append(nf)
-        state = nf_sum(monos, dim, cutoff)
+        state = nf_sum(monos)
         if state.parity() == parity:
             return state
     raise RuntimeError("could not draw a homogeneous state")

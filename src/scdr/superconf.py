@@ -11,8 +11,8 @@ StructureReport with fold.
 
 from __future__ import annotations
 
-from .scalars import QI, ZERO, CoeffFunction, render_qi, _min_exact
-from .terms import (NormalForm, HPoly, apply_S, apply_T, hp_combine,
+from .scalars import QI, ZERO, render_qi, _min_exact
+from .terms import (NormalForm, HPoly, nf_one, apply_S, apply_T, hp_combine,
                     hp_sub, render_hpoly, render_nf)
 from .bracket import lambda_bracket
 
@@ -131,17 +131,15 @@ def _split_central(p, mono):
     const = cf.constant_term()
     if not const:
         return ZERO, p
-    dim, cutoff = p.dim, p.cutoff
-    removal = HPoly(dim, cutoff, {mono: NormalForm(
-        dim, cutoff, {(): CoeffFunction.constant(dim, cutoff, const)})})
-    return const, hp_sub(p, removal)
+    return const, hp_combine(p.triples()
+                             + [(mono, -const, nf_one(cf.dim, cf.cutoff))])
 
 
 def primary_rhs(x, lam):
     """(2T + lam lambda + chi S) x as a Lambda-polynomial: the bracket
     of the NS current with a primary state x of conformal weight lam/2,
     and with the current itself for lam = 3."""
-    return hp_combine(x.dim, x.cutoff, [
+    return hp_combine([
         ((0, 0, 0, 0), 2, apply_T(x)),
         ((1, 0, 0, 0), lam, x),
         ((0, 1, 0, 0), 1, apply_S(x)),
@@ -176,8 +174,7 @@ def check_n2(h, j, name="n2"):
         raise ValueError("J must be even")
     ns = check_ns(h, name="%s/ns" % name)
     r1 = hp_sub(lambda_bracket(h, j), primary_rhs(j, 2))
-    r2 = hp_combine(h.dim, h.cutoff,
-                    lambda_bracket(j, j).triples() + [((0, 0, 0, 0), 1, h)])
+    r2 = hp_combine(lambda_bracket(j, j).triples() + [((0, 0, 0, 0), 1, h)])
     cneg3, r2 = _split_central(r2, (1, 1, 0, 0))
     c = -(cneg3 * QI(3))
     return fold(name, [
@@ -190,7 +187,7 @@ def check_n2(h, j, name="n2"):
 
 def charged_rhs(x, eps):
     """eps (S + 2 chi) x as a Lambda-polynomial, eps a scalar."""
-    return hp_combine(x.dim, x.cutoff, [
+    return hp_combine([
         ((0, 0, 0, 0), eps, apply_S(x)),
         ((0, 1, 0, 0), 2 * eps, x),
     ])

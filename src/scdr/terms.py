@@ -11,6 +11,11 @@ canonical order, and odd factors never repeat (even factors may).  An
 underived B^i is absorbed into the coefficient as the coordinate
 function x_i, so it never appears as a factor.
 
+A state does not record its algebra: each coefficient holds the pair
+(dim, cutoff), so the functions below take none, and the few that build
+a coefficient from nothing (a unit, a coordinate, the vacuum) read the
+pair from a coefficient they already hold.
+
 Reordering uses quasi-commutativity and quasi-associativity of the
 normally ordered product, whose correction terms involve Lambda-brackets;
 the bracket module and this one are mutually recursive, so bracket
@@ -80,17 +85,19 @@ class NormalForm:
     terms maps sorted generator tuples to nonzero CoeffFunctions.
     exact_to is None for exact states, or the total degree in the B
     variables through which the stored coefficients are certified.
+    A state does not record its algebra, (dim, cutoff): its
+    coefficients do, so the zero state of every algebra is one value.
     """
 
-    __slots__ = ("dim", "cutoff", "terms", "exact_to")
+    __slots__ = ("terms", "exact_to")
 
-    def __init__(self, dim, cutoff, terms, exact_to=None):
+    def __init__(self, terms, exact_to=None):
         clean = {}
         for gens, cf in terms.items():
             exact_to = _min_exact(exact_to, cf.exact_to)
             if not cf.is_zero():
                 clean[gens] = cf
-        _fill_nf(self, dim, cutoff, clean, exact_to)
+        _fill_nf(self, clean, exact_to)
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalForm is immutable")
@@ -98,9 +105,7 @@ class NormalForm:
     def __eq__(self, other):
         if not isinstance(other, NormalForm):
             return NotImplemented
-        return (self.dim == other.dim and self.cutoff == other.cutoff
-                and self.terms == other.terms
-                and self.exact_to == other.exact_to)
+        return self.terms == other.terms and self.exact_to == other.exact_to
 
     def __repr__(self):
         return "NormalForm(%s)" % render_nf(self)
@@ -126,32 +131,25 @@ class NormalForm:
         return sorted(self.terms.items())
 
 
-def _fill_nf(nf, dim, cutoff, terms, exact_to):
-    object.__setattr__(nf, "dim", dim)
-    object.__setattr__(nf, "cutoff", cutoff)
+def _fill_nf(nf, terms, exact_to):
     object.__setattr__(nf, "terms", terms)
     object.__setattr__(nf, "exact_to", exact_to)
     return nf
 
 
-def nf_zero(dim, cutoff):
-    return NormalForm(dim, cutoff, {})
+def nf_zero():
+    return NormalForm({})
 
 
 def nf_one(dim, cutoff):
-    return nf_scalar(dim, cutoff, ONE)
+    return NormalForm({(): unit_cf(dim, cutoff)})
 
 
-def nf_scalar(dim, cutoff, q):
-    return NormalForm(dim, cutoff,
-                      {(): CoeffFunction.constant(dim, cutoff, q)})
+def nf_mono(cf, gens):
+    return NormalForm({tuple(gens): cf})
 
 
-def nf_mono(dim, cutoff, cf, gens):
-    return NormalForm(dim, cutoff, {tuple(gens): cf})
-
-
-def nf_combine(dim, cutoff, pairs, exact_to=None):
+def nf_combine(pairs, exact_to=None):
     """The state sum of q * state over (q, state) pairs, in one pass.
 
     This is where every sum folds its degree markers.  The sum starts
@@ -194,34 +192,35 @@ def nf_combine(dim, cutoff, pairs, exact_to=None):
             else:
                 exact_to = _min_exact(exact_to, cf.exact_to)
                 del terms[gens]
-    return _fill_nf(object.__new__(NormalForm), dim, cutoff, terms, exact_to)
+    return _fill_nf(object.__new__(NormalForm), terms, exact_to)
 
 
 def nf_add(a, b):
-    return nf_combine(a.dim, a.cutoff, ((ONE, a), (ONE, b)))
+    return nf_combine(((ONE, a), (ONE, b)))
 
 
 def nf_neg(a):
-    return nf_combine(a.dim, a.cutoff, ((-ONE, a),))
+    return nf_combine(((-ONE, a),))
 
 
 def nf_sub(a, b):
-    return nf_combine(a.dim, a.cutoff, ((ONE, a), (-ONE, b)))
+    return nf_combine(((ONE, a), (-ONE, b)))
 
 
 def nf_scale(a, q):
-    return nf_combine(a.dim, a.cutoff, ((q, a),))
+    return nf_combine(((q, a),))
 
 
-def nf_sum(items, dim, cutoff):
-    return nf_combine(dim, cutoff, ((ONE, it) for it in items))
+def nf_sum(items):
+    return nf_combine((ONE, it) for it in items)
 
 
 # -- the normally ordered product -------------------------------------
 #
 # mono arguments below are pairs (cf, gens) with gens a tuple of
 # Generators; they denote the left-nested product (((cf g_1) g_2) ...).
-# Caches are keyed on these pairs plus (dim, cutoff).
+# Caches are keyed on these pairs alone: they keep the states of two
+# algebras apart because CoeffFunction equality covers dim and cutoff.
 
 _MUL_CACHE = {}
 _GEN_CACHE = {}
@@ -234,9 +233,9 @@ def clear_caches():
     bracket.clear_caches()
 
 
-def mono_mul(dim, cutoff, m1, m2):
+def mono_mul(m1, m2):
     """Normally ordered product of two monomials, as a NormalForm."""
-    key = (dim, cutoff, m1, m2)
+    key = (m1, m2)
     hit = _MUL_CACHE.get(key)
     if hit is not None:
         return hit
@@ -246,61 +245,57 @@ def mono_mul(dim, cutoff, m1, m2):
         # m2 = rest . h: use a(bc) = (ab)c - quasi-associativity terms
         rest = (f2, g2[:-1])
         h = g2[-1]
-        prod = nf_apply_gen(dim, cutoff, mono_mul(dim, cutoff, m1, rest), h)
-        out = nf_sub(prod, qa_terms(dim, cutoff, m1, rest, h))
+        out = nf_sub(nf_apply_gen(mono_mul(m1, rest), h),
+                     qa_terms(m1, rest, h))
     elif g1:
         # m2 is a pure coefficient (even): commute it to the left,
         # m1 f2 = f2 m1 + integral of [m1_Lambda f2]
-        swapped = mono_mul(dim, cutoff, (f2, ()), m1)
-        out = nf_add(swapped, qc_integral(dim, cutoff, m1, m2))
+        out = nf_add(mono_mul((f2, ()), m1), qc_integral(m1, m2))
     else:
-        out = nf_mono(dim, cutoff, f1 * f2, ())
+        out = nf_mono(f1 * f2, ())
     _MUL_CACHE[key] = out
     return out
 
 
-def nf_apply_gen(dim, cutoff, nf, h):
-    return nf_combine(dim, cutoff,
-                      [(ONE, nf_mul_gen(dim, cutoff, (cf, gens), h))
+def nf_apply_gen(nf, h):
+    return nf_combine([(ONE, nf_mul_gen((cf, gens), h))
                        for gens, cf in nf.terms.items()], nf.exact_to)
 
 
-def nf_mul_gen(dim, cutoff, mono, h):
+def nf_mul_gen(mono, h):
     """Right-multiply a monomial by a single derived generator."""
-    key = (dim, cutoff, mono, h)
+    key = (mono, h)
     hit = _GEN_CACHE.get(key)
     if hit is not None:
         return hit
-    out = _nf_mul_gen(dim, cutoff, mono, h)
+    out = _nf_mul_gen(mono, h)
     _GEN_CACHE[key] = out
     return out
 
 
-def _nf_mul_gen(dim, cutoff, mono, h):
+def _nf_mul_gen(mono, h):
     f, gens = mono
     if h.is_coordinate():
-        xi = CoeffFunction.coordinate(dim, cutoff, h.index)
-        return mono_mul(dim, cutoff, mono, (xi, ()))
+        xi = CoeffFunction.coordinate(f.dim, f.cutoff, h.index)
+        return mono_mul(mono, (xi, ()))
     if not gens or _in_order(gens[-1], h):
-        return nf_mono(dim, cutoff, f, gens + (h,))
+        return nf_mono(f, gens + (h,))
     # [g_Lambda h] of two derived generators is a scalar times the
     # vacuum, which T kills: the quasi-commutativity integral vanishes
     # and leaves only the marker of f on the product
     g = gens[-1]
     rest = (f, gens[:-1])
-    one = unit_cf(dim, cutoff)
+    one = unit_cf(f.dim, f.cutoff)
     if g == h:
         # odd square: (rest g) g = qa(rest, g, g)
-        return nf_combine(dim, cutoff,
-                          [(ONE, qa_terms(dim, cutoff, rest, (one, (g,)), g))],
+        return nf_combine([(ONE, qa_terms(rest, (one, (g,)), g))],
                           f.exact_to)
     # h < g: (rest g) h = +-(rest h) g -+ qa(rest, h, g) + qa(rest, g, h)
     sign = QI((-1) ** (g.parity() * h.parity()))
-    swapped = nf_apply_gen(dim, cutoff, nf_mul_gen(dim, cutoff, rest, h), g)
-    return nf_combine(dim, cutoff, [
-        (sign, swapped),
-        (-sign, qa_terms(dim, cutoff, rest, (one, (h,)), g)),
-        (ONE, qa_terms(dim, cutoff, rest, (one, (g,)), h))], f.exact_to)
+    return nf_combine([
+        (sign, nf_apply_gen(nf_mul_gen(rest, h), g)),
+        (-sign, qa_terms(rest, (one, (h,)), g)),
+        (ONE, qa_terms(rest, (one, (g,)), h))], f.exact_to)
 
 
 def _in_order(g, h):
@@ -314,22 +309,20 @@ def unit_cf(dim, cutoff):
 
 def nf_mul(a, b):
     """Normally ordered product of two states (bilinear over Q(i))."""
-    dim, cutoff = a.dim, a.cutoff
-    return nf_combine(dim, cutoff,
-                      [(ONE, mono_mul(dim, cutoff, (c1, g1), (c2, g2)))
+    return nf_combine([(ONE, mono_mul((c1, g1), (c2, g2)))
                        for g1, c1 in a.terms.items()
                        for g2, c2 in b.terms.items()],
                       _min_exact(a.exact_to, b.exact_to))
 
 
-def qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
+def qa_terms(a_mono, b_mono, c_gen):
     """Quasi-associativity correction (ab)c - a(bc) for monomials a, b
     and a single generator c."""
     from .bracket import bracket_mono
-    one = unit_cf(dim, cutoff)
-    c_nf_mono = (one, (c_gen,))
-    pb = bracket_mono(dim, cutoff, b_mono, c_nf_mono)
-    pa = bracket_mono(dim, cutoff, a_mono, c_nf_mono)
+    f = a_mono[0]
+    c_nf_mono = (unit_cf(f.dim, f.cutoff), (c_gen,))
+    pb = bracket_mono(b_mono, c_nf_mono)
+    pa = bracket_mono(a_mono, c_nf_mono)
     pa_par = gens_parity(a_mono[1])
     pb_par = gens_parity(b_mono[1])
     sign = QI((-1) ** (pa_par * pb_par))
@@ -337,8 +330,8 @@ def qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
     # T^(j+1) a / (j+1) pairs with the lambda^j chi coefficient of pb,
     # T^(j+1) b / (j+1) with that of pa: each chain stops at its last use
     top_a, top_b = _top_chi_degree(pb), _top_chi_degree(pa)
-    ta = nf_mono(dim, cutoff, a_mono[0], a_mono[1])
-    tb = nf_mono(dim, cutoff, b_mono[0], b_mono[1])
+    ta = nf_mono(*a_mono)
+    tb = nf_mono(*b_mono)
     pairs = []
     for j in range(max(top_a, top_b) + 1):
         if j <= top_a:
@@ -352,7 +345,7 @@ def qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
         ca = pa.coeff((j, 1, 0, 0))
         if ca is not None and not ca.is_zero():
             pairs.append((sign * q, nf_mul(tb, ca)))
-    return nf_combine(dim, cutoff, pairs, exact)
+    return nf_combine(pairs, exact)
 
 
 def _top_chi_degree(p):
@@ -361,12 +354,12 @@ def _top_chi_degree(p):
                default=-1)
 
 
-def qc_integral(dim, cutoff, m1, m2):
+def qc_integral(m1, m2):
     """The quasi-commutativity correction: the bracket [m1_Lambda m2]
     integrated over Lambda from -grad to 0.  Only keys with chi count,
     and lambda^j chi (x) d gives (-1)^j T^{j+1} d / (j+1)."""
     from .bracket import bracket_mono
-    p = bracket_mono(dim, cutoff, m1, m2)
+    p = bracket_mono(m1, m2)
     pairs = []
     for m, nf in p.terms.items():
         j, J = _lambda_only(m)
@@ -376,7 +369,7 @@ def qc_integral(dim, cutoff, m1, m2):
         for _ in range(j + 1):
             term = apply_T(term)
         pairs.append((_qi((-1) ** j, 0, j + 1), term))
-    return nf_combine(dim, cutoff, pairs, p.exact_to())
+    return nf_combine(pairs, p.exact_to())
 
 
 # -- derivations ------------------------------------------------------
@@ -396,26 +389,25 @@ def _leibniz(nf, t, s):
     """T (t = 1) or S (s = 1) of nf by the Leibniz rule: a coefficient f
     gives d_j f T^t S^s B^j, each factor its own derivative, and S takes
     a sign past every odd factor."""
-    dim, cutoff = nf.dim, nf.cutoff
     pairs = []
     for gens, cf in nf.terms.items():
         mask = cf._variables()
-        for j in range(1, dim + 1):
+        for j in range(1, cf.dim + 1):
             if not mask >> j & 1:
                 continue
             lead = Generator(B_KIND, j, t, s)
-            pairs.append((ONE, mono_from_factors(dim, cutoff, cf.partial(j),
+            pairs.append((ONE, mono_from_factors(cf.partial(j),
                                                  (lead,) + gens)))
         sign = ONE
         for i, g in enumerate(gens):
             repl = gens[:i] + (g.d_S() if s else g.d_T(),) + gens[i + 1:]
-            pairs.append((sign, mono_from_factors(dim, cutoff, cf, repl)))
+            pairs.append((sign, mono_from_factors(cf, repl)))
             if s and g.parity():
                 sign = -sign
-    return nf_combine(dim, cutoff, pairs, nf.exact_to)
+    return nf_combine(pairs, nf.exact_to)
 
 
-def mono_from_factors(dim, cutoff, cf, factors):
+def mono_from_factors(cf, factors):
     """Left-nested normally ordered product of cf and the given
     generator factors, in the given order.  The leading run of derived
     factors already in normal order is one monomial as it stands."""
@@ -424,9 +416,9 @@ def mono_from_factors(dim, cutoff, cf, factors):
         if h.is_coordinate() or (n and not _in_order(factors[n - 1], h)):
             break
         n += 1
-    nf = nf_mono(dim, cutoff, cf, factors[:n])
+    nf = nf_mono(cf, factors[:n])
     for h in factors[n:]:
-        nf = nf_apply_gen(dim, cutoff, nf, h)
+        nf = nf_apply_gen(nf, h)
     return nf
 
 
@@ -440,16 +432,14 @@ class HPoly:
     tuples of scalars.hmono_*.
     """
 
-    __slots__ = ("dim", "cutoff", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, dim, cutoff, terms):
+    def __init__(self, terms):
         clean = {}
         for m, nf in terms.items():
             if nf.is_zero() and nf.exact_to is None:
                 continue
             clean[m] = nf
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -458,8 +448,7 @@ class HPoly:
     def __eq__(self, other):
         if not isinstance(other, HPoly):
             return NotImplemented
-        return (self.dim == other.dim and self.cutoff == other.cutoff
-                and self.terms == other.terms)
+        return self.terms == other.terms
 
     def __repr__(self):
         return "HPoly(%s)" % render_hpoly(self)
@@ -473,7 +462,7 @@ class HPoly:
 
     def coeff_or_zero(self, mono):
         nf = self.terms.get(mono)
-        return nf if nf is not None else nf_zero(self.dim, self.cutoff)
+        return nf if nf is not None else nf_zero()
 
     def is_zero(self):
         return all(nf.is_zero() for nf in self.terms.values())
@@ -488,11 +477,11 @@ class HPoly:
         return e
 
 
-def hp_zero(dim, cutoff):
-    return HPoly(dim, cutoff, {})
+def hp_zero():
+    return HPoly({})
 
 
-def hp_combine(dim, cutoff, triples, exact_to=None):
+def hp_combine(triples, exact_to=None):
     """The bracket value sum of q * key * state over (key, q, state)
     triples: the pairs of each key summed by nf_combine, in the order
     given.  A marker exact_to joins the sum at the constant key last."""
@@ -501,24 +490,22 @@ def hp_combine(dim, cutoff, triples, exact_to=None):
         groups.setdefault(m, []).append((q, nf))
     if exact_to is not None:
         groups.setdefault(HMONO_ONE, [])
-    return HPoly(dim, cutoff, {
-        m: nf_combine(dim, cutoff, pairs,
-                      exact_to if m == HMONO_ONE else None)
-        for m, pairs in groups.items()})
+    return HPoly({m: nf_combine(pairs, exact_to if m == HMONO_ONE else None)
+                  for m, pairs in groups.items()})
 
 
 def hp_add(a, b):
-    return hp_combine(a.dim, a.cutoff, a.triples() + b.triples())
+    return hp_combine(a.triples() + b.triples())
 
 
 def hp_sub(a, b):
-    return hp_combine(a.dim, a.cutoff, a.triples() + b.triples(-ONE))
+    return hp_combine(a.triples() + b.triples(-ONE))
 
 
 def hp_nf_mul_left(p, b, b_parity):
     """Multiply every coefficient state on the left by the homogeneous
     state b; b passes the odd chi variables with the Koszul sign."""
-    return hp_combine(p.dim, p.cutoff, [
+    return hp_combine([
         (m, -ONE if b_parity and hmono_parity(m) else ONE, nf_mul(b, nf))
         for m, nf in p.terms.items()])
 
@@ -551,7 +538,7 @@ class Algebra:
         self.cutoff = cutoff
 
     def zero(self):
-        return nf_zero(self.dim, self.cutoff)
+        return nf_zero()
 
     def one(self):
         return nf_one(self.dim, self.cutoff)
@@ -562,9 +549,8 @@ class Algebra:
     def nf_gen(self, kind, index, t=0, s=0):
         g = Generator(kind, index, t, s)
         if g.is_coordinate():
-            return nf_mono(self.dim, self.cutoff, self.coordinate(index), ())
-        return nf_mono(self.dim, self.cutoff,
-                       unit_cf(self.dim, self.cutoff), (g,))
+            return nf_mono(self.coordinate(index), ())
+        return nf_mono(unit_cf(self.dim, self.cutoff), (g,))
 
     def B(self, i):
         return self.nf_gen(B_KIND, i)
@@ -585,7 +571,7 @@ class Algebra:
         return self.nf_gen(PSI_KIND, i, 1, 0)
 
     def coeff_nf(self, cf):
-        return nf_mono(self.dim, self.cutoff, cf, ())
+        return nf_mono(cf, ())
 
     def normalize(self, nf):
         """Return nf: the parser builds states in normal form already.
@@ -630,17 +616,8 @@ def _render_mono_addends(cf, gens):
         return [core]
     core = gen_parts[0] if len(gen_parts) == 1 else \
         ":%s:" % " ".join(gen_parts)
-    q = cf.constant_term()
-    a, b, d = q.a, q.b, q.d
-    out = []
-    if a:
-        out.append(core if a == d else "%s * %s" % (_ratio(a, d), core))
-    if b:
-        if b == d:
-            out.append("i * %s" % core)
-        else:
-            out.append("%s * i * %s" % (_ratio(b, d), core))
-    return out
+    return [core if s == "1" else "%s * %s" % (s, core)
+            for s in _scalar_addends(cf.constant_term())]
 
 
 def _join_addends(addends):

@@ -33,7 +33,7 @@ LAM2CHI = (2, 1, 0, 0)
 
 
 def hp(alg, items):
-    return hp_combine(alg.dim, alg.cutoff, [(m, 1, nf) for m, nf in items])
+    return hp_combine([(m, 1, nf) for m, nf in items])
 
 
 def assert_hp_zero(p):
@@ -56,7 +56,7 @@ def hp_mul_mono(p, mono, extraction_parity=True):
     for m, nf in p.terms.items():
         sign, prod = hmono_mul(mono, m)
         triples.append((prod, QI(1) if sign == flip else QI(-1), nf))
-    return hp_combine(p.dim, p.cutoff, triples)
+    return hp_combine(triples)
 
 
 def hp_neg(p):
@@ -64,7 +64,7 @@ def hp_neg(p):
 
 
 def hp_scale(p, q):
-    return hp_combine(p.dim, p.cutoff, p.triples(q))
+    return hp_combine(p.triples(q))
 
 
 def hp_mul_lambda(p):
@@ -72,8 +72,7 @@ def hp_mul_lambda(p):
 
 
 def hp_op_T(p):
-    return HPoly(p.dim, p.cutoff,
-                 {m: apply_T(nf) for m, nf in p.terms.items()})
+    return HPoly({m: apply_T(nf) for m, nf in p.terms.items()})
 
 
 def hp_op_S(p):
@@ -85,7 +84,7 @@ def hp_op_S(p):
                         apply_S(nf)))
         if J:
             triples.append(((j + 1, 0, k, K), QI(2), nf))
-    return hp_combine(p.dim, p.cutoff, triples)
+    return hp_combine(triples)
 
 
 def hp_op_lambda_plus_T(p, repeat=1):
@@ -106,19 +105,17 @@ def stepwise_atomic(alg, m1, m2):
     [a_L S b] = -(-1)^{p(a)} (S + chi) [a_L b], one at a time."""
     (f1, g1), (f2, g2) = m1, m2
     if not g1:
-        return hp_zero(alg.dim, alg.cutoff)
+        return hp_zero()
     x = g1[0]
     if not g2:
-        p = hp_zero(alg.dim, alg.cutoff)
+        p = hp_zero()
         if x.kind == PSI_KIND:
-            p = HPoly(alg.dim, alg.cutoff,
-                      {ONE: nf_mono(alg.dim, alg.cutoff,
-                                    f2.partial(x.index), ())})
+            p = HPoly({ONE: nf_mono(f2.partial(x.index), ())})
     else:
         y = g2[0]
-        p = hp_zero(alg.dim, alg.cutoff)
+        p = hp_zero()
         if x.kind != y.kind and x.index == y.index:
-            p = HPoly(alg.dim, alg.cutoff, {ONE: alg.one()})
+            p = HPoly({ONE: alg.one()})
         if y.s:
             p = hp_op_chi_plus_S(p)
             if x.kind == B_KIND:
@@ -136,13 +133,13 @@ def stepwise_skew(p, parity_a, parity_b):
     (-1)^{k+K+p(a)p(b)} (lambda+T)^k (chi+S)^K c."""
     triples = []
     for (k, K, _, _), nf in p.terms.items():
-        q = HPoly(p.dim, p.cutoff, {ONE: nf})
+        q = HPoly({ONE: nf})
         if K:
             q = hp_op_chi_plus_S(q)
         q = hp_op_lambda_plus_T(q, repeat=k)
         triples += q.triples(QI(-1) if (k + K + parity_a * parity_b) & 1
                              else QI(1))
-    return hp_combine(p.dim, p.cutoff, triples)
+    return hp_combine(triples)
 
 
 def stepwise_bracket(alg, a, b):
@@ -158,7 +155,7 @@ def stepwise_bracket(alg, a, b):
                           gens_parity(g2), 0)
     marker = min((e for e in (a.exact_to, b.exact_to) if e is not None),
                  default=None)
-    return hp_combine(alg.dim, alg.cutoff, p.triples(), marker)
+    return hp_combine(p.triples(), marker)
 
 
 # The Gamma-pair stages of the Wick integral and of the Jacobi defect:
@@ -174,7 +171,7 @@ def hp_reindex_to_gamma(p):
     for (j, J, k, K), nf in p.terms.items():
         assert not (k or K)
         out[(0, 0, j, J)] = nf
-    return HPoly(p.dim, p.cutoff, out)
+    return HPoly(out)
 
 
 def hp_subst_gamma_plus_lambda(p):
@@ -187,7 +184,7 @@ def hp_subst_gamma_plus_lambda(p):
             for w in odd:
                 sign, mono = hmono_mul((j + i, J, k - i, 0), w)
                 triples.append((mono, QI(sign * comb(k, i)), nf))
-    return hp_combine(p.dim, p.cutoff, triples)
+    return hp_combine(triples)
 
 
 def hp_integrate_wick(p):
@@ -195,7 +192,7 @@ def hp_integrate_wick(p):
 
     Keys with no eta die; for the others eta is removed (a sign for
     passing chi) and gamma^k becomes lambda^{k+1}/(k+1)."""
-    return hp_combine(p.dim, p.cutoff, [
+    return hp_combine([
         ((j + k + 1, J, 0, 0), QI(-1 if J else 1) / QI(k + 1), nf)
         for (j, J, k, K), nf in p.terms.items() if K], p.exact_to())
 
@@ -213,14 +210,13 @@ def bracket_into(x, px, p, to_gamma):
         q = hp_mul_mono(q, m, extraction_parity=False)
         triples += q.triples(QI(-1) if hmono_parity(m) and not px & 1
                              else QI(1))
-    return hp_combine(p.dim, p.cutoff, triples)
+    return hp_combine(triples)
 
 
 def stepwise_wick_tail(ab, ac, pa, b, pb, c):
     """The Wick terms of [a_L :b c:] after [a_L b] c, from ab = [a_L b]
     and ac = [a_L c]: (-1)^{(p(a)+1) p(b)} b [a_L c] plus the integral
     of [[a_L b]_Gamma c] from 0 to Lambda."""
-    dim, cutoff = ab.dim, ab.cutoff
     t2 = hp_nf_mul_left(ac, b, pb)
     t3 = []
     for m, d_nf in ab.terms.items():
@@ -228,9 +224,8 @@ def stepwise_wick_tail(ab, ac, pa, b, pb, c):
         if inner.terms:
             t3 += hp_mul_mono(hp_reindex_to_gamma(inner), m,
                               extraction_parity=True).triples()
-    t3 = hp_integrate_wick(hp_combine(dim, cutoff, t3))
-    return hp_combine(dim, cutoff,
-                      t2.triples(QI(-1) if ((pa + 1) * pb) & 1 else QI(1))
+    t3 = hp_integrate_wick(hp_combine(t3))
+    return hp_combine(t2.triples(QI(-1) if ((pa + 1) * pb) & 1 else QI(1))
                       + t3.triples())
 
 
@@ -238,8 +233,7 @@ def stepwise_wick(a, b, c):
     """[a_L :b c:] assembled from the three Wick terms: [a_L b] c, then
     the stepwise tail."""
     ab = lambda_bracket(a, b)
-    head = HPoly(a.dim, a.cutoff,
-                 {m: nf_mul(nf, c) for m, nf in ab.terms.items()})
+    head = HPoly({m: nf_mul(nf, c) for m, nf in ab.terms.items()})
     return hp_add(head, stepwise_wick_tail(ab, lambda_bracket(a, c),
                                            a.parity(), b, b.parity(), c))
 
@@ -247,7 +241,6 @@ def stepwise_wick(a, b, c):
 def stepwise_jacobi_defect(a, b, c):
     """[a_L [b_G c]] + (-1)^{p(a)} [[a_L b]_{G+L} c]
     - (-1)^{(p(a)+1)(p(b)+1)} [b_G [a_L c]], one stage at a time."""
-    dim, cutoff = a.dim, a.cutoff
     pa, pb = a.parity(), b.parity()
     x1 = bracket_into(a, pa, hp_reindex_to_gamma(lambda_bracket(b, c)),
                       False)
@@ -256,9 +249,9 @@ def stepwise_jacobi_defect(a, b, c):
         q = hp_subst_gamma_plus_lambda(
             hp_reindex_to_gamma(lambda_bracket(d_nf, c)))
         x2 += hp_mul_mono(q, m, extraction_parity=True).triples()
-    x2 = hp_combine(dim, cutoff, x2)
+    x2 = hp_combine(x2)
     x3 = bracket_into(b, pb, lambda_bracket(a, c), True)
-    return hp_combine(dim, cutoff, x1.triples()
+    return hp_combine(x1.triples()
                       + x2.triples(QI(-1) if pa & 1 else QI(1))
                       + x3.triples(QI(1) if (pa + 1) * (pb + 1) & 1
                                    else QI(-1)))
@@ -356,11 +349,10 @@ def _table_states(dim, kind, index):
             for c in TABLE_SCALARS:
                 cf = _table_coeff(dim, c)
                 if g.is_coordinate():
-                    out.append(nf_mono(dim, TABLE_CUTOFF,
-                                       cf * CoeffFunction.coordinate(
-                                           dim, TABLE_CUTOFF, index), ()))
+                    out.append(nf_mono(cf * CoeffFunction.coordinate(
+                        dim, TABLE_CUTOFF, index), ()))
                 else:
-                    out.append(nf_mono(dim, TABLE_CUTOFF, cf, (g,)))
+                    out.append(nf_mono(cf, (g,)))
     return out
 
 
@@ -419,7 +411,7 @@ def _skew_cases():
     cases += [(lambda_bracket(h, h), 1, 1), (lambda_bracket(h, tsp), 1, 1),
               (lambda_bracket(tsp, h), 1, 1), (lambda_bracket(h, pot), 1, 0)]
     # T kills the constant at lambda before lambda^2 opens the key 1
-    cases.append((HPoly(1, 8, {LAM: alg.one(), LAM2: alg.TB(1)}), 0, 0))
+    cases.append((HPoly({LAM: alg.one(), LAM2: alg.TB(1)}), 0, 0))
     return cases
 
 
@@ -743,7 +735,7 @@ def _draw_monomial(draw, dim, b_indices, psi_indices):
         terms[tuple(e)] = QI(draw(st.integers(-3, 3)),
                              draw(st.integers(-1, 1)))
     cf = CoeffFunction(dim, SUPPORT_CUTOFF, terms)
-    return mono_from_factors(dim, SUPPORT_CUTOFF, cf, gens)
+    return mono_from_factors(cf, gens)
 
 
 @st.composite
@@ -778,17 +770,15 @@ def test_truncated_coefficient_keeps_its_marker():
     alg = Algebra(2, 4)
     f = CoeffFunction(2, 4, {(0, 1): 1, (0, 2): 1}, exact_to=3)
     const = CoeffFunction(2, 4, {(0, 0): 1}, exact_to=3)
-    marker = HPoly(2, 4, {ONE: NormalForm(2, 4, {}, 2)})
+    marker = HPoly({ONE: NormalForm({}, 2)})
     f_nf, const_nf = alg.coeff_nf(f), alg.coeff_nf(const)
     assert lambda_bracket(alg.Psi(1), f_nf) == marker
     assert lambda_bracket(f_nf, alg.Psi(1)) == marker
     assert lambda_bracket(alg.Psi(1), const_nf) == marker
     assert lambda_bracket(const_nf, alg.Psi(1)) == \
-        HPoly(2, 4, {ONE: NormalForm(2, 4, {}, 3)})
+        HPoly({ONE: NormalForm({}, 3)})
     df = CoeffFunction(2, 4, {(0, 0): 1, (0, 1): 2}, exact_to=2)
-    assert apply_T(f_nf) == NormalForm(
-        2, 4, {(Generator(B_KIND, 2, 1, 0),): df}, 2)
-    assert apply_S(f_nf) == NormalForm(
-        2, 4, {(Generator(B_KIND, 2, 0, 1),): df}, 2)
-    assert apply_T(const_nf) == NormalForm(2, 4, {}, 2)
-    assert apply_S(const_nf) == NormalForm(2, 4, {}, 2)
+    assert apply_T(f_nf) == NormalForm({(Generator(B_KIND, 2, 1, 0),): df}, 2)
+    assert apply_S(f_nf) == NormalForm({(Generator(B_KIND, 2, 0, 1),): df}, 2)
+    assert apply_T(const_nf) == NormalForm({}, 2)
+    assert apply_S(const_nf) == NormalForm({}, 2)

@@ -71,7 +71,7 @@ def test_flat_kaehler_n2(n):
 def test_n2_rejects_zero_current():
     metric = MetricData.flat_complexified(1, 6)
     h = build_H(metric)
-    rep = check_n2(h, nf_zero(2, 6))
+    rep = check_n2(h, nf_zero())
     assert not rep.verdict
 
 

@@ -229,8 +229,7 @@ def draw_state(draw, dim, cutoff):
     markers = fold_markers(cutoff)
     keys = draw(st.lists(st.sampled_from(fold_gens(dim)), max_size=3,
                          unique=True))
-    return NormalForm(dim, cutoff,
-                      {g: draw_coeff(draw, dim, cutoff, draw(markers))
+    return NormalForm({g: draw_coeff(draw, dim, cutoff, draw(markers))
                        for g in keys}, draw(markers))
 
 
@@ -252,7 +251,7 @@ def fold_cases(draw):
 
     pairs = [(draw(fold_scalars), state())
              for _ in range(draw(st.integers(0, 3)))]
-    truncated = NormalForm(dim, cutoff, {}, draw(st.integers(0, cutoff)))
+    truncated = NormalForm({}, draw(st.integers(0, cutoff)))
     pairs.insert(draw(st.integers(0, len(pairs))),
                  (QI(0), draw(st.sampled_from([truncated, state()]))))
     # cancel the running coefficient of one monomial under a marker
@@ -260,26 +259,25 @@ def fold_cases(draw):
     running = reference_fold(pairs)[0].get(g)
     if running is None:
         running = coeff(None)
-        pairs.append((QI(1), NormalForm(dim, cutoff, {g: running})))
+        pairs.append((QI(1), NormalForm({g: running})))
     cut = CoeffFunction(dim, cutoff, running.terms,
                         draw(st.integers(0, cutoff)))
-    pairs.append((QI(-1), NormalForm(dim, cutoff, {g: cut})))
+    pairs.append((QI(-1), NormalForm({g: cut})))
     pairs += [(draw(fold_scalars), state())
               for _ in range(draw(st.integers(0, 2)))]
     # the same monomial again, exact
-    pairs.append((draw(fold_scalars), NormalForm(dim, cutoff,
-                                                 {g: coeff(None)})))
+    pairs.append((draw(fold_scalars), NormalForm({g: coeff(None)})))
     return dim, cutoff, pairs, draw(markers)
 
 
 @settings(max_examples=150, deadline=None)
 @given(fold_cases())
 def test_sums_of_states_match_the_pairwise_fold(case):
-    dim, cutoff, pairs, start = case
-    assert_matches_fold(nf_combine(dim, cutoff, pairs, start), pairs, start)
-    marker = NormalForm(dim, cutoff, {}, start)
+    _, _, pairs, start = case
+    assert_matches_fold(nf_combine(pairs, start), pairs, start)
+    marker = NormalForm({}, start)
     scaled = [nf_scale(nf, q) for q, nf in pairs]
-    assert_matches_fold(nf_sum([marker] + scaled, dim, cutoff), pairs, start)
+    assert_matches_fold(nf_sum([marker] + scaled), pairs, start)
     assert_matches_fold(reduce(nf_add, scaled, marker), pairs, start)
     assert_matches_fold(reduce(nf_sub, [nf_scale(nf, -q) for q, nf in pairs],
                                marker), pairs, start)
@@ -303,17 +301,16 @@ def reference_hp_fold(triples):
 @settings(max_examples=100, deadline=None)
 @given(fold_cases(), st.data())
 def test_sums_of_bracket_values_match_the_per_key_fold(case, data):
-    dim, cutoff, pairs, _ = case
+    _, _, pairs, _ = case
     keys = data.draw(st.lists(st.sampled_from([(0, 0, 0, 0), (1, 1, 0, 0)]),
                               min_size=len(pairs), max_size=len(pairs)))
     triples = [(k, q, nf) for k, (q, nf) in zip(keys, pairs)]
     want = reference_hp_fold(triples)
-    sums = [hp_combine(dim, cutoff, triples)]
+    sums = [hp_combine(triples)]
     for op, sign in ((hp_add, 1), (hp_sub, -1)):
-        sums.append(reduce(op, [HPoly(dim, cutoff,
-                                      {k: nf_scale(nf, sign * q)})
+        sums.append(reduce(op, [HPoly({k: nf_scale(nf, sign * q)})
                                 for k, q, nf in triples],
-                           hp_zero(dim, cutoff)))
+                           hp_zero()))
     for got in sums:
         assert {k: (nf.terms, nf.exact_to)
                 for k, nf in got.terms.items()} == want
@@ -329,70 +326,68 @@ def test_a_sum_of_one_unit_state_matches_the_fold(relation, data):
     cutoff = data.draw(st.integers(1, 3))
     nf = draw_state(data.draw, dim, cutoff)
     if relation in ("equal", "above") and nf.exact_to is None:
-        nf = NormalForm(dim, cutoff, nf.terms,
-                        data.draw(st.integers(0, cutoff)))
+        nf = NormalForm(nf.terms, data.draw(st.integers(0, cutoff)))
     top = cutoff if nf.exact_to is None else nf.exact_to
     step = data.draw(st.integers(1, 2))
     start = {"none": None, "equal": nf.exact_to, "above": top + step,
              "below": top - step}[relation]
     pairs = [(ONE, nf)]
     for given_pairs in (pairs, tuple(pairs), iter(pairs)):
-        assert_matches_fold(nf_combine(dim, cutoff, given_pairs, start),
-                            pairs, start)
+        assert_matches_fold(nf_combine(given_pairs, start), pairs, start)
     if start is None:
-        assert_matches_fold(nf_sum([nf], dim, cutoff), pairs)
+        assert_matches_fold(nf_sum([nf]), pairs)
 
 
 def test_a_lone_unit_state_whose_marker_holds_is_the_sum(alg):
     nf = parse(":S B1 Psi2: + T Psi1", alg)
-    marked = NormalForm(2, 6, nf.terms, 3)
-    assert nf_combine(2, 6, [(ONE, nf)]) is nf
-    assert nf_sum([nf], 2, 6) is nf
-    assert nf_combine(2, 6, ((ONE, marked),), 3) is marked
-    assert nf_combine(2, 6, [(ONE, marked)], 4) is marked
-    lowered = nf_combine(2, 6, [(ONE, marked)], 2)
+    marked = NormalForm(nf.terms, 3)
+    assert nf_combine([(ONE, nf)]) is nf
+    assert nf_sum([nf]) is nf
+    assert nf_combine(((ONE, marked),), 3) is marked
+    assert nf_combine([(ONE, marked)], 4) is marked
+    lowered = nf_combine([(ONE, marked)], 2)
     assert lowered is not marked and lowered.exact_to == 2
     # the unit scalar by value, and states without terms beside it
-    assert nf_combine(2, 6, [(QI(Fraction(2, 2)), nf)]) is nf
-    exact, held, low = (NormalForm(2, 6, {}, e) for e in (None, 3, 1))
+    assert nf_combine([(QI(Fraction(2, 2)), nf)]) is nf
+    exact, held, low = (NormalForm({}, e) for e in (None, 3, 1))
     assert nf_sub(nf, exact) is nf and nf_add(exact, nf) is nf
-    assert nf_combine(2, 6, [(QI(0), held), (ONE, marked),
-                             (-ONE, exact)]) is marked
+    assert nf_combine([(QI(0), held), (ONE, marked),
+                       (-ONE, exact)]) is marked
     for pairs in ([(ONE, marked), (ONE, low)], [(ONE, nf), (QI(0), low)]):
-        got = nf_combine(2, 6, pairs)
+        got = nf_combine(pairs)
         assert got.terms == nf.terms and got.exact_to == 1
     # two states with terms, or one at another scalar, are summed
-    assert nf_combine(2, 6, [(ONE, nf), (QI(0), nf)]) is not nf
-    assert nf_combine(2, 6, [(-ONE, nf), (ONE, exact)]) is not nf
+    assert nf_combine([(ONE, nf), (QI(0), nf)]) is not nf
+    assert nf_combine([(-ONE, nf), (ONE, exact)]) is not nf
 
 
 # -- products and quasi-associativity against one step at a time --------
 
 
-def reference_mono_from_factors(dim, cutoff, cf, factors):
+def reference_mono_from_factors(cf, factors):
     """The product of cf and the factors, each factor applied to the
     running product by nf_apply_gen."""
-    nf = nf_mono(dim, cutoff, cf, ())
+    nf = nf_mono(cf, ())
     for h in factors:
-        nf = nf_apply_gen(dim, cutoff, nf, h)
+        nf = nf_apply_gen(nf, h)
     return nf
 
 
-def reference_qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
+def reference_qa_terms(a_mono, b_mono, c_gen):
     """qa_terms with both T-chains advanced to the top lambda degree of
     either bracket."""
-    one = unit_cf(dim, cutoff)
+    one = unit_cf(a_mono[0].dim, a_mono[0].cutoff)
     c_nf_mono = (one, (c_gen,))
-    pb = bracket_mono(dim, cutoff, b_mono, c_nf_mono)
-    pa = bracket_mono(dim, cutoff, a_mono, c_nf_mono)
+    pb = bracket_mono(b_mono, c_nf_mono)
+    pa = bracket_mono(a_mono, c_nf_mono)
     sign = QI((-1) ** (gens_parity(a_mono[1]) * gens_parity(b_mono[1])))
     exact = _min_exact(pa.exact_to(), pb.exact_to())
     jmax = max((m[0] for m in list(pa.terms) + list(pb.terms) if m[1]),
                default=-1)
     if jmax < 0:
-        return nf_combine(dim, cutoff, (), exact)
-    ta = nf_mono(dim, cutoff, a_mono[0], a_mono[1])
-    tb = nf_mono(dim, cutoff, b_mono[0], b_mono[1])
+        return nf_combine((), exact)
+    ta = nf_mono(a_mono[0], a_mono[1])
+    tb = nf_mono(b_mono[0], b_mono[1])
     pairs = []
     for j in range(jmax + 1):
         ta = nf_scale(apply_T(ta), QI(Fraction(1, j + 1)))
@@ -404,7 +399,7 @@ def reference_qa_terms(dim, cutoff, a_mono, b_mono, c_gen):
         ca = pa.coeff((j, 1, 0, 0))
         if ca is not None and not ca.is_zero():
             pairs.append((sign, nf_mul(tb, nf_scale(ca, jfact))))
-    return nf_combine(dim, cutoff, pairs, exact)
+    return nf_combine(pairs, exact)
 
 
 def assert_same_state(got, want):
@@ -471,9 +466,9 @@ ZERO_MARKED = CoeffFunction(2, 2, {(0, 0): QI(3)}, 2).partial(1)
 @example((2, 2, TRUNCATED_X1, (SB1, TB1, PSI2, SB2)))
 @example((2, 2, ZERO_MARKED, (TB1, PSI2, PSI1)))
 def test_products_of_factors_match_one_factor_at_a_time(case):
-    dim, cutoff, cf, factors = case
-    assert_same_state(mono_from_factors(dim, cutoff, cf, factors),
-                      reference_mono_from_factors(dim, cutoff, cf, factors))
+    _, _, cf, factors = case
+    assert_same_state(mono_from_factors(cf, factors),
+                      reference_mono_from_factors(cf, factors))
 
 
 def normal_order(gens):
@@ -506,44 +501,41 @@ def qa_cases(draw):
 @example((2, 2, (X1, (SB1,)), (unit_cf(2, 2), (PSI1,)), PSI1))
 @example((2, 2, (TRUNCATED_X1, (PSI2,)), (X1, (TB1,)), SB1))
 def test_quasi_associativity_matches_both_chains_in_full(case):
-    dim, cutoff, a, b, c = case
-    assert_same_state(qa_terms(dim, cutoff, a, b, c),
-                      reference_qa_terms(dim, cutoff, a, b, c))
+    _, _, a, b, c = case
+    assert_same_state(qa_terms(a, b, c), reference_qa_terms(a, b, c))
 
 
 # -- one generator at a time against the integrals it can drop -----------
 
 
-def stepwise_nf_mul_gen(dim, cutoff, mono, h):
+def stepwise_nf_mul_gen(mono, h):
     """mono times h with the quasi-commutativity integrals of the two
     generators it reorders: (1/2) of [g_L g] for an odd square and
     [g_L h] for a swap, each multiplied onto the rest of the monomial."""
     f, gens = mono
     if h.is_coordinate():
-        xi = CoeffFunction.coordinate(dim, cutoff, h.index)
-        return terms.mono_mul(dim, cutoff, mono, (xi, ()))
+        xi = CoeffFunction.coordinate(f.dim, f.cutoff, h.index)
+        return terms.mono_mul(mono, (xi, ()))
     if not gens:
-        return nf_mono(dim, cutoff, f, (h,))
+        return nf_mono(f, (h,))
     g = gens[-1]
     if terms._in_order(g, h):
-        return nf_mono(dim, cutoff, f, gens + (h,))
+        return nf_mono(f, gens + (h,))
     rest = (f, gens[:-1])
-    rest_nf = nf_mono(dim, cutoff, f, gens[:-1])
-    one = unit_cf(dim, cutoff)
+    rest_nf = nf_mono(f, gens[:-1])
+    one = unit_cf(f.dim, f.cutoff)
     if g == h:
-        gg = nf_scale(qc_integral(dim, cutoff, (one, (g,)), (one, (g,))),
+        gg = nf_scale(qc_integral((one, (g,)), (one, (g,))),
                       QI(Fraction(1, 2)))
         return nf_add(nf_mul(rest_nf, gg),
-                      qa_terms(dim, cutoff, rest, (one, (g,)), g))
+                      qa_terms(rest, (one, (g,)), g))
     sign = QI((-1) ** (g.parity() * h.parity()))
-    swapped = nf_apply_gen(dim, cutoff,
-                           terms.nf_mul_gen(dim, cutoff, rest, h), g)
-    return nf_combine(dim, cutoff, [
+    swapped = nf_apply_gen(terms.nf_mul_gen(rest, h), g)
+    return nf_combine([
         (sign, swapped),
-        (-sign, qa_terms(dim, cutoff, rest, (one, (h,)), g)),
-        (ONE, nf_mul(rest_nf, qc_integral(dim, cutoff, (one, (g,)),
-                                          (one, (h,))))),
-        (ONE, qa_terms(dim, cutoff, rest, (one, (g,)), h))])
+        (-sign, qa_terms(rest, (one, (h,)), g)),
+        (ONE, nf_mul(rest_nf, qc_integral((one, (g,)), (one, (h,))))),
+        (ONE, qa_terms(rest, (one, (g,)), h))])
 
 
 def derived_generators(dim, top_t):
@@ -561,14 +553,14 @@ def test_integrals_of_two_generators_vanish(dim, cutoff):
     gens = derived_generators(dim, 2)
     for g in gens:
         for h in gens:
-            got = qc_integral(dim, cutoff, (one, (g,)), (one, (h,)))
+            got = qc_integral((one, (g,)), (one, (h,)))
             assert got.terms == {} and got.exact_to is None
 
 
 def test_an_odd_square_keeps_the_marker_of_its_coefficient():
     f = CoeffFunction(2, 3, {(1, 0): QI(1)}, 2)
     terms.clear_caches()
-    got = terms.nf_mul_gen(2, 3, (f, (SB1,)), SB1)
+    got = terms.nf_mul_gen((f, (SB1,)), SB1)
     assert got.terms == {} and got.exact_to == 2
 
 
@@ -591,9 +583,8 @@ def gen_cases(draw):
 @example((2, 2, (ZERO_MARKED, (SB1,)), SB1))         # an odd square
 @example((2, 2, (X1, (TB1, PSI1)), PSI1))
 def test_one_generator_matches_the_product_with_its_integrals(case):
-    dim, cutoff, mono, h = case
-    assert_same_state(terms._nf_mul_gen(dim, cutoff, mono, h),
-                      stepwise_nf_mul_gen(dim, cutoff, mono, h))
+    _, _, mono, h = case
+    assert_same_state(terms._nf_mul_gen(mono, h), stepwise_nf_mul_gen(mono, h))
 
 
 # -- memo caches ----------------------------------------------------------
@@ -651,3 +642,8 @@ def test_memo_keys_separate_algebras(order):
             assert_same_state(nf, want_bracket.terms[key])
     assert fresh[2][0].terms == {} and fresh[2][0].exact_to == 2
     assert fresh[3][0] == parse_expression(':f{"3": "1"} T B1:', 1, 3)
+
+
+def test_the_zero_state_of_every_algebra_is_one_value():
+    # a state does not record its algebra; only its coefficients do
+    assert Algebra(1, 2).zero() == Algebra(3, 5).zero()

@@ -33,9 +33,12 @@ a fresh Python process with that tree first on PYTHONPATH, in
   * `normalize` and `bracket` invocations that together use every
     production of the expression grammar (see `scdr.parser`);
   * `--scalar-ring rational` on a real sum, which prints, and on an
-    imaginary scalar, which exits 2.
+    imaginary scalar, which exits 2;
+  * four more bad inputs that exit 2 with a one-line error: the Jacobi
+    suite at `--cutoff 0`, a zero denominator, a generator index above
+    `--dim` and an exponent key of the wrong length.
 
-The stdout and exit code of each pair are compared.  Every pair that
+The stdout, stderr and exit code of each pair are compared.  Every pair that
 differs is named, with a count at the end, and the script exits 1; when
 all agree it prints one summary line and exits 0.  Standard library only; the engine does
 not import this file.
@@ -140,8 +143,12 @@ def matrix(workdir):
                ["--scalar-ring", "rational", "normalize",
                 "1/2 * T B1 + 2/4 * S Psi1"],
                ["--scalar-ring", "rational", "normalize", "1/2 * i * B1"]]
+    errors = [["--cutoff", "0", "verify", "jacobi"],
+              ["normalize", 'f{"1": "1/0"}'],
+              ["--dim", "1", "bracket", "B2", "Psi1"],
+              ["normalize", 'f{"1,0": "1"}']]
     return [["--format", fmt] + argv
-            for argv in suites + queries + grammar
+            for argv in suites + queries + grammar + errors
             for fmt in ("text", "json")]
 
 
@@ -151,8 +158,8 @@ def run(src, argv):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", RUN] + argv, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    return proc.returncode, proc.stdout
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def main(argv=None):
@@ -177,7 +184,8 @@ def main(argv=None):
     if differ:
         print("%d of %d invocations differ" % (differ, len(cases)))
         return 1
-    print("%d invocations: stdout and exit codes identical" % len(cases))
+    print("%d invocations: stdout, stderr and exit codes identical"
+          % len(cases))
     return 0
 
 
