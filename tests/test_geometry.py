@@ -102,6 +102,59 @@ def test_metric_must_be_invertible_at_base_point():
         MetricData(1, 6, [[x]])
 
 
+def test_metric_must_not_be_empty():
+    with pytest.raises(ValueError):
+        MetricData([])
+
+
+# -- entries carry (dim, cutoff) ---------------------------------------
+
+def _grid(cutoffs, dim=2):
+    """A dim x dim matrix of series, the identity at cutoffs[i][j]."""
+    return [[cf(dim, c, {(0,) * dim: int(i == j)})
+             for j, c in enumerate(row)] for i, row in enumerate(cutoffs)]
+
+
+def test_geometry_objects_read_dim_and_cutoff_off_their_entries():
+    m = MetricData(_grid([[5, 5], [5, 5]]))
+    t = EndoTensor(_grid([[5, 5], [5, 5]]))
+    ch = CoordinateChange([cf(2, 5, {(1, 0): 1}), cf(2, 5, {(0, 1): 1})])
+    assert [(o.dim, o.cutoff) for o in (m, t, ch)] == [(2, 5)] * 3
+
+
+def test_geometry_objects_reject_mixed_cutoffs():
+    mixed = _grid([[6, 6], [6, 5]])
+    with pytest.raises(ValueError):
+        MetricData(mixed)
+    with pytest.raises(ValueError):
+        EndoTensor(mixed)
+    with pytest.raises(ValueError):
+        CoordinateChange([cf(2, 6, {(1, 0): 1}), cf(2, 5, {(0, 1): 1})])
+    fwd = [cf(1, 6, {(1,): 1})]
+    with pytest.raises(ValueError):
+        CoordinateChange(fwd, [cf(1, 5, {(1,): 1})])
+
+
+def test_geometry_objects_reject_entries_of_another_dim():
+    with pytest.raises(ValueError):
+        MetricData(_grid([[6]], dim=2))
+    with pytest.raises(ValueError):
+        EndoTensor(_grid([[6]], dim=2))
+    with pytest.raises(ValueError):
+        CoordinateChange([cf(2, 6, {(1, 0): 1})])
+    with pytest.raises(ValueError):
+        CoordinateChange([cf(1, 6, {(1,): 1})], [cf(2, 6, {(1, 0): 1})])
+
+
+def test_build_j_needs_the_metric_cutoff():
+    metric = MetricData.flat(1, 4)
+    # a zero tensor used to give the zero current, a nonzero one a
+    # mismatch from deep inside the product
+    for value in (0, 1):
+        with pytest.raises(ValueError, match="the metric has"):
+            build_J(EndoTensor([[cf(1, 6, {(0,): value})]]), metric)
+
+
 def test_determinant_and_potential():
     m = curved_1d(8)
     assert m.det.terms == {(0,): QI(1), (2,): QI(1)}
