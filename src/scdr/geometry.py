@@ -5,6 +5,11 @@ series around a point.  Anything that goes through series inversion,
 logarithms or compositional inverses is certified only through the
 guaranteed degree tracked by the scalar layer; constant data stays
 exact.
+
+As with states, the series own (dim, cutoff): MetricData, EndoTensor
+and CoordinateChange read the pair off their entries, which must share
+it.  Only the builders from nothing (the flat metrics, the constant
+tensors, build_H0 and the JSON readers) take it as arguments.
 """
 
 from __future__ import annotations
@@ -22,9 +27,24 @@ from .bracket import lambda_bracket
 from .superconf import fold
 
 
-def _mat_det(M, dim, cutoff):
+def _dim_cutoff(rows, what, square=True):
+    """The (dim, cutoff) that every series in rows shares: rows is a
+    dim x dim matrix or, unless square, a list of rows of dim series.
+    An empty or misshapen grid, or entries that mix dims or cutoffs,
+    raise ValueError."""
+    pairs = {(e.dim, e.cutoff) for row in rows for e in row}
+    if len(pairs) != 1:
+        raise ValueError("%s needs series of one dim and one cutoff" % what)
+    (dim, cutoff), = pairs
+    if any(len(row) != dim for row in rows) or (square and len(rows) != dim):
+        raise ValueError("%s must be %s" % (
+            what, "%d x %d" % (dim, dim) if square else "%d series" % dim))
+    return dim, cutoff
+
+
+def _mat_det(M):
     """Determinant by minor expansion, memoized over column subsets."""
-    n = len(M)
+    n, dim, cutoff = len(M), M[0][0].dim, M[0][0].cutoff
     one = CoeffFunction.constant(dim, cutoff, ONE)
     memo = {}
 
@@ -55,9 +75,8 @@ class MetricData:
     additive constant; only its derivatives ever enter a current.
     """
 
-    def __init__(self, dim, cutoff, g):
-        if len(g) != dim or any(len(row) != dim for row in g):
-            raise ValueError("metric matrix must be %d x %d" % (dim, dim))
+    def __init__(self, g):
+        dim, cutoff = _dim_cutoff(g, "metric matrix")
         for i in range(dim):
             for j in range(i):
                 if g[i][j].terms != g[j][i].terms:
@@ -68,13 +87,12 @@ class MetricData:
             _matrix_inverse_qi(C0)
         except ValueError:
             raise ValueError("metric is singular at the base point")
-        self.dim = dim
-        self.cutoff = cutoff
+        self.dim, self.cutoff = dim, cutoff
         self.g = [list(row) for row in g]
 
     @staticmethod
     def flat(dim, cutoff):
-        return MetricData(dim, cutoff, _identity_matrix(dim, cutoff))
+        return MetricData(_identity_matrix(dim, cutoff))
 
     @staticmethod
     def flat_complexified(n, cutoff):
@@ -87,18 +105,18 @@ class MetricData:
         for a in range(n):
             g[a][n + a] = CoeffFunction.constant(dim, cutoff, 1)
             g[n + a][a] = CoeffFunction.constant(dim, cutoff, 1)
-        return MetricData(dim, cutoff, g)
+        return MetricData(g)
 
     def is_constant(self):
         return all(e.is_constant() for row in self.g for e in row)
 
     @cached_property
     def g_inverse(self):
-        return _mat_inverse(self.g, self.dim, self.cutoff)
+        return _mat_inverse(self.g)
 
     @cached_property
     def det(self):
-        return _mat_det(self.g, self.dim, self.cutoff)
+        return _mat_det(self.g)
 
     @cached_property
     def logdet_half(self):
@@ -109,28 +127,22 @@ class EndoTensor:
     """A (1,1)-tensor: omega[i][j] is the coefficient of d_j in the
     image of d_i."""
 
-    def __init__(self, dim, cutoff, omega):
-        if len(omega) != dim or any(len(row) != dim for row in omega):
-            raise ValueError("tensor matrix must be %d x %d" % (dim, dim))
-        self.dim = dim
-        self.cutoff = cutoff
+    def __init__(self, omega):
+        self.dim, self.cutoff = _dim_cutoff(omega, "tensor matrix")
         self.omega = [list(row) for row in omega]
 
     @staticmethod
     def constant(dim, cutoff, rows):
-        return EndoTensor(dim, cutoff,
-                          [[CoeffFunction.constant(dim, cutoff, v)
+        return EndoTensor([[CoeffFunction.constant(dim, cutoff, v)
                             for v in row] for row in rows])
 
     def compose(self, other):
         """self applied after other, as endomorphisms."""
-        return EndoTensor(self.dim, self.cutoff,
-                          _mat_mul(other.omega, self.omega))
+        return EndoTensor(_mat_mul(other.omega, self.omega))
 
     def scale(self, q):
         q = as_qi(q)
-        return EndoTensor(self.dim, self.cutoff,
-                          [[e.scale(q) for e in row] for row in self.omega])
+        return EndoTensor([[e.scale(q) for e in row] for row in self.omega])
 
     def squares_to_minus_id(self):
         sq = self.compose(self).omega
@@ -150,8 +162,7 @@ class EndoTensor:
         for i in range(n):
             for j in range(n):
                 acc = sum_cf([M[i][k] * G[k][l] * M[j][l]
-                              for k in range(n) for l in range(n)],
-                             self.dim, self.cutoff)
+                              for k in range(n) for l in range(n)])
                 d = acc - G[i][j]
                 if not d.is_zero_through(d.exact_to):
                     return False
@@ -161,7 +172,7 @@ class EndoTensor:
 def christoffel(metric):
     """Levi-Civita symbols as nested lists: gamma[i][j][k] carries the
     upper index i and the symmetric lower indices j, k."""
-    n, cutoff = metric.dim, metric.cutoff
+    n = metric.dim
     g, ginv = metric.g, metric.g_inverse
     half = QI(1, 0) / QI(2, 0)
     dg = [[[g[a][b].partial(c + 1) for c in range(n)] for b in range(n)]
@@ -172,7 +183,7 @@ def christoffel(metric):
             for k in range(j, n):
                 acc = sum_cf(
                     [ginv[i][l] * (dg[l][k][j] + dg[j][l][k] - dg[j][k][l])
-                     for l in range(n)], n, cutoff).scale(half)
+                     for l in range(n)]).scale(half)
                 gamma[i][j][k] = acc
                 gamma[i][k][j] = acc
     return gamma
@@ -181,21 +192,18 @@ def christoffel(metric):
 def ricci_tensor(metric):
     """Ricci curvature, provided as a diagnostic for test data that is
     supposed to be flat."""
-    n, cutoff = metric.dim, metric.cutoff
+    n = metric.dim
     gm = christoffel(metric)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            acc = sum_cf([gm[k][i][j].partial(k + 1) for k in range(n)],
-                         n, cutoff)
+            acc = sum_cf([gm[k][i][j].partial(k + 1) for k in range(n)])
             acc = acc - sum_cf([gm[k][i][k].partial(j + 1)
-                                for k in range(n)], n, cutoff)
+                                for k in range(n)])
             acc = acc + sum_cf([gm[k][k][l] * gm[l][i][j]
-                                for k in range(n) for l in range(n)],
-                               n, cutoff)
+                                for k in range(n) for l in range(n)])
             acc = acc - sum_cf([gm[k][j][l] * gm[l][i][k]
-                                for k in range(n) for l in range(n)],
-                               n, cutoff)
+                                for k in range(n) for l in range(n)])
             out[i][j] = acc
     return out
 
@@ -225,8 +233,10 @@ def build_H0(dim, cutoff):
 def build_J(omega, metric):
     """The even current (omega_i^j SB^i) Psi_j + Gamma^i_{jk} omega_i^j
     TB^k attached to a (1,1)-tensor."""
-    if omega.dim != metric.dim:
-        raise ValueError("tensor and metric dimensions differ")
+    if (omega.dim, omega.cutoff) != (metric.dim, metric.cutoff):
+        raise ValueError("the tensor has dim %d, cutoff %d; the metric has "
+                         "dim %d, cutoff %d" % (omega.dim, omega.cutoff,
+                                                metric.dim, metric.cutoff))
     alg = Algebra(metric.dim, metric.cutoff)
     gens = range(1, metric.dim + 1)
     return _j_current(omega, [alg.SB(i) for i in gens],
@@ -239,8 +249,7 @@ def _j_current(omega, sb, psi, tb, coeff, gamma):
     """The sum of build_J over the generator states sb, psi and tb, with
     coeff turning a coefficient series into a state; gamma None drops
     the connection term."""
-    n, cutoff = omega.dim, omega.cutoff
-    w = omega.omega
+    n, w = omega.dim, omega.omega
     terms = []
     for i in range(n):
         for j in range(n):
@@ -250,7 +259,7 @@ def _j_current(omega, sb, psi, tb, coeff, gamma):
     if gamma is not None:
         for k in range(n):
             ck = sum_cf([gamma[i][j][k] * w[i][j]
-                         for i in range(n) for j in range(n)], n, cutoff)
+                         for i in range(n) for j in range(n)])
             if ck.is_zero() and ck.exact_to is None:
                 continue
             terms.append(nf_mul(coeff(ck), tb[k]))
@@ -283,7 +292,7 @@ def quaternionic_triple_flat(n, cutoff):
         J_rows[half + b][a] = QI(-1)
     I = flat_complex_structure(half, cutoff)
     J = EndoTensor.constant(dim, cutoff, J_rows)
-    K = EndoTensor(dim, cutoff, _mat_mul(J.omega, I.omega))
+    K = EndoTensor(_mat_mul(J.omega, I.omega))
     return I, J, K
 
 
@@ -292,33 +301,26 @@ class CoordinateChange:
     computed when not supplied by a fixed-point iteration with the
     Jacobian frozen at the origin, which gains one degree per pass."""
 
-    def __init__(self, dim, cutoff, forward, inverse=None):
-        if len(forward) != dim:
-            raise ValueError("need %d forward components" % dim)
+    def __init__(self, forward, inverse=None):
+        self.dim, self.cutoff = dim, cutoff = _dim_cutoff(
+            [forward] if inverse is None else [forward, inverse],
+            "coordinate change", square=False)
         if inverse is None:
-            inverse = functional_inverse(forward, cutoff)
-        if len(inverse) != dim:
-            raise ValueError("need %d inverse components" % dim)
-        self.dim = dim
-        self.cutoff = cutoff
+            inverse = functional_inverse(forward)
         self.forward = list(forward)
         self.inverse = list(inverse)
-        self._pullback = None
         for i in range(dim):
             comp = self.inverse[i].compose(self.forward)
             d = comp - CoeffFunction.coordinate(dim, cutoff, i + 1)
             if not d.is_zero_through(d.exact_to):
                 raise ValueError("inverse does not invert the forward map")
 
+    @cached_property
     def pullback_jacobian(self):
-        """F[i][j] = (d f^j / d x~^i)(g(x)), as series in x; computed
-        once."""
-        if self._pullback is None:
-            n = self.dim
-            self._pullback = [[self.inverse[j].partial(i + 1)
-                               .compose(self.forward) for j in range(n)]
-                              for i in range(n)]
-        return self._pullback
+        """F[i][j] = (d f^j / d x~^i)(g(x)), as series in x."""
+        n = self.dim
+        return [[self.inverse[j].partial(i + 1).compose(self.forward)
+                 for j in range(n)] for i in range(n)]
 
 
 def transform_generators(ch):
@@ -326,7 +328,7 @@ def transform_generators(ch):
     B~^i = g^i(B) and Psi~^i = F^i_j Psi_j with F the pulled-back
     inverse Jacobian."""
     alg = Algebra(ch.dim, ch.cutoff)
-    F = ch.pullback_jacobian()
+    F = ch.pullback_jacobian
     b_new = [alg.coeff_nf(ch.forward[i]) for i in range(ch.dim)]
     psi_new = [nf_sum([nf_mul(alg.coeff_nf(F[i][j]), alg.Psi(j + 1))
                        for j in range(ch.dim)])
@@ -337,21 +339,21 @@ def transform_generators(ch):
 def pushforward_metric(ch, metric):
     """The metric in the new coordinates x~:
     g~_kl(x~) = (df^i/dx~^k)(df^j/dx~^l) g_ij(f(x~))."""
-    n, cutoff = ch.dim, ch.cutoff
+    n = ch.dim
     Jf = [[ch.inverse[i].partial(k + 1) for i in range(n)]
           for k in range(n)]
     gf = [[metric.g[i][j].compose(ch.inverse) for j in range(n)]
           for i in range(n)]
     g_new = [[sum_cf([Jf[k][i] * Jf[l][j] * gf[i][j]
-                      for i in range(n) for j in range(n)], n, cutoff)
+                      for i in range(n) for j in range(n)])
               for l in range(n)] for k in range(n)]
-    return MetricData(n, cutoff, g_new)
+    return MetricData(g_new)
 
 
 def pushforward_endotensor(ch, omega):
     """The (1,1)-tensor in the new coordinates:
     w~_k^l(x~) = (df^i/dx~^k) w_i^j(f(x~)) (dg^l/dx^j)(f(x~))."""
-    n, cutoff = ch.dim, ch.cutoff
+    n = ch.dim
     Jf = [[ch.inverse[i].partial(k + 1) for i in range(n)]
           for k in range(n)]
     Jg = [[ch.forward[l].partial(j + 1).compose(ch.inverse)
@@ -359,9 +361,9 @@ def pushforward_endotensor(ch, omega):
     wf = [[omega.omega[i][j].compose(ch.inverse) for j in range(n)]
           for i in range(n)]
     w_new = [[sum_cf([Jf[k][i] * wf[i][j] * Jg[j][l]
-                      for i in range(n) for j in range(n)], n, cutoff)
+                      for i in range(n) for j in range(n)])
               for l in range(n)] for k in range(n)]
-    return EndoTensor(n, cutoff, w_new)
+    return EndoTensor(w_new)
 
 
 def build_J_in_new_coordinates(omega, metric, ch):
@@ -394,10 +396,10 @@ def check_coordinate_change(ch):
     M^i_{rk} = (d^2 f^k / dx~^i dx~^l)(g) d_r g^l.  The last product is
     right-nested; the left-nested reading differs by a T-term whose
     cancellation is exactly the quasi-associativity correction."""
-    n, cutoff = ch.dim, ch.cutoff
-    alg = Algebra(n, cutoff)
+    n = ch.dim
+    alg = Algebra(n, ch.cutoff)
     b_new, psi_new = transform_generators(ch)
-    F = ch.pullback_jacobian()
+    F = ch.pullback_jacobian
     parts = []
     for i in range(n):
         for j in range(n):
@@ -424,7 +426,7 @@ def check_coordinate_change(ch):
         for r in range(n):
             for k in range(n):
                 m = sum_cf([hess[k][l] * ch.forward[l].partial(r + 1)
-                            for l in range(n)], n, cutoff)
+                            for l in range(n)])
                 if m.is_zero() and m.exact_to is None:
                     continue
                 terms.append(nf_mul(alg.coeff_nf(m),
@@ -528,14 +530,14 @@ def load_geometry(source):
     dim = _json_int(data, "dim", 1)
     cutoff = _json_int(data, "cutoff", 0)
     if "g" in data:
-        metric = MetricData(dim, cutoff, _series_grid(dim, cutoff, data["g"],
-                                                      "g", square=True))
+        metric = MetricData(_series_grid(dim, cutoff, data["g"], "g",
+                                         square=True))
     else:
         metric = MetricData.flat(dim, cutoff)
     tensors = {}
     for name, rows in _json_object(data.get("tensors", {}),
                                    "tensors").items():
-        tensors[name] = EndoTensor(dim, cutoff, _series_grid(
+        tensors[name] = EndoTensor(_series_grid(
             dim, cutoff, rows, "tensor %r" % name, square=True))
     changes = {}
     for name, pair in _json_object(data.get("changes", {}),
@@ -546,5 +548,5 @@ def load_geometry(source):
                                what)
         inverse = (_series_grid(dim, cutoff, pair["inverse"], what)
                    if "inverse" in pair else None)
-        changes[name] = CoordinateChange(dim, cutoff, forward, inverse)
+        changes[name] = CoordinateChange(forward, inverse)
     return GeometryInput(metric, tensors, changes)

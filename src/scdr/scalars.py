@@ -569,7 +569,7 @@ def series_inverse(f):
     the 1 x 1 case of _mat_inverse."""
     if not f.constant_term():
         raise ValueError("series has no invertible constant term")
-    return _mat_inverse([[f]], f.dim, f.cutoff)[0][0]
+    return _mat_inverse([[f]])[0][0]
 
 
 def log_series_normalized(f):
@@ -596,7 +596,7 @@ def log_series_normalized(f):
                                     f.cutoff))
 
 
-def functional_inverse(forward, cutoff=None):
+def functional_inverse(forward):
     """Compositional inverse of a coordinate change x~ = g(x).
 
     forward is a list of n series in n variables with zero constant term
@@ -609,7 +609,7 @@ def functional_inverse(forward, cutoff=None):
     dim = forward[0].dim
     if dim != n:
         raise ValueError("coordinate change must be square")
-    D = forward[0].cutoff if cutoff is None else cutoff
+    D = forward[0].cutoff
     for g in forward:
         if g.constant_term():
             raise ValueError("coordinate change must fix the origin")
@@ -619,14 +619,14 @@ def functional_inverse(forward, cutoff=None):
     Ainv = _matrix_inverse_qi(A)
     # iterate f <- f - Ainv (g(f) - id); each pass gains one degree
     coords = [CoeffFunction.coordinate(dim, D, j + 1) for j in range(dim)]
-    f = [sum_cf([coords[j].scale(Ainv[i][j]) for j in range(dim)],
-                dim, D) for i in range(dim)]
+    f = [sum_cf([coords[j].scale(Ainv[i][j]) for j in range(dim)])
+         for i in range(dim)]
     for _ in range(D + 1):
         err = [forward[i].compose(f) - coords[i] for i in range(dim)]
         if all(e.is_zero() for e in err):
             break
-        f = [f[i] - sum_cf([err[j].scale(Ainv[i][j]) for j in range(dim)],
-                           dim, D) for i in range(dim)]
+        f = [f[i] - sum_cf([err[j].scale(Ainv[i][j]) for j in range(dim)])
+             for i in range(dim)]
     exact = None
     for g in forward:
         exact = _min_exact(exact, g.exact_to)
@@ -638,11 +638,9 @@ def functional_inverse(forward, cutoff=None):
             for fi in f]
 
 
-def sum_cf(items, dim, cutoff):
-    acc = CoeffFunction.zero(dim, cutoff)
-    for it in items:
-        acc = acc + it
-    return acc
+def sum_cf(items):
+    """The sum of a nonempty list of series."""
+    return reduce(CoeffFunction.__add__, items)
 
 
 def _unit(dim, j):
@@ -677,18 +675,17 @@ def _identity_matrix(dim, cutoff):
 
 def _mat_mul(A, B):
     n, m, p = len(A), len(B), len(B[0])
-    dim, cutoff = A[0][0].dim, A[0][0].cutoff
-    return [[sum_cf([A[i][k] * B[k][j] for k in range(m)], dim, cutoff)
+    return [[sum_cf([A[i][k] * B[k][j] for k in range(m)])
              for j in range(p)] for i in range(n)]
 
 
-def _mat_inverse(M, dim, cutoff):
+def _mat_inverse(M):
     """Inverse of a matrix of series with invertible constant part.
 
     Nonconstant input yields a truncated result even when the exact
     inverse happens to be polynomial.
     """
-    n = len(M)
+    n, dim, cutoff = len(M), M[0][0].dim, M[0][0].cutoff
     C0 = [[M[i][j].constant_term() for j in range(n)] for i in range(n)]
     C0inv = _matrix_inverse_qi(C0)
     N = [[M[i][j] - CoeffFunction.constant(dim, cutoff, C0[i][j])

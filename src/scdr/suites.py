@@ -85,7 +85,7 @@ def raising_current(eta, half):
     zero = CoeffFunction.zero(dim, cutoff)
     block = [[eta.omega[a][b] if a < half <= b else zero
               for b in range(dim)] for a in range(dim)]
-    return build_J(EndoTensor(dim, cutoff, block),
+    return build_J(EndoTensor(block),
                    MetricData.flat(dim, cutoff))
 
 

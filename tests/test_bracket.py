@@ -640,7 +640,7 @@ def _curved_setup():
     dim, cutoff = 1, 8
     alg = Algebra(dim, cutoff)
     g11 = CoeffFunction(dim, cutoff, {(0,): QI(1), (2,): QI(1)})
-    metric = MetricData(dim, cutoff, [[g11]])
+    metric = MetricData([[g11]])
     return alg, metric
 
 

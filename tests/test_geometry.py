@@ -29,7 +29,7 @@ def cf(dim, cutoff, terms):
 
 
 def curved_1d(cutoff=8):
-    return MetricData(1, cutoff, [[cf(1, cutoff, {(0,): 1, (2,): 1})]])
+    return MetricData([[cf(1, cutoff, {(0,): 1, (2,): 1})]])
 
 
 # -- connection -------------------------------------------------------
@@ -73,7 +73,7 @@ def test_pushforward_of_flat_metric_stays_flat():
     cutoff = 8
     fwd = [cf(2, cutoff, {(1, 0): 1, (2, 0): 1, (1, 1): 1}),
            cf(2, cutoff, {(0, 1): 1, (0, 2): -1, (1, 1): 2})]
-    ch = CoordinateChange(2, cutoff, fwd)
+    ch = CoordinateChange(fwd)
     pushed = pushforward_metric(ch, MetricData.flat(2, cutoff))
     ric = ricci_tensor(pushed)
     for i in range(2):
@@ -85,7 +85,7 @@ def test_pushforward_of_flat_metric_stays_flat():
 
 def test_metric_must_be_square():
     with pytest.raises(ValueError):
-        MetricData(2, 6, [[cf(2, 6, {(0, 0): 1})]])
+        MetricData([[cf(2, 6, {(0, 0): 1})]])
 
 
 def test_metric_must_be_symmetric():
@@ -93,13 +93,13 @@ def test_metric_must_be_symmetric():
     one = cf(2, 6, {(0, 0): 1})
     x = cf(2, 6, {(1, 0): 1})
     with pytest.raises(ValueError):
-        MetricData(2, 6, [[one, x], [z, one]])
+        MetricData([[one, x], [z, one]])
 
 
 def test_metric_must_be_invertible_at_base_point():
     x = cf(1, 6, {(1,): 1})
     with pytest.raises(ValueError):
-        MetricData(1, 6, [[x]])
+        MetricData([[x]])
 
 
 def test_metric_must_not_be_empty():
@@ -148,8 +148,7 @@ def test_geometry_objects_reject_entries_of_another_dim():
 
 def test_build_j_needs_the_metric_cutoff():
     metric = MetricData.flat(1, 4)
-    # a zero tensor used to give the zero current, a nonzero one a
-    # mismatch from deep inside the product
+    # a zero tensor reaches no product that could catch the mismatch
     for value in (0, 1):
         with pytest.raises(ValueError, match="the metric has"):
             build_J(EndoTensor([[cf(1, 6, {(0,): value})]]), metric)
@@ -233,7 +232,7 @@ def test_incompatible_tensor_detected():
 def test_identity_change_fixes_data():
     cutoff = 6
     ident = [cf(2, cutoff, {(1, 0): 1}), cf(2, cutoff, {(0, 1): 1})]
-    ch = CoordinateChange(2, cutoff, ident)
+    ch = CoordinateChange(ident)
     m = MetricData.flat(2, cutoff)
     pushed = pushforward_metric(ch, m)
     for i in range(2):
@@ -251,19 +250,19 @@ def test_identity_change_fixes_data():
 def test_newton_inverse_agrees_with_supplied_inverse():
     cutoff = 8
     fwd = [cf(1, cutoff, {(1,): 1, (2,): 1})]
-    auto = CoordinateChange(1, cutoff, fwd)
+    auto = CoordinateChange(fwd)
     comp = auto.inverse[0].compose(fwd)
     d = comp - CoeffFunction.coordinate(1, cutoff, 1)
     assert d.is_zero_through(d.exact_to)
     bad = [cf(1, cutoff, {(1,): 1, (2,): 1})]
     with pytest.raises(ValueError):
-        CoordinateChange(1, cutoff, fwd, bad)
+        CoordinateChange(fwd, bad)
 
 
 def test_quadratic_change_keeps_base_brackets():
     cutoff = 8
     fwd = [cf(1, cutoff, {(1,): 1, (2,): 1})]
-    rep = check_coordinate_change(CoordinateChange(1, cutoff, fwd))
+    rep = check_coordinate_change(CoordinateChange(fwd))
     assert rep.verdict
     assert rep.guaranteed_degree >= cutoff - 3
     assert all(d.endswith("pass") for d in rep.details)
@@ -292,7 +291,7 @@ def test_change_must_fix_origin():
     cutoff = 6
     fwd = [cf(1, cutoff, {(0,): 1, (1,): 1})]
     with pytest.raises(ValueError):
-        CoordinateChange(1, cutoff, fwd)
+        CoordinateChange(fwd)
 
 
 # -- JSON loading -----------------------------------------------------

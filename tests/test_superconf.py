@@ -15,7 +15,7 @@ from scdr.terms import Algebra, nf_add, nf_zero
 
 def curved_metric(cutoff=8):
     g11 = CoeffFunction(1, cutoff, {(0,): QI(1), (2,): QI(1)})
-    return MetricData(1, cutoff, [[g11]])
+    return MetricData([[g11]])
 
 
 # -- N=1 --------------------------------------------------------------

@@ -17,8 +17,9 @@ a fresh Python process with that tree first on PYTHONPATH, in
   * curved NS on a 2-D metric with Gaussian entries whose denominators
     are not 1, written at cutoff 5, so that inverting its constant
     part divides by scalars with imaginary parts;
-  * `coordchange` on both shipped changes, and on the 2-D change
-    rewritten to cutoffs 10 and 12;
+  * `coordchange` on both shipped changes, on the 2-D change
+    rewritten to cutoffs 10 and 12, and on the 1-D change x~ = 2x
+    written with its exact inverse x = x~/2;
   * `verify jacobi` at `--dim 2 --cutoff 4 --seed 0`, `--dim 1
     --cutoff 2 --seed 1` and `--dim 3 --cutoff 2 --seed 2`, and at
     `--dim 1 --cutoff 1` and `--dim 2 --cutoff 2`; all but the first
@@ -34,9 +35,10 @@ a fresh Python process with that tree first on PYTHONPATH, in
     production of the expression grammar (see `scdr.parser`);
   * `--scalar-ring rational` on a real sum, which prints, and on an
     imaginary scalar, which exits 2;
-  * four more bad inputs that exit 2 with a one-line error: the Jacobi
+  * five more bad inputs that exit 2 with a one-line error: the Jacobi
     suite at `--cutoff 0`, a zero denominator, a generator index above
-    `--dim` and an exponent key of the wrong length.
+    `--dim`, an exponent key of the wrong length, and `n2` at `--dim 2`
+    (default cutoff 8) with `--tensor` naming a cutoff-3 tensor file.
 
 The stdout, stderr and exit code of each pair are compared.  Every pair that
 differs is named, with a count at the end, and the script exits 1; when
@@ -98,6 +100,11 @@ def matrix(workdir):
         path = Path(workdir) / ("change_quad_2d_c%d.json" % cutoff)
         path.write_text(json.dumps(doc))
         changes.append(path)
+    doc = {"dim": 1, "cutoff": 6, "changes": {"double": {
+        "forward": [{"1": "2"}], "inverse": [{"1": "1/2"}]}}}
+    path = Path(workdir) / "change_double_1d.json"
+    path.write_text(json.dumps(doc))
+    changes.append(path)
     suites += [["verify", "coordchange", "--change", str(p)]
                for p in changes]
     for dim, cutoff, seed in ((2, 4, 0), (1, 2, 1), (3, 2, 2)):
@@ -143,10 +150,15 @@ def matrix(workdir):
                ["--scalar-ring", "rational", "normalize",
                 "1/2 * T B1 + 2/4 * S Psi1"],
                ["--scalar-ring", "rational", "normalize", "1/2 * i * B1"]]
+    doc = {"dim": 2, "cutoff": 3, "tensors": {"omega": omega}}
+    tensor = Path(workdir) / "omega_c3.json"
+    tensor.write_text(json.dumps(doc))
     errors = [["--cutoff", "0", "verify", "jacobi"],
               ["normalize", 'f{"1": "1/0"}'],
               ["--dim", "1", "bracket", "B2", "Psi1"],
-              ["normalize", 'f{"1,0": "1"}']]
+              ["normalize", 'f{"1,0": "1"}'],
+              ["--dim", "2", "verify", "n2", "--tensor",
+               "omega=%s" % tensor]]
     return [["--format", fmt] + argv
             for argv in suites + queries + grammar + errors
             for fmt in ("text", "json")]
