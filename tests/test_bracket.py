@@ -7,7 +7,7 @@ Sign conventions exercised here: chi^2 = -lambda, [Ta_b] = -lambda[a_b],
 """
 
 import random
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -782,3 +782,34 @@ def test_truncated_coefficient_keeps_its_marker():
     assert apply_S(f_nf) == NormalForm({(Generator(B_KIND, 2, 0, 1),): df}, 2)
     assert apply_T(const_nf) == NormalForm({}, 2)
     assert apply_S(const_nf) == NormalForm({}, 2)
+
+
+# -- degree markers -----------------------------------------------------
+
+def _assert_markers(value):
+    """Every degree marker of a state or a bracket value is an int or
+    inf: the value's own, each Lambda key's state's and each
+    coefficient's."""
+    states = [value]
+    if isinstance(value, HPoly):
+        states = list(value.terms.values())
+        markers = [value.exact_to()]
+    else:
+        markers = []
+    for nf in states:
+        markers.append(nf.exact_to)
+        markers += [cf.exact_to for cf in nf.terms.values()]
+    bad = [e for e in markers if not (type(e) is int or e == inf)]
+    assert bad == [], "markers %r in %r" % (bad, value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_every_marker_is_an_int_or_inf(dim, cutoff, seed):
+    rng = random.Random(seed)
+    alg = Algebra(dim, cutoff)
+    a, b, c = (random_state(rng, alg, rng.randrange(2)) for _ in range(3))
+    p = lambda_bracket(a, b)
+    for value in (a, b, c, nf_mul(a, b), nf_mul(b, c), p,
+                  skew(p, a.parity(), b.parity()), jacobi_defect(a, b, c)):
+        _assert_markers(value)

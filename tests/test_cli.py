@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import scdr.cli
 from scdr.cli import main
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -137,6 +138,39 @@ def test_verify_json_report_shape(capsys):
         assert doc["verdict"] == "pass"
 
 
+def _strict_json(text):
+    """json.loads that rejects the non-JSON constants Infinity and NaN."""
+    def reject(name):
+        raise ValueError("%s is not JSON" % name)
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv,degrees", [
+    (("verify", "ns"), [None, None]),
+    (("verify", "ns", "--metric", str(DATA / "metric_1d_curved.json")),
+     [4, None]),
+    (("--dim", "1", "--cutoff", "1", "bracket",
+      '[:f{"1": "1"} Psi1: _ :f{"1": "3"} T B1:]'), [1]),
+    (("--dim", "1", "--cutoff", "1", "normalize",
+      ':f{"1": "1"} f{"1": "1"}:'), [1]),
+])
+def test_json_prints_an_exact_degree_as_null(capsys, argv, degrees):
+    rc, out, _ = run(capsys, "--format", "json", *argv)
+    assert rc == 0
+    doc = _strict_json(out)
+    got = [d["guaranteed_degree"] for d in
+           (doc if isinstance(doc, list) else [doc])]
+    assert got == degrees
+    assert all(d is None or type(d) is int for d in got)
+
+
+def test_json_writer_rejects_a_degree_it_cannot_print(capsys, monkeypatch):
+    # without the mapping to null an exact degree is not JSON at all
+    monkeypatch.setattr(scdr.cli, "_json_degree", lambda degree: degree)
+    with pytest.raises(ValueError):
+        main(["--format", "json", "normalize", "S(S(B1))"])
+
+
 # -- verify suites ----------------------------------------------------
 
 def test_verify_ns_flat_dim2(capsys):
@@ -182,6 +216,26 @@ def test_verify_n4_flat(capsys):
     assert rc == 0
     assert "c = 12" in out
     assert "n4/raising-current: pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("--dim", "2", "verify", "n2"),
+    ("--dim", "4", "verify", "n4"),
+    ("--dim", "4", "verify", "n4", "--flat-quaternionic")])
+def test_default_flat_structures_fit_their_metric(capsys, monkeypatch, argv):
+    seen = []
+    monkeypatch.setattr(scdr.cli, "run_n2_suite",
+                        lambda metric, omega, **kw:
+                        seen.append((metric, [omega])) or [])
+    monkeypatch.setattr(scdr.cli, "run_n4_suite",
+                        lambda metric, triple:
+                        seen.append((metric, list(triple))) or [])
+    rc, _, _ = run(capsys, *argv)
+    assert rc == 0
+    (metric, tensors), = seen
+    for t in tensors:
+        assert t.squares_to_minus_id()
+        assert t.is_metric_compatible(metric)
 
 
 def test_verify_n4_needs_dim_multiple_of_four(capsys):

@@ -220,6 +220,18 @@ def test_structures_compatible_with_pairing_metric():
         assert t.is_metric_compatible(m4)
 
 
+@pytest.mark.parametrize("metric", [
+    MetricData.flat(1, 6), MetricData.flat(4, 6),
+    MetricData.flat_complexified(1, 4)])
+def test_metric_compatibility_needs_the_metric_dim_and_cutoff(metric):
+    # the complex structure has dim 2, cutoff 6
+    with pytest.raises(ValueError,
+                       match="the tensor has dim 2, cutoff 6; the metric "
+                             "has dim %d, cutoff %d" % (metric.dim,
+                                                        metric.cutoff)):
+        flat_complex_structure(1, 6).is_metric_compatible(metric)
+
+
 def test_incompatible_tensor_detected():
     m = MetricData.flat_complexified(1, 6)
     doubled = flat_complex_structure(1, 6).scale(QI(2))
