@@ -15,9 +15,9 @@ defect also uses the Gamma pair (gamma, eta) of its second bracket.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, inf
 
-from .scalars import QI, ONE, HMONO_ONE, hmono_mul, _min_exact, _qi
+from .scalars import QI, ONE, HMONO_ONE, hmono_mul, _qi
 from .terms import (B_KIND, PSI_KIND, gens_parity, nf_one, nf_mono,
                     nf_apply_gen, unit_cf, apply_S, apply_T, HPoly, hp_zero,
                     hp_add, hp_combine, hp_nf_mul_left, _lambda_only)
@@ -39,7 +39,7 @@ def lambda_bracket(a, b):
             if bs1 & psis2 or psis1 & bs2:
                 triples += bracket_mono((c1, g1), m2).triples()
     # the input truncation stays even if every term cancels
-    return hp_combine(triples, _min_exact(a.exact_to, b.exact_to))
+    return hp_combine(triples, min(a.exact_to, b.exact_to))
 
 
 def _support(f, gens):
@@ -134,10 +134,10 @@ def _wick_tail(ab, ac, pa, b, pb, c):
     chi^J cancels the sign of removing eta past it.  The integral is
     known through the least marker of every e."""
     t2 = hp_nf_mul_left(ac, b, pb)
-    t3, marker = [], None
+    t3, marker = [], inf
     for (j, J, _, _), d_nf in ab.terms.items():
         for (k, K, _, _), e in lambda_bracket(d_nf, c).terms.items():
-            marker = _min_exact(marker, e.exact_to)
+            marker = min(marker, e.exact_to)
             if K:
                 t3.append(((j + k + 1, J, 0, 0), _qi(1, 0, k + 1), e))
     t3 = hp_combine(t3, marker)
@@ -168,7 +168,7 @@ def skew(p, parity_a, parity_b):
             q = QI(sign * comb(k, i))
             # a state that is zero with no marker opens no key
             triples += [((i, J, 0, 0), q, c[k - i]) for J, c in chains
-                        if c[k - i].terms or c[k - i].exact_to is not None]
+                        if c[k - i].terms or c[k - i].exact_to < inf]
     return hp_combine(triples)
 
 

@@ -21,6 +21,7 @@ from .parser import (parse_expression, parse_bracket_query, looks_like_query,
                      ParseError)
 from .geometry import (MetricData, flat_complex_structure,
                        quaternionic_triple_flat, load_geometry)
+from .superconf import _json_degree
 from .suites import (run_ns_suite, run_n2_suite, run_n4_suite,
                      run_components_suite, run_coordchange_suite,
                      run_jacobi_suite)
@@ -35,7 +36,7 @@ def _hpoly_json(p):
         if nf.is_zero():
             continue
         terms[hmono_render(m)] = render_nf(nf)
-    return {"terms": terms, "guaranteed_degree": p.exact_to()}
+    return {"terms": terms, "guaranteed_degree": _json_degree(p.exact_to())}
 
 
 def _check_state(nf, config):
@@ -71,7 +72,8 @@ def cmd_bracket(args, config):
         return 2
     p = lambda_bracket(a, b)
     if config["format"] == "json":
-        print(json.dumps(_hpoly_json(p), sort_keys=True, indent=2))
+        print(json.dumps(_hpoly_json(p), sort_keys=True, indent=2,
+                         allow_nan=False))
     else:
         print(render_hpoly(p))
     return 0
@@ -86,8 +88,8 @@ def cmd_normalize(args, config):
         return 2
     if config["format"] == "json":
         print(json.dumps({"normal_form": render_nf(nf),
-                          "guaranteed_degree": nf.exact_to},
-                         sort_keys=True, indent=2))
+                          "guaranteed_degree": _json_degree(nf.exact_to)},
+                         sort_keys=True, indent=2, allow_nan=False))
     else:
         print(render_nf(nf))
     return 0
@@ -133,6 +135,16 @@ def _suite_inputs(args, config):
     return metric, tensors, changes
 
 
+def _complexified(args, metric):
+    """The metric to pair with a built-in complex structure.  Those act
+    on complexified coordinates, so under --metric flat it is the flat
+    metric there, which pairs z^a with its conjugate; a metric file's
+    own metric stays."""
+    if args.metric and args.metric != "flat":
+        return metric
+    return MetricData.flat_complexified(metric.dim // 2, metric.cutoff)
+
+
 def cmd_verify(args, config):
     try:
         metric, tensors, changes = _suite_inputs(args, config)
@@ -151,7 +163,7 @@ def cmd_verify(args, config):
         if "omega" in tensors:
             reports = run_n2_suite(metric, tensors["omega"])
         elif dim % 2 == 0:
-            reports = run_n2_suite(metric,
+            reports = run_n2_suite(_complexified(args, metric),
                                    flat_complex_structure(dim // 2, cutoff),
                                    holo_split=dim // 2)
         else:
@@ -167,6 +179,7 @@ def cmd_verify(args, config):
         missing = [n for n in names if n not in tensors]
         if args.flat_quaternionic or len(missing) == 3:
             triple = quaternionic_triple_flat(dim // 4, cutoff)
+            metric = _complexified(args, metric)
         elif missing:
             print("error: the n4 suite needs tensors I, J and K; missing %s"
                   % ", ".join(missing), file=sys.stderr)
@@ -190,7 +203,7 @@ def cmd_verify(args, config):
         reports = run_jacobi_suite(dim, cutoff, args.seed)
     if config["format"] == "json":
         print(json.dumps([r.to_json() for r in reports], indent=2,
-                         sort_keys=True))
+                         sort_keys=True, allow_nan=False))
     else:
         for r in reports:
             for line in r.text_lines():

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from math import inf
 
 from .scalars import (QI, ONE, HMONO_ONE, as_qi, parse_qi, parse_exponents,
                       render_qi, CoeffFunction, log_series_normalized,
@@ -56,7 +57,7 @@ def _mat_det(M):
             acc = CoeffFunction.zero(dim, cutoff)
             for idx, c in enumerate(cols):
                 entry = M[r][c]
-                if entry.is_zero() and entry.exact_to is None:
+                if entry.is_zero() and entry.exact_to == inf:
                     continue
                 rest = cols[:idx] + cols[idx + 1:]
                 term = entry * minor(r + 1, rest)
@@ -157,6 +158,7 @@ class EndoTensor:
 
     def is_metric_compatible(self, metric):
         """g(Ju, Jv) = g(u, v), entrywise through the guaranteed degree."""
+        _check_fits(self, metric)
         M, G = self.omega, metric.g
         n = self.dim
         for i in range(n):
@@ -167,6 +169,14 @@ class EndoTensor:
                 if not d.is_zero_through(d.exact_to):
                     return False
         return True
+
+
+def _check_fits(omega, metric):
+    """ValueError unless the tensor and the metric share (dim, cutoff)."""
+    if (omega.dim, omega.cutoff) != (metric.dim, metric.cutoff):
+        raise ValueError("the tensor has dim %d, cutoff %d; the metric has "
+                         "dim %d, cutoff %d" % (omega.dim, omega.cutoff,
+                                                metric.dim, metric.cutoff))
 
 
 def christoffel(metric):
@@ -218,11 +228,8 @@ def build_H(metric):
     for i in range(1, metric.dim + 1):
         terms.append(nf_mul(alg.SB(i), alg.SPsi(i)))
         terms.append(nf_mul(alg.TB(i), alg.Psi(i)))
-    h0 = nf_sum(terms)
-    pot = metric.logdet_half
-    if pot.is_zero() and pot.exact_to is None:
-        return h0
-    return nf_sub(h0, apply_T(apply_S(alg.coeff_nf(pot))))
+    return nf_sub(nf_sum(terms),
+                  apply_T(apply_S(alg.coeff_nf(metric.logdet_half))))
 
 
 def build_H0(dim, cutoff):
@@ -233,10 +240,7 @@ def build_H0(dim, cutoff):
 def build_J(omega, metric):
     """The even current (omega_i^j SB^i) Psi_j + Gamma^i_{jk} omega_i^j
     TB^k attached to a (1,1)-tensor."""
-    if (omega.dim, omega.cutoff) != (metric.dim, metric.cutoff):
-        raise ValueError("the tensor has dim %d, cutoff %d; the metric has "
-                         "dim %d, cutoff %d" % (omega.dim, omega.cutoff,
-                                                metric.dim, metric.cutoff))
+    _check_fits(omega, metric)
     alg = Algebra(metric.dim, metric.cutoff)
     gens = range(1, metric.dim + 1)
     return _j_current(omega, [alg.SB(i) for i in gens],
@@ -253,14 +257,14 @@ def _j_current(omega, sb, psi, tb, coeff, gamma):
     terms = []
     for i in range(n):
         for j in range(n):
-            if w[i][j].is_zero() and w[i][j].exact_to is None:
+            if w[i][j].is_zero() and w[i][j].exact_to == inf:
                 continue
             terms.append(nf_mul(nf_mul(coeff(w[i][j]), sb[i]), psi[j]))
     if gamma is not None:
         for k in range(n):
             ck = sum_cf([gamma[i][j][k] * w[i][j]
                          for i in range(n) for j in range(n)])
-            if ck.is_zero() and ck.exact_to is None:
+            if ck.is_zero() and ck.exact_to == inf:
                 continue
             terms.append(nf_mul(coeff(ck), tb[k]))
     return nf_sum(terms)
@@ -427,8 +431,6 @@ def check_coordinate_change(ch):
             for k in range(n):
                 m = sum_cf([hess[k][l] * ch.forward[l].partial(r + 1)
                             for l in range(n)])
-                if m.is_zero() and m.exact_to is None:
-                    continue
                 terms.append(nf_mul(alg.coeff_nf(m),
                                     nf_mul(alg.SB(r + 1), alg.Psi(k + 1))))
         parts.append(("S Psi~%d chain rule" % (i + 1),

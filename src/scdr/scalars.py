@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 
 class QI:
@@ -286,24 +286,16 @@ def render_qi(q):
     return "%s - %s" % (_ratio(a, d), im[1:])
 
 
-def _min_exact(a, b):
-    """Combine guaranteed-exact degrees; None means exact at all degrees."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class CoeffFunction:
     """Truncated power series in n variables with QI coefficients.
 
     terms maps exponent tuples (length dim, total degree <= cutoff) to
-    nonzero QI values.  exact_to is None when the series is known exactly
+    nonzero QI values.  exact_to is inf when the series is known exactly
     as stored, or an integer d when the stored coefficients are only
-    guaranteed complete through total degree d.  Arithmetic that drops a
-    nonzero term of degree > cutoff lowers exact_to to cutoff; the flag
-    never improves under further operations.
+    guaranteed complete through total degree d.  Markers fold by min and
+    lower by plain arithmetic, inf - 1 being inf.  Arithmetic that drops
+    a nonzero term of degree > cutoff lowers exact_to to cutoff; the
+    marker never improves under further operations.
 
     Multiplication runs on integers, over a packed form cached on first
     use and left out of equality and hashing (see _pack); so is the mask
@@ -313,7 +305,7 @@ class CoeffFunction:
     __slots__ = ("dim", "cutoff", "terms", "exact_to", "_hash", "_packed",
                  "_vars")
 
-    def __init__(self, dim, cutoff, terms, exact_to=None):
+    def __init__(self, dim, cutoff, terms, exact_to=inf):
         clean = {}
         for e, c in terms.items():
             if not isinstance(c, QI):
@@ -370,8 +362,6 @@ class CoeffFunction:
 
     def is_zero_through(self, degree):
         """True when every stored term of total degree <= degree vanishes."""
-        if degree is None:
-            return not self.terms
         return all(sum(e) > degree for e in self.terms)
 
     def __bool__(self):
@@ -412,7 +402,7 @@ class CoeffFunction:
             else:
                 del terms[e]
         return _cf(self.dim, self.cutoff, terms,
-                   _min_exact(self.exact_to, other.exact_to))
+                   min(self.exact_to, other.exact_to))
 
     def __neg__(self):
         return _cf(self.dim, self.cutoff,
@@ -452,7 +442,7 @@ class CoeffFunction:
         mask = self._vars
         if mask is None:
             mask = -1
-            if self.exact_to is None:
+            if self.exact_to == inf:
                 mask = 0
                 for e in self.terms:
                     for i, p in enumerate(e, 1):
@@ -487,9 +477,9 @@ class CoeffFunction:
             for j in range(dim - 1, -1, -1):
                 k, e[j] = divmod(k, cutoff + 1)
             terms[tuple(e)] = _qi(a, b, den)
-        exact = _min_exact(self.exact_to, other.exact_to)
+        exact = min(self.exact_to, other.exact_to)
         if rows1 and rows2 and rows1[-1][0] + rows2[-1][0] > cutoff:
-            exact = _min_exact(exact, cutoff)  # some pair left the cutoff
+            exact = min(exact, cutoff)  # some pair left the cutoff
         return _cf(dim, cutoff, terms, exact)
 
     def partial(self, i):
@@ -505,8 +495,7 @@ class CoeffFunction:
             ne = list(e)
             ne[k] = p - 1
             terms[tuple(ne)] = _qi(c.a * p, c.b * p, c.d)
-        exact = self.exact_to if self.exact_to is None else self.exact_to - 1
-        return _cf(self.dim, self.cutoff, terms, exact)
+        return _cf(self.dim, self.cutoff, terms, self.exact_to - 1)
 
     def compose(self, subs):
         """Substitute subs[k] for x_{k+1}; subs are series in some other
@@ -519,9 +508,7 @@ class CoeffFunction:
         cutoff = subs[0].cutoff
         if any(s.constant_term() for s in subs):
             raise ValueError("substituted series has a constant term")
-        exact = self.exact_to
-        for s in subs:
-            exact = _min_exact(exact, s.exact_to)
+        exact = min(self.exact_to, *[s.exact_to for s in subs])
         one = CoeffFunction.constant(tdim, cutoff, ONE)
         # sum the stored terms; each power of a sub is computed once
         result = CoeffFunction.zero(tdim, cutoff)
@@ -540,7 +527,7 @@ class CoeffFunction:
                     term = term * power(k, p)
             result = result + term
         return _cf(result.dim, result.cutoff, result.terms,
-                   _min_exact(result.exact_to, exact))
+                   min(result.exact_to, exact))
 
 
 def _cf(dim, cutoff, terms, exact_to):
@@ -585,15 +572,13 @@ def log_series_normalized(f):
     u = f.scale(ONE / c) - CoeffFunction.constant(f.dim, f.cutoff, ONE)
     acc = CoeffFunction.zero(f.dim, f.cutoff)
     if u.is_zero():
-        return CoeffFunction(f.dim, f.cutoff, {},
-                             _min_exact(acc.exact_to, f.exact_to))
+        return CoeffFunction(f.dim, f.cutoff, {}, f.exact_to)
     term = CoeffFunction.constant(f.dim, f.cutoff, ONE)
     for k in range(1, f.cutoff + 1):
         term = term * u
         acc = acc + term.scale(_qi((-1) ** (k + 1), 0, k))
     return CoeffFunction(f.dim, f.cutoff, acc.terms,
-                         _min_exact(_min_exact(acc.exact_to, f.exact_to),
-                                    f.cutoff))
+                         min(acc.exact_to, f.exact_to, f.cutoff))
 
 
 def functional_inverse(forward):
@@ -627,14 +612,12 @@ def functional_inverse(forward):
             break
         f = [f[i] - sum_cf([err[j].scale(Ainv[i][j]) for j in range(dim)])
              for i in range(dim)]
-    exact = None
-    for g in forward:
-        exact = _min_exact(exact, g.exact_to)
+    exact = min(g.exact_to for g in forward)
     # a generic inverse is an infinite series even for polynomial input
     linear_only = all(all(sum(e) <= 1 for e in g.terms) for g in forward)
     if not linear_only:
-        exact = _min_exact(exact, D)
-    return [CoeffFunction(dim, D, fi.terms, _min_exact(fi.exact_to, exact))
+        exact = min(exact, D)
+    return [CoeffFunction(dim, D, fi.terms, min(fi.exact_to, exact))
             for fi in f]
 
 
@@ -694,12 +677,8 @@ def _mat_inverse(M):
     C0inv_cf = [[CoeffFunction.constant(dim, cutoff, C0inv[i][j])
                  for j in range(n)] for i in range(n)]
     if constant:
-        exact = None
-        for row in M:
-            for e in row:
-                exact = _min_exact(exact, e.exact_to)
-        return [[CoeffFunction(dim, cutoff, e.terms,
-                               _min_exact(e.exact_to, exact))
+        exact = min(e.exact_to for row in M for e in row)
+        return [[CoeffFunction(dim, cutoff, e.terms, min(e.exact_to, exact))
                  for e in row] for row in C0inv_cf]
     X = _mat_mul(C0inv_cf, N)
     acc = _identity_matrix(dim, cutoff)
@@ -709,8 +688,7 @@ def _mat_inverse(M):
         acc = [[acc[i][j] + term[i][j] for j in range(n)] for i in range(n)]
     out = _mat_mul(acc, C0inv_cf)
     # the Neumann tail is nonzero beyond the cutoff
-    return [[CoeffFunction(dim, cutoff, e.terms,
-                           _min_exact(e.exact_to, cutoff))
+    return [[CoeffFunction(dim, cutoff, e.terms, min(e.exact_to, cutoff))
              for e in row] for row in out]
 
 

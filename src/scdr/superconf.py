@@ -11,7 +11,9 @@ StructureReport with fold.
 
 from __future__ import annotations
 
-from .scalars import QI, ZERO, render_qi, _min_exact
+from math import inf
+
+from .scalars import QI, ZERO, render_qi
 from .terms import (NormalForm, HPoly, nf_one, apply_S, apply_T, hp_combine,
                     hp_sub, render_hpoly, render_nf)
 from .bracket import lambda_bracket
@@ -22,7 +24,12 @@ def _word(ok, degree):
     negative degree covers no coefficient, so it is never a pass."""
     if not ok:
         return "FAIL"
-    return "inconclusive" if degree is not None and degree < 0 else "pass"
+    return "inconclusive" if degree < 0 else "pass"
+
+
+def _json_degree(degree):
+    """A degree as JSON prints it: an exact one, inf, is null."""
+    return None if degree == inf else degree
 
 
 class StructureReport:
@@ -31,7 +38,7 @@ class StructureReport:
     inconclusive instead."""
 
     def __init__(self, name, verdict, central_charge=None,
-                 guaranteed_degree=None, residual=None, details=()):
+                 guaranteed_degree=inf, residual=None, details=()):
         self.name = name
         self.inconclusive = _word(verdict, guaranteed_degree) == "inconclusive"
         self.verdict = verdict and not self.inconclusive
@@ -57,12 +64,12 @@ class StructureReport:
             "verdict": "fail" if self.status() == "FAIL" else self.status(),
             "central_charge": (None if self.central_charge is None
                                else render_qi(self.central_charge)),
-            "guaranteed_degree": self.guaranteed_degree,
+            "guaranteed_degree": _json_degree(self.guaranteed_degree),
             "residual_rendering": self.residual_rendering(),
         }
 
     def text_lines(self):
-        gd = ("exact" if self.guaranteed_degree is None
+        gd = ("exact" if self.guaranteed_degree == inf
               else "degree %d" % self.guaranteed_degree)
         cc = ("" if self.central_charge is None
               else ", c = %s" % render_qi(self.central_charge))
@@ -93,14 +100,14 @@ def fold(name, parts, central_charge=None):
     adds no line.  The report passes when every part holds, is certified
     through the least of their degrees and keeps the first failing
     residual."""
-    ok, degree, residual, details = True, None, None, []
+    ok, degree, residual, details = True, inf, None, []
     for label, item in parts:
         diff = None
         if isinstance(item, StructureReport):
             ok_part = item.verdict or item.inconclusive
             deg, diff = item.guaranteed_degree, item.residual
         elif isinstance(item, bool):
-            ok_part, deg = item, None
+            ok_part, deg = item, inf
         else:
             (ok_part, deg), diff = holds(item), item
         if label is not None:
@@ -109,7 +116,7 @@ def fold(name, parts, central_charge=None):
                     item.central_charge is not None:
                 line += ", c = %s" % render_qi(item.central_charge)
             details.append(line)
-        degree = _min_exact(degree, deg)
+        degree = min(degree, deg)
         if not ok_part:
             ok = False
             if residual is None:

@@ -28,11 +28,11 @@ Lambda-bracket values are HPoly: polynomials in the Lambda pair
 
 from __future__ import annotations
 
+from math import inf
 from typing import NamedTuple
 
-from .scalars import (CoeffFunction, QI, ONE, as_qi, render_qi,
-                      _min_exact, _qi, _ratio, HMONO_ONE, hmono_parity,
-                      hmono_render)
+from .scalars import (CoeffFunction, QI, ONE, as_qi, render_qi, _qi, _ratio,
+                      HMONO_ONE, hmono_parity, hmono_render)
 
 B_KIND = 0
 PSI_KIND = 1
@@ -83,7 +83,7 @@ class NormalForm:
     """A state in PBW normal form.
 
     terms maps sorted generator tuples to nonzero CoeffFunctions.
-    exact_to is None for exact states, or the total degree in the B
+    exact_to is inf for exact states, or the total degree in the B
     variables through which the stored coefficients are certified.
     A state does not record its algebra, (dim, cutoff): its
     coefficients do, so the zero state of every algebra is one value.
@@ -91,10 +91,10 @@ class NormalForm:
 
     __slots__ = ("terms", "exact_to")
 
-    def __init__(self, terms, exact_to=None):
+    def __init__(self, terms, exact_to=inf):
         clean = {}
         for gens, cf in terms.items():
-            exact_to = _min_exact(exact_to, cf.exact_to)
+            exact_to = min(exact_to, cf.exact_to)
             if not cf.is_zero():
                 clean[gens] = cf
         _fill_nf(self, clean, exact_to)
@@ -114,8 +114,6 @@ class NormalForm:
         return not self.terms
 
     def is_zero_through(self, degree):
-        if degree is None:
-            return not self.terms
         return all(cf.is_zero_through(degree) for cf in self.terms.values())
 
     def parity(self):
@@ -149,7 +147,7 @@ def nf_mono(cf, gens):
     return NormalForm({tuple(gens): cf})
 
 
-def nf_combine(pairs, exact_to=None):
+def nf_combine(pairs, exact_to=inf):
     """The state sum of q * state over (q, state) pairs, in one pass.
 
     This is where every sum folds its degree markers.  The sum starts
@@ -167,14 +165,11 @@ def nf_combine(pairs, exact_to=None):
     live = [p for p in pairs if p[1].terms]
     if len(live) == 1 and live[0][0] == ONE:
         nf = live[0][1]
-        marker = exact_to
-        for _, other in pairs:
-            marker = _min_exact(marker, other.exact_to)
-        if marker == nf.exact_to:
+        if min(exact_to, *[p[1].exact_to for p in pairs]) == nf.exact_to:
             return nf
     terms = {}
     for q, nf in pairs:
-        exact_to = _min_exact(exact_to, nf.exact_to)
+        exact_to = min(exact_to, nf.exact_to)
         if q is not ONE:
             q = as_qi(q)
             if not q:
@@ -190,7 +185,7 @@ def nf_combine(pairs, exact_to=None):
             if cf.terms:
                 terms[gens] = cf
             else:
-                exact_to = _min_exact(exact_to, cf.exact_to)
+                exact_to = min(exact_to, cf.exact_to)
                 del terms[gens]
     return _fill_nf(object.__new__(NormalForm), terms, exact_to)
 
@@ -312,7 +307,7 @@ def nf_mul(a, b):
     return nf_combine([(ONE, mono_mul((c1, g1), (c2, g2)))
                        for g1, c1 in a.terms.items()
                        for g2, c2 in b.terms.items()],
-                      _min_exact(a.exact_to, b.exact_to))
+                      min(a.exact_to, b.exact_to))
 
 
 def qa_terms(a_mono, b_mono, c_gen):
@@ -326,7 +321,7 @@ def qa_terms(a_mono, b_mono, c_gen):
     pa_par = gens_parity(a_mono[1])
     pb_par = gens_parity(b_mono[1])
     sign = QI((-1) ** (pa_par * pb_par))
-    exact = _min_exact(pa.exact_to(), pb.exact_to())
+    exact = min(pa.exact_to(), pb.exact_to())
     # T^(j+1) a / (j+1) pairs with the lambda^j chi coefficient of pb,
     # T^(j+1) b / (j+1) with that of pa: each chain stops at its last use
     top_a, top_b = _top_chi_degree(pb), _top_chi_degree(pa)
@@ -437,7 +432,7 @@ class HPoly:
     def __init__(self, terms):
         clean = {}
         for m, nf in terms.items():
-            if nf.is_zero() and nf.exact_to is None:
+            if nf.is_zero() and nf.exact_to == inf:
                 continue
             clean[m] = nf
         object.__setattr__(self, "terms", clean)
@@ -471,26 +466,23 @@ class HPoly:
         return all(nf.is_zero_through(degree) for nf in self.terms.values())
 
     def exact_to(self):
-        e = None
-        for nf in self.terms.values():
-            e = _min_exact(e, nf.exact_to)
-        return e
+        return min((nf.exact_to for nf in self.terms.values()), default=inf)
 
 
 def hp_zero():
     return HPoly({})
 
 
-def hp_combine(triples, exact_to=None):
+def hp_combine(triples, exact_to=inf):
     """The bracket value sum of q * key * state over (key, q, state)
     triples: the pairs of each key summed by nf_combine, in the order
     given.  A marker exact_to joins the sum at the constant key last."""
     groups = {}
     for m, q, nf in triples:
         groups.setdefault(m, []).append((q, nf))
-    if exact_to is not None:
+    if exact_to < inf:
         groups.setdefault(HMONO_ONE, [])
-    return HPoly({m: nf_combine(pairs, exact_to if m == HMONO_ONE else None)
+    return HPoly({m: nf_combine(pairs, exact_to if m == HMONO_ONE else inf)
                   for m, pairs in groups.items()})
 
 

@@ -153,8 +153,7 @@ def stepwise_bracket(alg, a, b):
     else:
         p = stepwise_skew(stepwise_atomic(alg, (f2, g2), (f1, g1)),
                           gens_parity(g2), 0)
-    marker = min((e for e in (a.exact_to, b.exact_to) if e is not None),
-                 default=None)
+    marker = min(a.exact_to, b.exact_to)
     return hp_combine(p.triples(), marker)
 
 
@@ -632,7 +631,7 @@ def test_flat_current_closes_exactly():
     alg = Algebra(1, 8)
     h = build_H0(1, 8)
     d = hp_sub(lambda_bracket(h, h), _ns_rhs_hp(alg, h, QI(3)))
-    assert d.exact_to() is None
+    assert d.exact_to() == inf
     assert d.is_zero()
 
 
@@ -759,7 +758,7 @@ def test_bracket_without_contraction_vanishes_exactly(pair):
     for x, y in ((a, b), (b, a)):
         p = lambda_bracket(x, y)
         assert not p.terms, "nonzero: %r" % (p,)
-        assert p.exact_to() is None
+        assert p.exact_to() == inf
 
 
 def test_truncated_coefficient_keeps_its_marker():

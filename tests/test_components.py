@@ -1,6 +1,8 @@
 """Classical component families extracted from the superfield
 currents: Virasoro, N=2 and N=4 operator tables on flat space."""
 
+from math import inf
+
 import pytest
 
 from scdr.components import (check_n1_components, check_n2_components,
@@ -23,7 +25,7 @@ def test_classical_bracket_is_chi_linear_part():
     alg = Algebra(1, 6)
     table, gd = classical_bracket(alg.SB(1), alg.Psi(1))
     # [SB_L Psi] = chi, so the classical bracket is the constant 1
-    assert gd is None
+    assert gd == inf
     assert set(table) == {0}
     assert table[0] == alg.one()
 
@@ -32,7 +34,7 @@ def test_virasoro_family_flat_line():
     rep = check_n1_components(build_H0(1, 6))
     assert rep.verdict
     assert rep.central_charge == QI(3)
-    assert rep.guaranteed_degree is None
+    assert rep.guaranteed_degree == inf
     assert [d for d in rep.details if "FAIL" in d] == []
     assert len(rep.details) == 3
 
@@ -42,7 +44,7 @@ def test_virasoro_closure_values_flat_line():
     l_state, g = n1_components(h)
     assert l_state == nf_scale(apply_S(h), QI(1) / QI(2))
     table, gd = classical_bracket(l_state, l_state)
-    assert gd is None
+    assert gd == inf
     assert table[0] == apply_T(l_state)
     assert table[1] == nf_scale(l_state, QI(2))
     # central entry c/12 with c = 3
@@ -50,7 +52,7 @@ def test_virasoro_closure_values_flat_line():
     assert set(table) == {0, 1, 3}
 
     gg, gd2 = classical_bracket(g, g)
-    assert gd2 is None
+    assert gd2 == inf
     assert gg[0] == nf_scale(l_state, QI(2))
     assert gg[2] == Algebra(1, 6).one()
     assert set(gg) == {0, 2}
@@ -63,7 +65,7 @@ def test_n2_family_flat_complex_line():
     rep = check_n2_components(h, j)
     assert rep.verdict
     assert rep.central_charge == QI(6)
-    assert rep.guaranteed_degree is None
+    assert rep.guaranteed_degree == inf
     assert [d for d in rep.details if "FAIL" in d] == []
 
 
@@ -94,7 +96,7 @@ def test_n4_family_flat_quaternions():
                               build_J(K.scale(QI(-1)), mc))
     assert rep.verdict
     assert rep.central_charge == QI(12)
-    assert rep.guaranteed_degree is None
+    assert rep.guaranteed_degree == inf
     assert [d for d in rep.details if "FAIL" in d] == []
     assert len(rep.details) == 32
 

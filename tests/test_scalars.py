@@ -10,13 +10,14 @@ import math
 import random
 import sys
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scdr.scalars import (QI, ZERO, ONE, CoeffFunction, parse_qi, render_qi,
                           series_inverse, log_series_normalized,
-                          functional_inverse, _min_exact)
+                          functional_inverse)
 
 
 def qi(re, im=0):
@@ -232,9 +233,6 @@ def test_cf_exact_to_min_combines():
     g = CoeffFunction(1, 5, {(2,): ONE}, exact_to=2)
     assert (f + g).exact_to == 2
     assert (f * g).exact_to == 2
-    assert _min_exact(None, 7) == 7
-    assert _min_exact(3, None) == 3
-    assert _min_exact(None, None) is None
 
 
 def test_cf_compose_example():
@@ -369,10 +367,10 @@ def schoolbook_mul(f, g):
             acc[e] = (re + c1.re * c2.re - c1.im * c2.im,
                       im + c1.re * c2.im + c1.im * c2.re)
     terms = {e: QI(re, im) for e, (re, im) in acc.items() if re or im}
-    bounds = [d for d in (f.exact_to, g.exact_to) if d is not None]
+    bounds = [f.exact_to, g.exact_to]
     if dropped:
         bounds.append(f.cutoff)
-    return terms, (min(bounds) if bounds else None)
+    return terms, min(bounds)
 
 
 def assert_matches_schoolbook(f, g):
@@ -408,7 +406,7 @@ def series_pairs(draw):
         for _ in range(draw(st.integers(0, 12))):
             terms[exponent()] = QI(draw(mixed_fraction),
                                    draw(mixed_fraction))
-        exact = draw(st.one_of(st.none(), st.integers(0, cutoff)))
+        exact = draw(st.one_of(st.just(inf), st.integers(0, cutoff)))
         return CoeffFunction(dim, cutoff, terms, exact)
 
     return series(), series()

@@ -1,8 +1,10 @@
 """Structure checkers for the three superconformal shapes.
 
-Flat inputs must come out exact (guaranteed_degree None); curved
+Flat inputs must come out exact (guaranteed_degree inf); curved
 inputs carry the jet cutoff through to the report.
 """
+
+from math import inf
 
 import pytest
 
@@ -25,7 +27,7 @@ def test_flat_ns_charge_is_three_per_field(dim):
     rep = check_ns(build_H0(dim, 6))
     assert rep.verdict
     assert rep.central_charge == QI(3 * dim)
-    assert rep.guaranteed_degree is None
+    assert rep.guaranteed_degree == inf
     assert rep.residual is None
     assert rep.residual_rendering() is None
 
@@ -63,7 +65,7 @@ def test_flat_kaehler_n2(n):
     rep = check_n2(h, j)
     assert rep.verdict
     assert rep.central_charge == QI(6 * n)
-    assert rep.guaranteed_degree is None
+    assert rep.guaranteed_degree == inf
     assert len(rep.details) == 3
     assert all("pass" in d for d in rep.details)
 
@@ -108,7 +110,7 @@ def test_flat_quaternionic_n4():
     rep = check_n4(h, j0, j1, j2)
     assert rep.verdict
     assert rep.central_charge == QI(12)
-    assert rep.guaranteed_degree is None
+    assert rep.guaranteed_degree == inf
     assert sum("FAIL" in d for d in rep.details) == 0
 
 

@@ -5,7 +5,7 @@ import pkgutil
 import random
 from fractions import Fraction
 from functools import reduce
-from math import factorial
+from math import factorial, inf
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import scdr
 from scdr import terms
 from scdr.bracket import bracket_mono, lambda_bracket
-from scdr.scalars import QI, ONE, CoeffFunction, _min_exact
+from scdr.scalars import QI, ONE, CoeffFunction
 from scdr.terms import (Algebra, Generator, B_KIND, PSI_KIND, NormalForm,
                         HPoly, nf_mul, nf_add, nf_sub, nf_scale, nf_sum,
                         nf_combine, nf_mono, nf_apply_gen, hp_zero, hp_add,
@@ -50,7 +50,7 @@ def test_odd_anticommutator_cancels(alg):
     # :Psi1 SB1: + :SB1 Psi1: = 0 because [Psi1_L SB1] has no constant
     nf = nf_add(nf_mul(alg.Psi(1), alg.SB(1)), nf_mul(alg.SB(1), alg.Psi(1)))
     assert nf.is_zero()
-    assert nf.exact_to is None
+    assert nf.exact_to == inf
     assert parse(":Psi1 S B1: + :S B1 Psi1:", alg) == nf
 
 
@@ -134,8 +134,8 @@ def test_normal_form_is_immutable(alg):
 
 def test_holds_reports_exactness(alg):
     a, b = alg.B(1), alg.B(2)
-    assert holds(nf_sub(a, a)) == (True, None)
-    assert holds(nf_sub(a, b)) == (False, None)
+    assert holds(nf_sub(a, a)) == (True, inf)
+    assert holds(nf_sub(a, b)) == (False, inf)
     # two series that agree through degree 3 and are known only that far
     f = CoeffFunction(2, 6, {(1, 0): QI(1), (5, 0): QI(1)}, exact_to=3)
     g = CoeffFunction(2, 6, {(1, 0): QI(1)}, exact_to=4)
@@ -168,7 +168,7 @@ def test_nop_with_coefficient_orders_canonically(alg):
 # -- sums of states against the pairwise fold ---------------------------
 
 
-def reference_fold(pairs, exact_to=None):
+def reference_fold(pairs, exact_to=inf):
     """(terms, exact_to) of the sum of q * state over (q, state) pairs by
     the pairwise fold: scale each state (a zero scalar keeps only its
     marker), add it to the running sum key by key, then drop the
@@ -180,16 +180,16 @@ def reference_fold(pairs, exact_to=None):
         merged = dict(terms)
         for g, cf in scaled.items():
             merged[g] = merged[g] + cf if g in merged else cf
-        marker = _min_exact(marker, nf.exact_to)
+        marker = min(marker, nf.exact_to)
         terms = {}
         for g, cf in merged.items():
-            marker = _min_exact(marker, cf.exact_to)
+            marker = min(marker, cf.exact_to)
             if not cf.is_zero():
                 terms[g] = cf
     return terms, marker
 
 
-def assert_matches_fold(nf, pairs, exact_to=None):
+def assert_matches_fold(nf, pairs, exact_to=inf):
     terms, marker = reference_fold(pairs, exact_to)
     assert nf.terms == terms
     assert list(nf.terms) == list(terms)
@@ -220,7 +220,7 @@ def fold_gens(dim):
 
 
 def fold_markers(cutoff):
-    return st.one_of(st.none(), st.integers(0, cutoff))
+    return st.one_of(st.just(inf), st.integers(0, cutoff))
 
 
 def draw_state(draw, dim, cutoff):
@@ -258,7 +258,7 @@ def fold_cases(draw):
     g = draw(st.sampled_from(gens))
     running = reference_fold(pairs)[0].get(g)
     if running is None:
-        running = coeff(None)
+        running = coeff(inf)
         pairs.append((QI(1), NormalForm({g: running})))
     cut = CoeffFunction(dim, cutoff, running.terms,
                         draw(st.integers(0, cutoff)))
@@ -266,7 +266,7 @@ def fold_cases(draw):
     pairs += [(draw(fold_scalars), state())
               for _ in range(draw(st.integers(0, 2)))]
     # the same monomial again, exact
-    pairs.append((draw(fold_scalars), NormalForm({g: coeff(None)})))
+    pairs.append((draw(fold_scalars), NormalForm({g: coeff(inf)})))
     return dim, cutoff, pairs, draw(markers)
 
 
@@ -293,7 +293,7 @@ def reference_hp_fold(triples):
     for key in dict.fromkeys(k for k, _, _ in triples):
         terms, marker = reference_fold([(q, nf) for k, q, nf in triples
                                         if k == key])
-        if terms or marker is not None:
+        if terms or marker != inf:
             out[key] = (terms, marker)
     return out
 
@@ -325,16 +325,16 @@ def test_a_sum_of_one_unit_state_matches_the_fold(relation, data):
     dim = data.draw(st.integers(1, 2))
     cutoff = data.draw(st.integers(1, 3))
     nf = draw_state(data.draw, dim, cutoff)
-    if relation in ("equal", "above") and nf.exact_to is None:
+    if relation in ("equal", "above") and nf.exact_to == inf:
         nf = NormalForm(nf.terms, data.draw(st.integers(0, cutoff)))
-    top = cutoff if nf.exact_to is None else nf.exact_to
+    top = cutoff if nf.exact_to == inf else nf.exact_to
     step = data.draw(st.integers(1, 2))
-    start = {"none": None, "equal": nf.exact_to, "above": top + step,
+    start = {"none": inf, "equal": nf.exact_to, "above": top + step,
              "below": top - step}[relation]
     pairs = [(ONE, nf)]
     for given_pairs in (pairs, tuple(pairs), iter(pairs)):
         assert_matches_fold(nf_combine(given_pairs, start), pairs, start)
-    if start is None:
+    if start == inf:
         assert_matches_fold(nf_sum([nf]), pairs)
 
 
@@ -349,7 +349,7 @@ def test_a_lone_unit_state_whose_marker_holds_is_the_sum(alg):
     assert lowered is not marked and lowered.exact_to == 2
     # the unit scalar by value, and states without terms beside it
     assert nf_combine([(QI(Fraction(2, 2)), nf)]) is nf
-    exact, held, low = (NormalForm({}, e) for e in (None, 3, 1))
+    exact, held, low = (NormalForm({}, e) for e in (inf, 3, 1))
     assert nf_sub(nf, exact) is nf and nf_add(exact, nf) is nf
     assert nf_combine([(QI(0), held), (ONE, marked),
                        (-ONE, exact)]) is marked
@@ -381,7 +381,7 @@ def reference_qa_terms(a_mono, b_mono, c_gen):
     pb = bracket_mono(b_mono, c_nf_mono)
     pa = bracket_mono(a_mono, c_nf_mono)
     sign = QI((-1) ** (gens_parity(a_mono[1]) * gens_parity(b_mono[1])))
-    exact = _min_exact(pa.exact_to(), pb.exact_to())
+    exact = min(pa.exact_to(), pb.exact_to())
     jmax = max((m[0] for m in list(pa.terms) + list(pb.terms) if m[1]),
                default=-1)
     if jmax < 0:
@@ -428,7 +428,7 @@ def draw_factor_coeff(draw, dim, cutoff):
         c = CoeffFunction(dim, cutoff, {(0,) * dim: QI(draw(
             st.integers(1, 3)))}, draw(st.integers(0, cutoff)))
         return c.partial(1)
-    markers = st.none() if kind == "exact" else st.integers(0, cutoff)
+    markers = st.just(inf) if kind == "exact" else st.integers(0, cutoff)
     return draw_coeff(draw, dim, cutoff, draw(markers))
 
 
@@ -554,7 +554,7 @@ def test_integrals_of_two_generators_vanish(dim, cutoff):
     for g in gens:
         for h in gens:
             got = qc_integral((one, (g,)), (one, (h,)))
-            assert got.terms == {} and got.exact_to is None
+            assert got.terms == {} and got.exact_to == inf
 
 
 def test_an_odd_square_keeps_the_marker_of_its_coefficient():

@@ -26,8 +26,9 @@ a fresh Python process with that tree first on PYTHONPATH, in
     fail with counts that move with any change to the degree markers
     of sums;
   * the `bracket` and `normalize` examples of README.md, two bracket
-    queries at `--dim 3`, and one at `--dim 1 --cutoff 1` whose value
-    is certified through degree 1 only;
+    queries at `--dim 3`, and one bracket query and one `normalize` at
+    `--dim 1 --cutoff 1` whose values are certified through degree 1
+    only;
   * bracket queries over the table of derived generators c T^t S^s X:
     two at `--dim 1`, one against a coefficient at `--dim 2`, and a
     coefficient times T B1 against T S Psi1 at `--dim 1 --cutoff 1`;
@@ -122,6 +123,8 @@ def matrix(workdir):
                ["--dim", "3", "bracket", "[:S(B1) Psi1: _ :B2 S(Psi3):]"],
                ["--dim", "1", "--cutoff", "1", "bracket",
                 '[:f{"1": "1"} Psi1: _ :f{"1": "3"} T B1:]'],
+               ["--dim", "1", "--cutoff", "1", "normalize",
+                ':f{"1": "1"} f{"1": "1"}:'],
                ["bracket", "[2 * T T S B1 _ i * T S Psi1]"],
                ["bracket", "[T S Psi1 _ T T B1]"],
                ["--dim", "2", "bracket", '[T T Psi2 _ f{"0,3": "1/2"}]'],
