@@ -136,10 +136,8 @@ def _suite_inputs(args, config):
 
 
 def _complexified(args, metric):
-    """The metric to pair with a built-in complex structure.  Those act
-    on complexified coordinates, so under --metric flat it is the flat
-    metric there, which pairs z^a with its conjugate; a metric file's
-    own metric stays."""
+    """Under --metric flat, the flat metric of the complexified
+    coordinates that the built-in complex structures act on."""
     if args.metric and args.metric != "flat":
         return metric
     return MetricData.flat_complexified(metric.dim // 2, metric.cutoff)

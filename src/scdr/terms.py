@@ -94,7 +94,7 @@ class NormalForm:
     def __init__(self, terms, exact_to=inf):
         clean = {}
         for gens, cf in terms.items():
-            exact_to = min(exact_to, cf.exact_to)
+            exact_to = cf.exact_to if cf.exact_to < exact_to else exact_to
             if not cf.is_zero():
                 clean[gens] = cf
         _fill_nf(self, clean, exact_to)
@@ -160,16 +160,22 @@ def nf_combine(pairs, exact_to=inf):
     least the sum's, so the sum skips the checks of the constructor.
     States are immutable, so when only one state has terms, its scalar
     is 1 and no marker lowers its own, that state is the sum itself.
+
+    Markers fold here and in the constructor by a comparison: on
+    CPython 3.11 the builtin min(a, b) costs several times as much.
     """
     pairs = tuple(pairs)  # nf_sum passes a generator
     live = [p for p in pairs if p[1].terms]
     if len(live) == 1 and live[0][0] == ONE:
         nf = live[0][1]
-        if min(exact_to, *[p[1].exact_to for p in pairs]) == nf.exact_to:
+        marker = exact_to
+        for _, other in pairs:
+            marker = other.exact_to if other.exact_to < marker else marker
+        if marker == nf.exact_to:
             return nf
     terms = {}
     for q, nf in pairs:
-        exact_to = min(exact_to, nf.exact_to)
+        exact_to = nf.exact_to if nf.exact_to < exact_to else exact_to
         if q is not ONE:
             q = as_qi(q)
             if not q:
@@ -185,7 +191,7 @@ def nf_combine(pairs, exact_to=inf):
             if cf.terms:
                 terms[gens] = cf
             else:
-                exact_to = min(exact_to, cf.exact_to)
+                exact_to = cf.exact_to if cf.exact_to < exact_to else exact_to
                 del terms[gens]
     return _fill_nf(object.__new__(NormalForm), terms, exact_to)
 
@@ -430,12 +436,9 @@ class HPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        clean = {}
-        for m, nf in terms.items():
-            if nf.is_zero() and nf.exact_to == inf:
-                continue
-            clean[m] = nf
-        object.__setattr__(self, "terms", clean)
+        # a state that is zero with no marker is no term
+        object.__setattr__(self, "terms", {
+            m: nf for m, nf in terms.items() if nf.terms or nf.exact_to < inf})
 
     def __setattr__(self, name, value):
         raise AttributeError("HPoly is immutable")
