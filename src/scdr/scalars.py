@@ -401,8 +401,8 @@ class CoeffFunction:
                 terms[e] = s
             else:
                 del terms[e]
-        return _cf(self.dim, self.cutoff, terms,
-                   min(self.exact_to, other.exact_to))
+        x, y = self.exact_to, other.exact_to  # min, by hand: see nf_combine
+        return _cf(self.dim, self.cutoff, terms, x if x < y else y)
 
     def __neg__(self):
         return _cf(self.dim, self.cutoff,
@@ -477,7 +477,8 @@ class CoeffFunction:
             for j in range(dim - 1, -1, -1):
                 k, e[j] = divmod(k, cutoff + 1)
             terms[tuple(e)] = _qi(a, b, den)
-        exact = min(self.exact_to, other.exact_to)
+        x, y = self.exact_to, other.exact_to
+        exact = x if x < y else y
         if rows1 and rows2 and rows1[-1][0] + rows2[-1][0] > cutoff:
             exact = min(exact, cutoff)  # some pair left the cutoff
         return _cf(dim, cutoff, terms, exact)
