@@ -161,9 +161,8 @@ def nf_combine(pairs, exact_to=inf):
     States are immutable, so when only one state has terms, its scalar
     is 1 and no marker lowers its own, that state is the sum itself.
 
-    Markers fold here, in the constructor and in CoeffFunction's + and
-    * by a comparison: on CPython 3.11 the builtin min(a, b) costs
-    several times as much, and these run once per pair or coefficient.
+    Markers fold here, in the constructor and in CoeffFunction's + and *
+    by a comparison: on CPython 3.11 min(a, b) costs several times more.
     """
     pairs = tuple(pairs)  # nf_sum passes a generator
     live = [p for p in pairs if p[1].terms]
