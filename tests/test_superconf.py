@@ -12,6 +12,7 @@ from scdr.geometry import (MetricData, build_H, build_H0, build_J,
                            flat_complex_structure, quaternionic_triple_flat)
 from scdr.scalars import QI, CoeffFunction
 from scdr.superconf import check_n2, check_n4, check_ns, check_ns_against
+from scdr.suites import run_ns_suite
 from scdr.terms import Algebra, nf_add, nf_zero
 
 
@@ -45,6 +46,33 @@ def test_dropping_the_potential_breaks_closure():
     assert not rep.verdict
     assert rep.residual is not None
     assert isinstance(rep.residual_rendering(), str)
+
+
+def det_one_metric(cutoff, extra=None):
+    """The 2-D metric diag(1 + x, 1 - x + x^2 - x^3 + x^4 ...), whose
+    determinant is 1 through degree 4, with the terms extra added to
+    g_22."""
+    g22 = {(0, 0): QI(1), (1, 0): QI(-1), (2, 0): QI(1), (3, 0): QI(-1),
+           (4, 0): QI(1), **(extra or {})}
+    zero = CoeffFunction(2, cutoff, {})
+    return MetricData([
+        [CoeffFunction(2, cutoff, {(0, 0): QI(1), (1, 0): QI(1)}), zero],
+        [zero, CoeffFunction(2, cutoff, g22)]])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1")
+def test_a_certified_control_survives_every_extension_of_the_jet():
+    # the potential log sqrt(det g) is an empty state with marker 4;
+    # T S of it keeps that marker, so the control overclaims
+    rep, _ = run_ns_suite(det_one_metric(4), drop_potential=True)
+    assert rep.verdict and rep.guaranteed_degree == 4
+    degree = rep.guaranteed_degree
+    # same 4-jet, one more term: a certificate through degree 4 must
+    # leave nothing in the residual through degree 4
+    rerun, _ = run_ns_suite(det_one_metric(8, {(5, 0): QI(7)}),
+                            drop_potential=True)
+    assert rerun.residual is None or rerun.residual.is_zero_through(degree)
 
 
 def test_ns_candidate_must_be_odd():

@@ -557,6 +557,55 @@ def test_integrals_of_two_generators_vanish(dim, cutoff):
             assert got.terms == {} and got.exact_to == inf
 
 
+def reference_qc_integral(m1, m2):
+    """qc_integral one T at a time: every lambda^j chi state of
+    [m1_L m2], marker-only ones too, T'd j + 1 times and paired with
+    (-1)^j / (j + 1)."""
+    p = bracket_mono(m1, m2)
+    pairs = []
+    for (j, J, _, _), nf in p.terms.items():
+        if not J:
+            continue
+        for _ in range(j + 1):
+            nf = apply_T(nf)
+        pairs.append((QI(Fraction((-1) ** j, j + 1)), nf))
+    return nf_combine(pairs, p.exact_to())
+
+
+@st.composite
+def qc_cases(draw):
+    """(dim, cutoff, m1, m2) for dims 1-2 and cutoffs 1-3: a monomial m1
+    in normal order with up to three derived factors, against a pure
+    coefficient m2, as mono_mul passes it, or a monomial in normal order
+    with up to two."""
+    dim = draw(st.integers(1, 2))
+    cutoff = draw(st.integers(1, 3))
+    pool = [g for g in factor_pool(dim) if not is_underived_b(g)]
+
+    def mono(size):
+        gens = draw(st.lists(st.sampled_from(pool), max_size=size))
+        return draw_factor_coeff(draw, dim, cutoff), normal_order(gens)
+
+    m1 = mono(3)
+    m2 = (draw_factor_coeff(draw, dim, cutoff), ()) if draw(st.booleans()) \
+        else mono(2)
+    return dim, cutoff, m1, m2
+
+
+SPSI1 = Generator(PSI_KIND, 1, 0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(qc_cases())
+@example((2, 2, (X1, (SB1, TB1)), (TRUNCATED_X1, ())))   # coefficient
+@example((2, 2, (X1, (SB1, TB1)), (X1, (SPSI1,))))       # lambda chi
+@example((2, 2, (TRUNCATED_X1, (SB1,)), (ZERO_MARKED, (SPSI1,))))
+def test_quasi_commutativity_matches_one_T_at_a_time(case):
+    # the last example's bracket has a chi state with a marker only
+    _, _, m1, m2 = case
+    assert_same_state(qc_integral(m1, m2), reference_qc_integral(m1, m2))
+
+
 def test_an_odd_square_keeps_the_marker_of_its_coefficient():
     f = CoeffFunction(2, 3, {(1, 0): QI(1)}, 2)
     terms.clear_caches()
