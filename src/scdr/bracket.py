@@ -19,8 +19,9 @@ from math import comb, inf
 
 from .scalars import QI, ONE, HMONO_ONE, hmono_mul, _qi
 from .terms import (B_KIND, PSI_KIND, gens_parity, nf_one, nf_mono,
-                    nf_apply_gen, unit_cf, apply_S, apply_T, HPoly, hp_zero,
-                    hp_add, hp_combine, hp_nf_mul_left, _lambda_only)
+                    nf_apply_gen, unit_cf, apply_S, HPoly, hp_zero,
+                    hp_add, hp_chi_part, hp_combine, hp_nf_mul_left,
+                    _lambda_only, _t_chain)
 
 _BR_CACHE = {}
 
@@ -132,14 +133,14 @@ def _wick_tail(ab, ac, pa, b, pb, c):
     lambda^j chi^J (x) d in ab and lambda^k chi^K (x) e in [d_L c] give
     lambda^{j+k+1} chi^J (x) e / (k+1) when K = 1; the odd-slot sign of
     chi^J cancels the sign of removing eta past it.  The integral is
-    known through the least marker of every e."""
+    known through the least marker of every [d_L c]."""
     t2 = hp_nf_mul_left(ac, b, pb)
     t3, marker = [], inf
     for (j, J, _, _), d_nf in ab.terms.items():
-        for (k, K, _, _), e in lambda_bracket(d_nf, c).terms.items():
-            marker = min(marker, e.exact_to)
-            if K:
-                t3.append(((j + k + 1, J, 0, 0), _qi(1, 0, k + 1), e))
+        inner = lambda_bracket(d_nf, c)
+        marker = min(marker, inner.exact_to())
+        t3 += [((j + k + 1, J, 0, 0), _qi(1, 0, k + 1), e)
+               for k, e in hp_chi_part(inner).items()]
     t3 = hp_combine(t3, marker)
     return hp_combine(t2.triples(-ONE if ((pa + 1) * pb) & 1 else ONE)
                       + t3.triples())
@@ -158,12 +159,8 @@ def skew(p, parity_a, parity_b):
     for m, nf in p.terms.items():
         k, K = _lambda_only(m)
         sign = -1 if (k + K + parity_a * parity_b) & 1 else 1
-        chains = []
-        for J, head in ((1, nf), (0, apply_S(nf))) if K else ((0, nf),):
-            chain = [head]
-            for _ in range(k):
-                chain.append(apply_T(chain[-1]))
-            chains.append((J, chain))
+        chains = [(J, _t_chain(head, k)) for J, head in
+                  (((1, nf), (0, apply_S(nf))) if K else ((0, nf),))]
         for i in range(k, -1, -1):
             q = QI(sign * comb(k, i))
             # a state that is zero with no marker opens no key

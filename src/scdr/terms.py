@@ -330,29 +330,17 @@ def qa_terms(a_mono, b_mono, c_gen):
     exact = min(pa.exact_to(), pb.exact_to())
     # T^(j+1) a / (j+1) pairs with the lambda^j chi coefficient of pb,
     # T^(j+1) b / (j+1) with that of pa: each chain stops at its last use
-    top_a, top_b = _top_chi_degree(pb), _top_chi_degree(pa)
-    ta = nf_mono(*a_mono)
-    tb = nf_mono(*b_mono)
+    chi_b, chi_a = _chi_states(pb), _chi_states(pa)
+    ta = _t_chain(nf_mono(*a_mono), max(chi_b, default=-1) + 1)
+    tb = _t_chain(nf_mono(*b_mono), max(chi_a, default=-1) + 1)
     pairs = []
-    for j in range(max(top_a, top_b) + 1):
-        if j <= top_a:
-            ta = apply_T(ta)
-        if j <= top_b:
-            tb = apply_T(tb)
+    for j in sorted(chi_b.keys() | chi_a.keys()):
         q = _qi(1, 0, j + 1)
-        cb = pb.coeff((j, 1, 0, 0))
-        if cb is not None and not cb.is_zero():
-            pairs.append((q, nf_mul(ta, cb)))
-        ca = pa.coeff((j, 1, 0, 0))
-        if ca is not None and not ca.is_zero():
-            pairs.append((sign * q, nf_mul(tb, ca)))
+        if j in chi_b:
+            pairs.append((q, nf_mul(ta[j + 1], chi_b[j])))
+        if j in chi_a:
+            pairs.append((sign * q, nf_mul(tb[j + 1], chi_a[j])))
     return nf_combine(pairs, exact)
-
-
-def _top_chi_degree(p):
-    """The highest j with a nonzero lambda^j chi coefficient, or -1."""
-    return max((m[0] for m, nf in p.terms.items() if m[1] and nf.terms),
-               default=-1)
 
 
 def qc_integral(m1, m2):
@@ -361,16 +349,14 @@ def qc_integral(m1, m2):
     and lambda^j chi (x) d gives (-1)^j T^{j+1} d / (j+1)."""
     from .bracket import bracket_mono
     p = bracket_mono(m1, m2)
-    pairs = []
-    for m, nf in p.terms.items():
-        j, J = _lambda_only(m)
-        if not J:
-            continue
-        term = nf
-        for _ in range(j + 1):
-            term = apply_T(term)
-        pairs.append((_qi((-1) ** j, 0, j + 1), term))
-    return nf_combine(pairs, p.exact_to())
+    return nf_combine([(_qi((-1) ** j, 0, j + 1), _t_chain(nf, j + 1)[-1])
+                       for j, nf in _chi_states(p).items()], p.exact_to())
+
+
+def _chi_states(p):
+    """The lambda^j chi states of p that have terms.  A marker-only one
+    adds nothing the integrals do not take from p.exact_to()."""
+    return {j: nf for j, nf in hp_chi_part(p).items() if nf.terms}
 
 
 # -- derivations ------------------------------------------------------
@@ -384,6 +370,14 @@ def apply_T(nf):
 def apply_S(nf):
     """The odd derivation S with S^2 = T."""
     return _leibniz(nf, 0, 1)
+
+
+def _t_chain(nf, n):
+    """[nf, T nf, ..., T^n nf]."""
+    chain = [nf]
+    for _ in range(n):
+        chain.append(apply_T(chain[-1]))
+    return chain
 
 
 def _leibniz(nf, t, s):
