@@ -54,17 +54,14 @@ def cmd_bracket(args, config):
     try:
         if len(args.expr) == 1:
             if not looks_like_query(args.expr[0]):
-                print("error: bracket expects '[e1 _ e2]' or two "
-                      "expressions", file=sys.stderr)
-                return 2
+                raise ValueError("bracket expects '[e1 _ e2]' or two "
+                                 "expressions")
             a, b = parse_bracket_query(args.expr[0], dim, cutoff)
         elif len(args.expr) == 2:
             a = parse_expression(args.expr[0], dim, cutoff)
             b = parse_expression(args.expr[1], dim, cutoff)
         else:
-            print("error: bracket expects one query or two expressions",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("bracket expects one query or two expressions")
         _check_state(a, config)
         _check_state(b, config)
     except (ParseError, ValueError) as err:
@@ -143,62 +140,61 @@ def _complexified(args, metric):
     return MetricData.flat_complexified(metric.dim // 2, metric.cutoff)
 
 
-def cmd_verify(args, config):
-    try:
-        metric, tensors, changes = _suite_inputs(args, config)
-    except (ValueError, OSError, KeyError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
+def _suite_call(args, config):
+    """The chosen suite's run, as a function of no arguments.  Bad input
+    raises here: first the inputs, then the rational ring, then the
+    suite's own conditions."""
+    metric, tensors, changes = _suite_inputs(args, config)
     dim, cutoff = metric.dim, metric.cutoff
     suite = args.suite
     if suite in ("n2", "n4") and config["scalar_ring"] == "rational":
-        print("error: the %s suite needs the gaussian-rational ring"
-              % suite, file=sys.stderr)
-        return 2
+        raise ValueError("the %s suite needs the gaussian-rational ring"
+                         % suite)
     if suite == "ns":
-        reports = run_ns_suite(metric, drop_potential=args.drop_potential)
-    elif suite == "n2":
+        return lambda: run_ns_suite(metric,
+                                    drop_potential=args.drop_potential)
+    if suite == "n2":
         if "omega" in tensors:
-            reports = run_n2_suite(metric, tensors["omega"])
-        elif dim % 2 == 0:
-            reports = run_n2_suite(_complexified(args, metric),
-                                   flat_complex_structure(dim // 2, cutoff),
-                                   holo_split=dim // 2)
-        else:
-            print("error: the n2 suite needs an even dimension or an "
-                  "omega tensor", file=sys.stderr)
-            return 2
-    elif suite == "n4":
+            return lambda: run_n2_suite(metric, tensors["omega"])
+        if dim % 2:
+            raise ValueError("the n2 suite needs an even dimension or an "
+                             "omega tensor")
+        return lambda: run_n2_suite(_complexified(args, metric),
+                                    flat_complex_structure(dim // 2, cutoff),
+                                    holo_split=dim // 2)
+    if suite == "n4":
         if dim % 4:
-            print("error: the n4 suite needs dim divisible by 4",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("the n4 suite needs dim divisible by 4")
         names = ("I", "J", "K")
         missing = [n for n in names if n not in tensors]
         if args.flat_quaternionic or len(missing) == 3:
-            triple = quaternionic_triple_flat(dim // 4, cutoff)
-            metric = _complexified(args, metric)
-        elif missing:
-            print("error: the n4 suite needs tensors I, J and K; missing %s"
-                  % ", ".join(missing), file=sys.stderr)
-            return 2
-        else:
-            triple = tuple(tensors[n] for n in names)
-        reports = run_n4_suite(metric, triple)
-    elif suite == "components":
-        reports = run_components_suite(dim, cutoff)
-    elif suite == "coordchange":
+            return lambda: run_n4_suite(
+                _complexified(args, metric),
+                quaternionic_triple_flat(dim // 4, cutoff))
+        if missing:
+            raise ValueError("the n4 suite needs tensors I, J and K; "
+                             "missing %s" % ", ".join(missing))
+        return lambda: run_n4_suite(metric, tuple(tensors[n] for n in names))
+    if suite == "components":
+        return lambda: run_components_suite(dim, cutoff)
+    if suite == "coordchange":
         if not changes:
-            print("error: the coordchange suite needs --change",
-                  file=sys.stderr)
-            return 2
-        reports = run_coordchange_suite(changes)
-    elif cutoff < 1:
+            raise ValueError("the coordchange suite needs --change")
+        return lambda: run_coordchange_suite(changes)
+    if cutoff < 1:
         # random states hold the coordinates, which need degree 1
-        print("error: the jacobi suite needs --cutoff >= 1", file=sys.stderr)
+        raise ValueError("the jacobi suite needs --cutoff >= 1")
+    return lambda: run_jacobi_suite(dim, cutoff, args.seed)
+
+
+def cmd_verify(args, config):
+    try:
+        run = _suite_call(args, config)
+    except (ValueError, OSError, KeyError) as err:
+        print("error: %s" % err, file=sys.stderr)
         return 2
-    else:
-        reports = run_jacobi_suite(dim, cutoff, args.seed)
+    # outside the try: an engine error is a traceback, not bad input
+    reports = run()
     if config["format"] == "json":
         print(json.dumps([r.to_json() for r in reports], indent=2,
                          sort_keys=True, allow_nan=False))
