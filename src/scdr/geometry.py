@@ -519,12 +519,10 @@ def _unique_keys(pairs):
 
 def load_geometry(source):
     """Reads {dim, cutoff, g?, tensors?, changes?} from a JSON file
-    path, file object, or already-parsed dict.  A key repeated in one
-    JSON object is an error."""
+    path or an already-parsed dict.  A key repeated in one JSON object
+    is an error."""
     if isinstance(source, dict):
         data = source
-    elif hasattr(source, "read"):
-        data = json.load(source, object_pairs_hook=_unique_keys)
     else:
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=_unique_keys)
