@@ -29,6 +29,11 @@ a fresh Python process with that tree first on PYTHONPATH, in
     queries at `--dim 3`, and one bracket query and one `normalize` at
     `--dim 1 --cutoff 1` whose values are certified through degree 1
     only;
+  * two `normalize` products that move coefficients past odd factors
+    through the quasi-commutativity integral and truncate their
+    coefficient products: `:S Psi1 f f:` with f = x at `--dim 1
+    --cutoff 1`, certified through degree 1, and `:S Psi1 T S Psi2
+    f{"1,1"} f{"1,0"}:` at `--dim 2 --cutoff 2`, through degree 2;
   * bracket queries over the table of derived generators c T^t S^s X:
     two at `--dim 1`, one against a coefficient at `--dim 2`, and a
     coefficient times T B1 against T S Psi1 at `--dim 1 --cutoff 1`;
@@ -125,6 +130,10 @@ def matrix(workdir):
                 '[:f{"1": "1"} Psi1: _ :f{"1": "3"} T B1:]'],
                ["--dim", "1", "--cutoff", "1", "normalize",
                 ':f{"1": "1"} f{"1": "1"}:'],
+               ["--dim", "1", "--cutoff", "1", "normalize",
+                ':S Psi1 f{"1": "1"} f{"1": "1"}:'],
+               ["--dim", "2", "--cutoff", "2", "normalize",
+                ':S Psi1 T S Psi2 f{"1,1": "1"} f{"1,0": "1"}:'],
                ["bracket", "[2 * T T S B1 _ i * T S Psi1]"],
                ["bracket", "[T S Psi1 _ T T B1]"],
                ["--dim", "2", "bracket", '[T T Psi2 _ f{"0,3": "1/2"}]'],
