@@ -10,7 +10,7 @@ from scdr.components import (check_n1_components, check_n2_components,
                              n1_components, n2_components, sres_action)
 from scdr.geometry import (MetricData, build_H, build_H0, build_J,
                            flat_complex_structure, quaternionic_triple_flat)
-from scdr.scalars import QI
+from scdr.scalars import QI, CoeffFunction
 from scdr.terms import Algebra, apply_S, apply_T, nf_scale, nf_sub
 
 
@@ -106,3 +106,16 @@ def test_wrong_current_is_reported():
     rep = check_n1_components(alg.Psi(1))
     assert not rep.verdict
     assert "superfield NS check: FAIL" in rep.details
+
+
+def test_inconclusive_superfield_check_leaves_table_inconclusive():
+    # at cutoff 2 the curved line is certified through degree -1 only:
+    # the superfield check is inconclusive, which is not a failure
+    g11 = CoeffFunction(1, 2, {(0,): QI(1), (2,): QI(1)})
+    rep = check_n1_components(build_H(MetricData([[g11]])))
+    assert rep.text_lines() == [
+        "components-n1: inconclusive, c = 3 (degree -1)",
+        "  [L_l L]: inconclusive",
+        "  [L_l G]: inconclusive",
+        "  [G_l G]: inconclusive"]
+    assert rep.status == "inconclusive"
