@@ -202,9 +202,10 @@ def cmd_verify(args, config):
         for r in reports:
             for line in r.text_lines():
                 print(line)
-    if not all(r.verdict or r.inconclusive for r in reports):
+    statuses = {r.status for r in reports}
+    if "FAIL" in statuses:
         return 1
-    return 3 if any(r.inconclusive for r in reports) else 0
+    return 3 if "inconclusive" in statuses else 0
 
 
 def _common_flags(p, top):

@@ -33,24 +33,18 @@ def _json_degree(degree):
 
 
 class StructureReport:
-    """Outcome of one superconformal verification.  verdict is True only
-    for a pass; a report that holds through a negative degree only is
-    inconclusive instead."""
+    """Outcome of one superconformal verification.  status is 'pass',
+    'FAIL' or 'inconclusive': a report that holds through a negative
+    degree only is inconclusive, never a pass."""
 
-    def __init__(self, name, verdict, central_charge=None,
+    def __init__(self, name, held, central_charge=None,
                  guaranteed_degree=inf, residual=None, details=()):
         self.name = name
-        self.inconclusive = _word(verdict, guaranteed_degree) == "inconclusive"
-        self.verdict = verdict and not self.inconclusive
+        self.status = _word(held, guaranteed_degree)
         self.central_charge = central_charge
         self.guaranteed_degree = guaranteed_degree
         self.residual = residual
         self.details = tuple(details)
-
-    def status(self):
-        """'pass', 'FAIL' or 'inconclusive'."""
-        return _word(self.verdict or self.inconclusive,
-                     self.guaranteed_degree)
 
     def residual_rendering(self):
         if self.residual is None:
@@ -61,7 +55,7 @@ class StructureReport:
 
     def to_json(self):
         return {
-            "verdict": "fail" if self.status() == "FAIL" else self.status(),
+            "verdict": self.status.lower(),
             "central_charge": (None if self.central_charge is None
                                else render_qi(self.central_charge)),
             "guaranteed_degree": _json_degree(self.guaranteed_degree),
@@ -73,10 +67,10 @@ class StructureReport:
               else "degree %d" % self.guaranteed_degree)
         cc = ("" if self.central_charge is None
               else ", c = %s" % render_qi(self.central_charge))
-        lines = ["%s: %s%s (%s)" % (self.name, self.status(), cc, gd)]
+        lines = ["%s: %s%s (%s)" % (self.name, self.status, cc, gd)]
         for d in self.details:
             lines.append("  " + d)
-        if not self.verdict and self.residual is not None:
+        if self.residual is not None:
             lines.append("  residual: %s" % self.residual_rendering())
         return lines
 
@@ -92,8 +86,8 @@ def holds(diff):
 def fold(name, parts, central_charge=None):
     """The report of a structure made of parts, each a (label, item)
     pair.  An item is the difference of an identity, judged by holds;
-    a sub-report, whose verdict, degree and residual carry over; or a
-    bool for a side condition.
+    a sub-report, which holds unless its status is FAIL and whose
+    degree and residual carry over; or a bool for a side condition.
 
     Every labelled part adds the detail line 'label: pass|FAIL', where
     a sub-report also names its central charge; a part labelled None
@@ -104,7 +98,7 @@ def fold(name, parts, central_charge=None):
     for label, item in parts:
         diff = None
         if isinstance(item, StructureReport):
-            ok_part = item.verdict or item.inconclusive
+            ok_part = item.status != "FAIL"
             deg, diff = item.guaranteed_degree, item.residual
         elif isinstance(item, bool):
             ok_part, deg = item, inf

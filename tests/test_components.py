@@ -32,7 +32,7 @@ def test_classical_bracket_is_chi_linear_part():
 
 def test_virasoro_family_flat_line():
     rep = check_n1_components(build_H0(1, 6))
-    assert rep.verdict
+    assert rep.status == "pass"
     assert rep.central_charge == QI(3)
     assert rep.guaranteed_degree == inf
     assert [d for d in rep.details if "FAIL" in d] == []
@@ -63,7 +63,7 @@ def test_n2_family_flat_complex_line():
     h = build_H(mc)
     j = build_J(flat_complex_structure(1, 6), mc)
     rep = check_n2_components(h, j)
-    assert rep.verdict
+    assert rep.status == "pass"
     assert rep.central_charge == QI(6)
     assert rep.guaranteed_degree == inf
     assert [d for d in rep.details if "FAIL" in d] == []
@@ -94,7 +94,7 @@ def test_n4_family_flat_quaternions():
     I, J, K = quaternionic_triple_flat(1, 6)
     rep = check_n4_components(build_H(mc), build_J(I, mc), build_J(J, mc),
                               build_J(K.scale(QI(-1)), mc))
-    assert rep.verdict
+    assert rep.status == "pass"
     assert rep.central_charge == QI(12)
     assert rep.guaranteed_degree == inf
     assert [d for d in rep.details if "FAIL" in d] == []
@@ -104,7 +104,7 @@ def test_n4_family_flat_quaternions():
 def test_wrong_current_is_reported():
     alg = Algebra(1, 6)
     rep = check_n1_components(alg.Psi(1))
-    assert not rep.verdict
+    assert rep.status == "FAIL"
     assert "superfield NS check: FAIL" in rep.details
 
 

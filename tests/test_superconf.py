@@ -26,7 +26,7 @@ def curved_metric(cutoff=8):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_flat_ns_charge_is_three_per_field(dim):
     rep = check_ns(build_H0(dim, 6))
-    assert rep.verdict
+    assert rep.status == "pass"
     assert rep.central_charge == QI(3 * dim)
     assert rep.guaranteed_degree == inf
     assert rep.residual is None
@@ -35,7 +35,7 @@ def test_flat_ns_charge_is_three_per_field(dim):
 
 def test_curved_ns_certified_through_degree_four():
     rep = check_ns(build_H(curved_metric()))
-    assert rep.verdict
+    assert rep.status == "pass"
     assert rep.central_charge == QI(3)
     assert rep.guaranteed_degree >= 4
 
@@ -43,7 +43,7 @@ def test_curved_ns_certified_through_degree_four():
 def test_dropping_the_potential_breaks_closure():
     metric = curved_metric()
     rep = check_ns_against(build_H0(1, metric.cutoff), build_H(metric))
-    assert not rep.verdict
+    assert rep.status == "FAIL"
     assert rep.residual is not None
     assert isinstance(rep.residual_rendering(), str)
 
@@ -66,7 +66,7 @@ def test_a_certified_control_survives_every_extension_of_the_jet():
     # the potential log sqrt(det g) is an empty state with marker 4;
     # T S of it keeps that marker, so the control overclaims
     rep, _ = run_ns_suite(det_one_metric(4), drop_potential=True)
-    assert rep.verdict and rep.guaranteed_degree == 4
+    assert rep.status == "pass" and rep.guaranteed_degree == 4
     degree = rep.guaranteed_degree
     # same 4-jet, one more term: a certificate through degree 4 must
     # leave nothing in the residual through degree 4
@@ -91,7 +91,7 @@ def test_flat_kaehler_n2(n):
     h = build_H(metric)
     j = build_J(flat_complex_structure(n, 6), metric)
     rep = check_n2(h, j)
-    assert rep.verdict
+    assert rep.status == "pass"
     assert rep.central_charge == QI(6 * n)
     assert rep.guaranteed_degree == inf
     assert len(rep.details) == 3
@@ -102,7 +102,7 @@ def test_n2_rejects_zero_current():
     metric = MetricData.flat_complexified(1, 6)
     h = build_H(metric)
     rep = check_n2(h, nf_zero())
-    assert not rep.verdict
+    assert rep.status == "FAIL"
 
 
 def test_n2_parity_preconditions():
@@ -120,7 +120,7 @@ def test_scaled_current_fails_n2():
     h = build_H(metric)
     j = build_J(flat_complex_structure(1, 6).scale(QI(2)), metric)
     rep = check_n2(h, j)
-    assert not rep.verdict
+    assert rep.status == "FAIL"
 
 
 # -- N=4 --------------------------------------------------------------
@@ -136,7 +136,7 @@ def quaternionic_currents(n, cutoff=6):
 def test_flat_quaternionic_n4():
     h, j0, j1, j2 = quaternionic_currents(1)
     rep = check_n4(h, j0, j1, j2)
-    assert rep.verdict
+    assert rep.status == "pass"
     assert rep.central_charge == QI(12)
     assert rep.guaranteed_degree == inf
     assert sum("FAIL" in d for d in rep.details) == 0
@@ -145,7 +145,7 @@ def test_flat_quaternionic_n4():
 def test_swapped_orientation_fails_n4():
     h, j0, j1, j2 = quaternionic_currents(1)
     rep = check_n4(h, j0, j2, j1)
-    assert not rep.verdict
+    assert rep.status == "FAIL"
     assert any("FAIL" in d for d in rep.details)
 
 
