@@ -1,10 +1,14 @@
 """Command-line surface: rendered outputs, exit codes, JSON shapes,
 flag placement and the verification subcommands."""
 
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import scdr.cli
 from scdr.cli import main
@@ -538,3 +542,129 @@ def test_repeated_json_key_is_an_input_error(capsys, tmp_path, text, key):
                  ["verify", "n2", "--tensor", "omega=%s" % path]):
         err = _assert_input_error(capsys, *argv)
         assert "repeated key %s" % key in err
+
+
+# -- the exit-code contract -------------------------------------------
+
+def _splice(text, junk, at):
+    at %= len(text) + 1
+    return text[:at] + junk + text[at:]
+
+
+def dsl_strings(dim):
+    """DSL expressions at the given --dim, mostly well formed; a few
+    atoms are bad input (a generator above --dim, a zero denominator,
+    a bare x), and some strings are spoilt by one junk token."""
+    key = ",".join("1" * dim)
+    atoms = ("B1", "Psi1", "B%d" % dim, "Psi%d" % dim, "vac", "i", "3/2",
+             'f{"%s": "1/2"}' % key, 'f{"%s": "-2 + i"}' % key,
+             "B3", 'f{"%s": "1/0"}' % key, "x")
+    expr = st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(
+            st.builds("S({})".format, inner),
+            st.builds("T {}".format, inner),
+            st.builds(":{} {}:".format, inner, inner),
+            st.builds("{} + {}".format, inner, inner),
+            st.builds("2 * {}".format, inner)),
+        max_leaves=4)
+    spoilt = st.builds(_splice, expr,
+                       st.sampled_from(("[", "_", "(", ")", ":", "*")),
+                       st.integers(0, 60))
+    return st.one_of(expr, expr, spoilt)
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv that argparse accepts: a verify suite at a small size,
+    the NS suite optionally on the curved line (the --metric value
+    'curved', which the test replaces by the file at --cutoff), or an
+    expression query."""
+    argv = ["--format", draw(st.sampled_from(("text", "json"))),
+            "--scalar-ring",
+            draw(st.sampled_from(("rational", "gaussian-rational")))]
+    cutoff = draw(st.integers(0, 4))
+    argv += ["--cutoff", str(cutoff)]
+    command = draw(st.sampled_from(("verify", "verify", "normalize",
+                                    "bracket")))
+    if command == "verify":
+        suite = draw(st.sampled_from(("ns", "ns", "n2", "n4", "components",
+                                      "jacobi")))
+        dim = draw(st.integers(1, 2 if suite == "jacobi" else 4))
+        argv += ["--dim", str(dim), "verify", suite]
+        if suite == "jacobi":
+            argv += ["--seed", str(draw(st.integers(0, 3)))]
+        if suite == "ns" and draw(st.booleans()):
+            argv += ["--metric", "curved"]
+        if suite == "ns" and draw(st.booleans()):
+            argv.append("--drop-potential")
+        return argv
+    dim = draw(st.integers(1, 2))
+    exprs = [draw(dsl_strings(dim))
+             for _ in range(1 if command == "normalize" else 2)]
+    if command == "bracket" and draw(st.booleans()):
+        exprs = ["[%s _ %s]" % tuple(exprs)]
+    return argv + ["--dim", str(dim), command] + exprs
+
+
+@pytest.fixture(scope="module")
+def curved_metrics(tmp_path_factory):
+    """The shipped curved line g = 1 + x^2, rewritten at cutoffs 0-4."""
+    doc = json.loads((DATA / "metric_1d_curved.json").read_text())
+    tmp = tmp_path_factory.mktemp("curved")
+    paths = {}
+    for cutoff in range(5):
+        doc["cutoff"] = cutoff
+        paths[cutoff] = _write_json(tmp / ("c%d.json" % cutoff), doc)
+    return paths
+
+
+def _report_words(fmt, out):
+    """The lower-cased status word of every report an invocation
+    printed."""
+    if fmt == "json":
+        return [doc["verdict"] for doc in json.loads(out)]
+    words = []
+    for line in out.splitlines():
+        if not line.startswith(" "):
+            m = re.match(r"\S+: (pass|FAIL|inconclusive)\b", line)
+            assert m, line
+            words.append(m.group(1).lower())
+    return words
+
+
+# the curved line at cutoff 2 is certified through degree -1 only, so
+# every run sees exit 3 at least once
+_CURVED_NS = ["--cutoff", "2", "verify", "ns", "--metric", "curved"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=cli_argvs())
+@example(argv=["--format", "text"] + _CURVED_NS)
+@example(argv=["--format", "json"] + _CURVED_NS)
+def test_exit_code_matches_the_reports(curved_metrics, argv):
+    """Exit 2 is one error line; otherwise 1 means a FAIL report, 3 an
+    inconclusive one and no FAIL, 0 all pass; nothing raises."""
+    cutoff = int(argv[argv.index("--cutoff") + 1])
+    argv = [curved_metrics[cutoff] if a == "curved" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 1, 2, 3)
+    if rc == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert err == ""
+    if "verify" not in argv:
+        assert rc == 0
+        return
+    words = _report_words(argv[1], out)
+    assert words
+    if "fail" in words:
+        assert rc == 1
+    elif "inconclusive" in words:
+        assert rc == 3
+    else:
+        assert rc == 0 and set(words) == {"pass"}
