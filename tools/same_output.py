@@ -10,7 +10,8 @@ a fresh Python process with that tree first on PYTHONPATH, in
   * flat `ns`, `n2` and `n4 --flat-quaternionic` at `--dim` 4, 8, 16,
     and `components` at `--dim` 8, 16;
   * curved NS on `data/metric_1d_curved.json`, with and without
-    `--drop-potential`;
+    `--drop-potential`, and on the same metric rewritten at cutoff 2,
+    which is certified through degree -1 only and exits 3;
   * curved `n2` on three 2-D Kaehler metrics g = [[0, h], [h, 0]]
     written at cutoff 6: h = (1 + x)(1 + y), flat in disguise; h =
     1 + xy, which fails; and 1 + xy again with omega = diag(i, -i);
@@ -80,6 +81,10 @@ def matrix(workdir):
     metric = str(DATA / "metric_1d_curved.json")
     suites += [["verify", "ns", "--metric", metric],
                ["verify", "ns", "--metric", metric, "--drop-potential"]]
+    doc = {"dim": 1, "cutoff": 2, "g": [[{"0": "1", "2": "1"}]]}
+    path = Path(workdir) / "metric_1d_curved_c2.json"
+    path.write_text(json.dumps(doc))
+    suites.append(["verify", "ns", "--metric", str(path)])
     h_flat = {"0,0": "1", "1,0": "1", "0,1": "1", "1,1": "1"}
     h_curved = {"0,0": "1", "1,1": "1"}
     omega = [[{"0,0": "i"}, {}], [{}, {"0,0": "-i"}]]
