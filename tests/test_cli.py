@@ -585,6 +585,8 @@ def cli_argvs(draw):
             draw(st.sampled_from(("rational", "gaussian-rational")))]
     cutoff = draw(st.integers(0, 4))
     argv += ["--cutoff", str(cutoff)]
+    # verify and ns are drawn twice as often: the reports, and the
+    # curved line that ns alone takes, are where exits 1 and 3 come from
     command = draw(st.sampled_from(("verify", "verify", "normalize",
                                     "bracket")))
     if command == "verify":
