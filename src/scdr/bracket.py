@@ -105,11 +105,11 @@ def _atomic_bracket(m1, m2):
         right, state = (y.t, y.s, 0, 0), nf_one(f1.dim, f1.cutoff)
         q *= f2.constant_term()
         flips = x.t + (y.s and x.kind == B_KIND)
-    elif x.kind == PSI_KIND:
+    else:
+        # x = Psi^i: bracket_mono's support prune stops B^i against a
+        # pure coefficient, since neither side holds a Psi
         right, flips = HMONO_ONE, x.t
         state = nf_mono(f2.partial(x.index), ())
-    else:
-        return hp_zero()
     sign, key = hmono_mul((x.t, x.s, 0, 0), right)
     return hp_combine([(key, -q if (flips + (sign < 0)) & 1 else q, state)])
 

@@ -21,11 +21,6 @@ HALF = QI(Fraction(1, 2))
 IMAG = QI(0, 1)
 
 
-def expand(a):
-    """(bottom, top) component pair of a state."""
-    return a, apply_S(a)
-
-
 def classical_bracket(a, b):
     """The lambda-bracket of the underlying classical vertex algebra:
     {j: coefficient of lambda^j}, together with the degree through

@@ -199,25 +199,6 @@ def christoffel(metric):
     return gamma
 
 
-def ricci_tensor(metric):
-    """Ricci curvature, provided as a diagnostic for test data that is
-    supposed to be flat."""
-    n = metric.dim
-    gm = christoffel(metric)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = sum_cf([gm[k][i][j].partial(k + 1) for k in range(n)])
-            acc = acc - sum_cf([gm[k][i][k].partial(j + 1)
-                                for k in range(n)])
-            acc = acc + sum_cf([gm[k][k][l] * gm[l][i][j]
-                                for k in range(n) for l in range(n)])
-            acc = acc - sum_cf([gm[k][j][l] * gm[l][i][k]
-                                for k in range(n) for l in range(n)])
-            out[i][j] = acc
-    return out
-
-
 def build_H(metric):
     """The odd current SB^i SPsi_i + TB^i Psi_i - TS(log sqrt det g).
 
@@ -264,8 +245,6 @@ def _j_current(omega, sb, psi, tb, coeff, gamma):
         for k in range(n):
             ck = sum_cf([gamma[i][j][k] * w[i][j]
                          for i in range(n) for j in range(n)])
-            if ck.is_zero() and ck.exact_to == inf:
-                continue
             terms.append(nf_mul(coeff(ck), tb[k]))
     return nf_sum(terms)
 

@@ -145,12 +145,6 @@ class QI:
             return NotImplemented
         return other / self
 
-    def conj(self):
-        return _init(_new(QI), self.a, -self.b, self.d)
-
-    def is_rational(self):
-        return self.b == 0
-
 
 _new = object.__new__
 _HASH_MODULUS = sys.hash_info.modulus
@@ -342,10 +336,6 @@ class CoeffFunction:
         e = [0] * dim
         e[i - 1] = 1
         return CoeffFunction(dim, cutoff, {tuple(e): ONE})
-
-    @staticmethod
-    def monomial(dim, cutoff, exponents, value=ONE):
-        return CoeffFunction(dim, cutoff, {tuple(exponents): as_qi(value)})
 
     # -- basic queries ------------------------------------------------
 

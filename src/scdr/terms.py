@@ -160,6 +160,7 @@ def nf_combine(pairs, exact_to=inf):
     least the sum's, so the sum skips the checks of the constructor.
     States are immutable, so when only one state has terms, its scalar
     is 1 and no marker lowers its own, that state is the sum itself.
+    States with terms from two algebras, by (dim, cutoff), raise.
 
     Markers fold here, in the constructor and in CoeffFunction's + and *
     by a comparison: on CPython 3.11 min(a, b) costs several times more.
@@ -174,8 +175,15 @@ def nf_combine(pairs, exact_to=inf):
         if marker == nf.exact_to:
             return nf
     terms = {}
+    first = None
     for q, nf in pairs:
         exact_to = nf.exact_to if nf.exact_to < exact_to else exact_to
+        if nf.terms:
+            head = next(iter(nf.terms.values()))
+            if first is None:
+                first = head
+            elif head.dim != first.dim or head.cutoff != first.cutoff:
+                raise ValueError("dimension or cutoff mismatch")
         if q is not ONE:
             q = as_qi(q)
             if not q:
@@ -198,10 +206,6 @@ def nf_combine(pairs, exact_to=inf):
 
 def nf_add(a, b):
     return nf_combine(((ONE, a), (ONE, b)))
-
-
-def nf_neg(a):
-    return nf_combine(((-ONE, a),))
 
 
 def nf_sub(a, b):
@@ -276,9 +280,6 @@ def nf_mul_gen(mono, h):
 
 def _nf_mul_gen(mono, h):
     f, gens = mono
-    if h.is_coordinate():
-        xi = CoeffFunction.coordinate(f.dim, f.cutoff, h.index)
-        return mono_mul(mono, (xi, ()))
     if not gens or _in_order(gens[-1], h):
         return nf_mono(f, gens + (h,))
     # [g_Lambda h] of two derived generators is a scalar times the
@@ -403,12 +404,12 @@ def _leibniz(nf, t, s):
 
 
 def mono_from_factors(cf, factors):
-    """Left-nested normally ordered product of cf and the given
-    generator factors, in the given order.  The leading run of derived
-    factors already in normal order is one monomial as it stands."""
+    """Left-nested normally ordered product of cf and the given derived
+    generator factors, in the given order.  The leading run of factors
+    already in normal order is one monomial as it stands."""
     n = 0
     for h in factors:
-        if h.is_coordinate() or (n and not _in_order(factors[n - 1], h)):
+        if n and not _in_order(factors[n - 1], h):
             break
         n += 1
     nf = nf_mono(cf, factors[:n])
@@ -452,9 +453,6 @@ class HPoly:
     def coeff_or_zero(self, mono):
         nf = self.terms.get(mono)
         return nf if nf is not None else nf_zero()
-
-    def is_zero(self):
-        return all(nf.is_zero() for nf in self.terms.values())
 
     def is_zero_through(self, degree):
         return all(nf.is_zero_through(degree) for nf in self.terms.values())
@@ -540,9 +538,6 @@ class Algebra:
 
     def TB(self, i):
         return self.nf_gen(B_KIND, i, 1, 0)
-
-    def TPsi(self, i):
-        return self.nf_gen(PSI_KIND, i, 1, 0)
 
     def coeff_nf(self, cf):
         return nf_mono(cf, ())

@@ -21,8 +21,7 @@ from scdr.scalars import QI, CoeffFunction, hmono_mul, hmono_parity
 from scdr.terms import (B_KIND, PSI_KIND, Algebra, Generator, HPoly,
                         NormalForm, apply_S, apply_T, gens_parity,
                         hp_combine, hp_sub, hp_zero,
-                        mono_from_factors, nf_add, nf_mono, nf_mul, nf_neg,
-                        nf_scale)
+                        mono_from_factors, nf_add, nf_mono, nf_mul, nf_scale)
 
 ONE = (0, 0, 0, 0)
 LAM = (1, 0, 0, 0)
@@ -37,7 +36,8 @@ def hp(alg, items):
 
 
 def assert_hp_zero(p):
-    assert p.is_zero(), "nonzero: %r" % (p,)
+    # every key's state is zero, marker-only keys included
+    assert all(nf.is_zero() for nf in p.terms.values()), "nonzero: %r" % (p,)
 
 
 # -- step-by-step references ------------------------------------------
@@ -331,8 +331,8 @@ def test_derived_generator_values():
     SB, SPsi, TB = alg.SB(1), alg.SPsi(1), alg.TB(1)
     one = alg.one()
     assert lambda_bracket(SB, Psi) == hp(alg, [(CHI, one)])
-    assert lambda_bracket(TB, Psi) == hp(alg, [(LAM, nf_neg(one))])
-    assert lambda_bracket(B, SPsi) == hp(alg, [(CHI, nf_neg(one))])
+    assert lambda_bracket(TB, Psi) == hp(alg, [(LAM, nf_scale(one, -1))])
+    assert lambda_bracket(B, SPsi) == hp(alg, [(CHI, nf_scale(one, -1))])
     assert lambda_bracket(SPsi, B) == hp(alg, [(CHI, one)])
     assert lambda_bracket(Psi, TB) == hp(alg, [(LAM, one)])
     assert lambda_bracket(Psi, SB) == hp(alg, [(CHI, one)])
@@ -692,7 +692,7 @@ def test_flat_current_closes_exactly():
     h = build_H0(1, 8)
     d = hp_sub(lambda_bracket(h, h), _ns_rhs_hp(alg, h, QI(3)))
     assert d.exact_to() == inf
-    assert d.is_zero()
+    assert_hp_zero(d)
 
 
 def _curved_setup():
@@ -733,8 +733,8 @@ def test_current_acts_on_potential_correction():
     assert d.exact_to() >= 4
     assert d.is_zero_through(d.exact_to())
 
-    want_rev = hp(alg, [(LAMCHI, nf_neg(apply_T(pot))),
-                        (LAM2, nf_neg(apply_S(pot)))])
+    want_rev = hp(alg, [(LAMCHI, nf_scale(apply_T(pot), -1)),
+                        (LAM2, nf_scale(apply_S(pot), -1))])
     d_rev = hp_sub(lambda_bracket(tsp, h0), want_rev)
     assert d_rev.exact_to() >= 4
     assert d_rev.is_zero_through(d_rev.exact_to())

@@ -6,19 +6,12 @@ from math import inf
 import pytest
 
 from scdr.components import (check_n1_components, check_n2_components,
-                             check_n4_components, classical_bracket, expand,
+                             check_n4_components, classical_bracket,
                              n1_components, n2_components, sres_action)
 from scdr.geometry import (MetricData, build_H, build_H0, build_J,
                            flat_complex_structure, quaternionic_triple_flat)
 from scdr.scalars import QI, CoeffFunction
 from scdr.terms import Algebra, apply_S, apply_T, nf_scale, nf_sub
-
-
-def test_expand_gives_bottom_and_top():
-    alg = Algebra(1, 6)
-    bottom, top = expand(alg.B(1))
-    assert bottom == alg.B(1)
-    assert top == alg.SB(1)
 
 
 def test_classical_bracket_is_chi_linear_part():

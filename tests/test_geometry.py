@@ -16,7 +16,7 @@ from scdr.geometry import (CoordinateChange, EndoTensor, MetricData,
                            cf_from_json, check_coordinate_change,
                            christoffel, flat_complex_structure, load_geometry,
                            pushforward_endotensor, pushforward_metric,
-                           quaternionic_triple_flat, ricci_tensor)
+                           quaternionic_triple_flat)
 from scdr.scalars import QI, CoeffFunction
 from scdr.superconf import holds
 from scdr.terms import nf_sub
@@ -64,21 +64,42 @@ def test_flat_connection_vanishes():
                for i in range(2) for j in range(2) for k in range(2))
 
 
-def test_one_dimensional_metrics_are_flat():
-    ric = ricci_tensor(curved_1d())
-    assert ric[0][0].is_zero_through(ric[0][0].exact_to)
-
-
-def test_pushforward_of_flat_metric_stays_flat():
+def test_pushforward_of_flat_metric_is_the_jacobian_gram_matrix():
+    """g~ = Jf^T Jf for the flat metric, with Jf the Jacobian of the
+    inverse change; sympy builds the inverse by its own fixed-point
+    iteration and differentiates it."""
+    sp = pytest.importorskip("sympy")
     cutoff = 8
     fwd = [cf(2, cutoff, {(1, 0): 1, (2, 0): 1, (1, 1): 1}),
            cf(2, cutoff, {(0, 1): 1, (0, 2): -1, (1, 1): 2})]
-    ch = CoordinateChange(fwd)
-    pushed = pushforward_metric(ch, MetricData.flat(2, cutoff))
-    ric = ricci_tensor(pushed)
-    for i in range(2):
-        for j in range(2):
-            assert ric[i][j].is_zero_through(ric[i][j].exact_to)
+    pushed = pushforward_metric(CoordinateChange(fwd),
+                                MetricData.flat(2, cutoff))
+    ys = sp.symbols("y1:3")
+
+    def cut(expr):
+        poly = sp.Poly(sp.expand(expr), *ys)
+        return sum((c * ys[0] ** e[0] * ys[1] ** e[1]
+                    for e, c in poly.terms() if sum(e) <= cutoff),
+                   sp.Integer(0))
+
+    # x = f(y) solves y = g(x) = x + h(x): iterate f = y - h(f), one
+    # degree per pass
+    f = list(ys)
+    for _ in range(cutoff):
+        f = [cut(ys[0] - f[0] ** 2 - f[0] * f[1]),
+             cut(ys[1] + f[1] ** 2 - 2 * f[0] * f[1])]
+    jac = sp.Matrix(2, 2, lambda i, k: sp.diff(f[i], ys[k]))
+    want = (jac.T * jac).applyfunc(cut)
+    for k in range(2):
+        for l in range(2):
+            got = pushed.g[k][l]
+            assert got.exact_to == cutoff - 1
+            poly = sp.Poly(want[k, l], *ys)
+            oracle = {e: QI(Fraction(int(c.p), int(c.q)))
+                      for e, c in poly.terms()
+                      if c and sum(e) <= got.exact_to}
+            assert {e: c for e, c in got.terms.items()
+                    if sum(e) <= got.exact_to} == oracle, (k, l)
 
 
 # -- metric validation ------------------------------------------------

@@ -9,7 +9,7 @@ from scdr.suites import random_state
 from scdr.parser import (ParseError, looks_like_query, parse_bracket_query,
                          parse_expression)
 from scdr.scalars import QI, CoeffFunction
-from scdr.terms import (Algebra, apply_S, apply_T, nf_add, nf_mul, nf_neg,
+from scdr.terms import (Algebra, apply_S, apply_T, nf_add, nf_mul,
                         nf_scale, render_nf)
 
 
@@ -54,13 +54,14 @@ def test_product_chains_left_nested(alg):
     assert got == want
     assert norm(":vac B1:", alg) == alg.B(1)
     assert norm(":S B1 T Psi2:", alg) == \
-        nf_mul(alg.SB(1), alg.TPsi(2))
+        nf_mul(alg.SB(1), apply_T(alg.Psi(2)))
 
 
 def test_sums_and_signs(alg):
     got = norm("-B1 + 2 * Psi1 - vac", alg)
-    want = nf_add(nf_add(nf_neg(alg.B(1)), nf_scale(alg.Psi(1), QI(2))),
-                  nf_neg(alg.one()))
+    want = nf_add(nf_add(nf_scale(alg.B(1), -1),
+                         nf_scale(alg.Psi(1), QI(2))),
+                  nf_scale(alg.one(), -1))
     assert got == want
 
 

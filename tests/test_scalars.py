@@ -45,8 +45,6 @@ def test_qi_basic_arithmetic():
     assert a - a == ZERO
     assert a / a == ONE
     assert (a * b) / b == a
-    assert a.conj() == qi(Fraction(1, 2), -1)
-    assert not a.is_rational() and qi(5).is_rational()
 
 
 def test_qi_division_by_zero():
@@ -177,8 +175,6 @@ def test_qi_matches_fraction_pairs(x, y):
     assert_is_pair(p - q, (pr - qr, pi - qi_))
     assert_is_pair(p * q, (pr * qr - pi * qi_, pr * qi_ + pi * qr))
     assert_is_pair(-p, (-pr, -pi))
-    assert_is_pair(p.conj(), (pr, -pi))
-    assert p.is_rational() == (pi == 0)
     assert bool(p) == bool(pr or pi)
     n = qr * qr + qi_ * qi_
     if n:
@@ -448,8 +444,8 @@ def test_cf_mul_empty_and_constant_operands():
     assert (one * f) == f and (f * one) == f
     assert (zero * f).terms == {} and (zero * f).exact_to == 4
     # x1^3 * x2^3 leaves cutoff 5: nothing is kept and exactness drops
-    h = (CoeffFunction.monomial(2, 5, (3, 0))
-         * CoeffFunction.monomial(2, 5, (0, 3)))
+    h = (CoeffFunction(2, 5, {(3, 0): ONE})
+         * CoeffFunction(2, 5, {(0, 3): ONE}))
     assert h.terms == {} and h.exact_to == 5
     # terms that cancel are not stored
     p = CoeffFunction(1, 4, {(0,): ONE, (1,): ONE})

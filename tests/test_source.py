@@ -1,5 +1,6 @@
 """Source hygiene of the engine: no unused imports, no uncalled private
-functions.  Standard library ast only."""
+functions, no public function that only tests call.  Standard library
+ast only."""
 
 import ast
 from pathlib import Path
@@ -34,18 +35,30 @@ def exported_names(tree):
     return set()
 
 
-def references(tree):
-    """(name, enclosing top-level def or None) of every name the module
-    reads, as a bare name or as an attribute."""
-    out = set()
+def functions(tree):
+    """(qualified name, def) of every top-level function and every
+    method of a top-level class."""
     for top in tree.body:
-        owner = top.name if isinstance(
-            top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                out.add((node.id, owner))
-            elif isinstance(node, ast.Attribute):
-                out.add((node.attr, owner))
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield "%s.%s" % (top.name, node.name), node
+
+
+def references(tree):
+    """(name, enclosing function or method, by qualified name, or None)
+    of every name the module reads, as a bare name or as an
+    attribute."""
+    owners = {id(node): qualname for qualname, def_ in functions(tree)
+              for node in ast.walk(def_)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add((node.id, owners.get(id(node))))
+        elif isinstance(node, ast.Attribute):
+            out.add((node.attr, owners.get(id(node))))
     return out
 
 
@@ -76,3 +89,53 @@ def test_every_private_function_is_referenced():
                        for mod, name, owner in refs):
                 uncalled.append("%s.%s" % (module, node.name))
     assert uncalled == []
+
+
+
+# Public functions that nothing in src/ names, each kept for a caller
+# outside it.
+KEPT = {
+    "scalars.series_inverse":
+        "perfbench/tracer.py times it; it leaves with that tracer group",
+    "terms.Algebra.normalize": "perfbench/run.py calls it on parsed states",
+    "terms.clear_caches": "perfbench/run.py empties the memos through it",
+    "geometry.build_J_in_new_coordinates":
+        "the test that J glues across charts rebuilds J through it",
+    "geometry.EndoTensor.squares_to_minus_id":
+        "a precondition of the N=2 structure on an input tensor",
+    "geometry.EndoTensor.is_metric_compatible":
+        "a precondition of the N=2 structure on an input tensor",
+}
+
+
+def is_property(node):
+    return any(isinstance(d, ast.Name)
+               and d.id in ("property", "cached_property")
+               for d in node.decorator_list)
+
+
+def test_every_public_function_has_an_engine_caller():
+    """Each public function and method, dunders and properties aside,
+    must be named in src/ outside its own body, be listed in an
+    __all__, or be kept in KEPT with its reason.  The check goes by
+    name, as the private-function one does, so a method passes when
+    any definition of its name has a caller: HPoly.is_zero, called
+    only from tests, passed by the name of NormalForm.is_zero."""
+    refs = set()
+    for module, tree in MODULES.items():
+        refs |= {(module, name, owner) for name, owner in references(tree)}
+        refs |= {(None, name, None) for name in imported_names(tree)}
+    exported = set().union(*map(exported_names, MODULES.values()))
+    uncalled = []
+    for module, tree in MODULES.items():
+        for qualname, node in functions(tree):
+            if (node.name.startswith("_") or node.name in exported
+                    or is_property(node)):
+                continue
+            if not any(name == node.name
+                       and (mod != module or owner != qualname)
+                       for mod, name, owner in refs):
+                uncalled.append("%s.%s" % (module, qualname))
+    assert sorted(set(uncalled) - set(KEPT)) == []
+    # an entry whose function gained a caller, or left, leaves KEPT
+    assert sorted(set(KEPT) - set(uncalled)) == []

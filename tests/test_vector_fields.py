@@ -15,7 +15,7 @@ from fock_oracle import (commutator, fp_add, fp_equal, fp_scale, fp_term,
                          fp_zero, mul_even, mul_odd, vector_field_zero_mode)
 from scdr.components import sres_action
 from scdr.scalars import QI, CoeffFunction
-from scdr.terms import (Algebra, B_KIND, nf_add, nf_mul, nf_neg, nf_scale,
+from scdr.terms import (Algebra, B_KIND, PSI_KIND, nf_add, nf_mul, nf_scale,
                         nf_sub)
 
 ALG = Algebra(1, 8)
@@ -77,7 +77,7 @@ def test_action_on_component_fields():
         ALG.coeff_nf(fc * g.partial(1))
     assert sres_action(xf, ALG.B(1)) == ALG.coeff_nf(fc)
     assert sres_action(xf, ALG.Psi(1)) == \
-        nf_neg(nf_mul(ALG.coeff_nf(dfc), ALG.Psi(1)))
+        nf_scale(nf_mul(ALG.coeff_nf(dfc), ALG.Psi(1)), -1)
     assert sres_action(xf, ALG.SB(1)) == \
         nf_mul(ALG.coeff_nf(dfc), ALG.SB(1))
     assert sres_action(xf, ALG.TB(1)) == \
@@ -86,7 +86,8 @@ def test_action_on_component_fields():
     # the PBW monomial itself is (cf * SB) * Psi
     quad = nf_mul(nf_mul(ALG.coeff_nf(ddfc), ALG.SB(1)), ALG.Psi(1))
     assert sres_action(xf, ALG.SPsi(1)) == nf_add(
-        nf_neg(nf_mul(ALG.coeff_nf(dfc), ALG.SPsi(1))), nf_neg(quad))
+        nf_scale(nf_mul(ALG.coeff_nf(dfc), ALG.SPsi(1)), -1),
+        nf_scale(quad, -1))
 
 
 # -- Fock oracle side -------------------------------------------------
@@ -194,6 +195,7 @@ def test_dictionary_basic_entries():
     assert fp_equal(dict_state(ALG.SB(1)), _st(("o", ("f", 1))))
     assert fp_equal(dict_state(ALG.Psi(1)), _st(("o", ("p", 1))))
     assert fp_equal(dict_state(ALG.SPsi(1)), _st(("e", ("A", 1))))
-    assert fp_equal(dict_state(ALG.TPsi(1)), _st(("o", ("p", 2))))
+    assert fp_equal(dict_state(ALG.nf_gen(PSI_KIND, 1, 1)),
+                    _st(("o", ("p", 2))))
     assert fp_equal(dict_state(nf_mul(ALG.SB(1), ALG.Psi(1))),
                     _st(("o", ("f", 1)), ("o", ("p", 1))))

@@ -41,14 +41,20 @@ a fresh Python process with that tree first on PYTHONPATH, in
   * bracket queries over the table of derived generators c T^t S^s X:
     two at `--dim 1`, one against a coefficient at `--dim 2`, and a
     coefficient times T B1 against T S Psi1 at `--dim 1 --cutoff 1`;
+  * `:c Psi1:` against Psi2 at `--dim 2 --cutoff 1`, with c = (1 + x1)
+    (1 - x1) truncated to a constant known through degree 1: the two
+    Psi's bracket to the zero of a mismatched pair, certified through
+    degree 1;
   * `normalize` and `bracket` invocations that together use every
     production of the expression grammar (see `scdr.parser`);
   * `--scalar-ring rational` on a real sum, which prints, and on an
     imaginary scalar, which exits 2;
-  * five more bad inputs that exit 2 with a one-line error: the Jacobi
+  * six more bad inputs that exit 2 with a one-line error: the Jacobi
     suite at `--cutoff 0`, a zero denominator, a generator index above
-    `--dim`, an exponent key of the wrong length, and `n2` at `--dim 2`
-    (default cutoff 8) with `--tensor` naming a cutoff-3 tensor file.
+    `--dim`, an exponent key of the wrong length, `n2` at `--dim 2`
+    (default cutoff 8) with `--tensor` naming a cutoff-3 tensor file,
+    and `coordchange` on x~ = 2x written with the inverse x = x~/3,
+    which does not invert it.
 
 The stdout, stderr and exit code of each pair are compared.  Every pair that
 differs is named, with a count at the end, and the script exits 1; when
@@ -148,7 +154,10 @@ def matrix(workdir):
                ["bracket", "[T S Psi1 _ T T B1]"],
                ["--dim", "2", "bracket", '[T T Psi2 _ f{"0,3": "1/2"}]'],
                ["--dim", "1", "--cutoff", "1", "bracket",
-                '[:f{"1": "2"} T B1: _ T S Psi1]']]
+                '[:f{"1": "2"} T B1: _ T S Psi1]'],
+               ["--dim", "2", "--cutoff", "1", "bracket",
+                ':f{"0,0": "1", "1,0": "1"} f{"0,0": "1", "1,0": "-1"} '
+                'Psi1:', "Psi2"]]
     # one production of the grammar or more per line: bare number, i,
     # vac; S(...) and prefix T S; a three-factor chain with a Gaussian
     # literal; leading minus and scalar prefixes; nested parentheses;
@@ -175,12 +184,17 @@ def matrix(workdir):
     doc = {"dim": 2, "cutoff": 3, "tensors": {"omega": omega}}
     tensor = Path(workdir) / "omega_c3.json"
     tensor.write_text(json.dumps(doc))
+    doc = {"dim": 1, "cutoff": 6, "changes": {"bad": {
+        "forward": [{"1": "2"}], "inverse": [{"1": "1/3"}]}}}
+    bad_change = Path(workdir) / "change_not_inverse_1d.json"
+    bad_change.write_text(json.dumps(doc))
     errors = [["--cutoff", "0", "verify", "jacobi"],
               ["normalize", 'f{"1": "1/0"}'],
               ["--dim", "1", "bracket", "B2", "Psi1"],
               ["normalize", 'f{"1,0": "1"}'],
               ["--dim", "2", "verify", "n2", "--tensor",
-               "omega=%s" % tensor]]
+               "omega=%s" % tensor],
+              ["verify", "coordchange", "--change", str(bad_change)]]
     return [["--format", fmt] + argv
             for argv in suites + queries + grammar + errors
             for fmt in ("text", "json")]
