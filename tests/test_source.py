@@ -62,6 +62,16 @@ def references(tree):
     return out
 
 
+def engine_references():
+    """(module, name, owner) of every reference in src/, as references
+    gives them, and (None, name, None) of every imported name."""
+    refs = set()
+    for module, tree in MODULES.items():
+        refs |= {(module, name, owner) for name, owner in references(tree)}
+        refs |= {(None, name, None) for name in imported_names(tree)}
+    return refs
+
+
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
     for module, tree in MODULES.items():
@@ -73,10 +83,7 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def test_every_private_function_is_referenced():
-    refs = set()
-    for module, tree in MODULES.items():
-        refs |= {(module, name, owner) for name, owner in references(tree)}
-        refs |= {(None, name, None) for name in imported_names(tree)}
+    refs = engine_references()
     uncalled = []
     for module, tree in MODULES.items():
         for node in tree.body:
@@ -89,7 +96,6 @@ def test_every_private_function_is_referenced():
                        for mod, name, owner in refs):
                 uncalled.append("%s.%s" % (module, node.name))
     assert uncalled == []
-
 
 
 # Public functions that nothing in src/ names, each kept for a caller
@@ -121,10 +127,7 @@ def test_every_public_function_has_an_engine_caller():
     name, as the private-function one does, so a method passes when
     any definition of its name has a caller: HPoly.is_zero, called
     only from tests, passed by the name of NormalForm.is_zero."""
-    refs = set()
-    for module, tree in MODULES.items():
-        refs |= {(module, name, owner) for name, owner in references(tree)}
-        refs |= {(None, name, None) for name in imported_names(tree)}
+    refs = engine_references()
     exported = set().union(*map(exported_names, MODULES.values()))
     uncalled = []
     for module, tree in MODULES.items():
