@@ -15,7 +15,7 @@ defect also uses the Gamma pair (gamma, eta) of its second bracket.
 
 from __future__ import annotations
 
-from math import comb, inf
+from math import comb
 
 from .scalars import QI, ONE, HMONO_ONE, hmono_mul, hmono_parity, _qi
 from .terms import (B_KIND, PSI_KIND, gens_parity, nf_one, nf_mono, nf_mul,
@@ -38,14 +38,14 @@ def lambda_bracket(a, b):
         for m2, (bs2, psis2) in right:
             if bs1 & psis2 or psis1 & bs2:
                 triples += bracket_mono((c1, g1), m2).triples()
-    # the input truncation stays even if every term cancels
-    return hp_combine(triples, min(a.exact_to, b.exact_to))
+    return hp_combine(triples)
 
 
 def _support(f, gens):
     """The contraction support of the monomial :f gens:, as masks
     (B, Psi) with bit i for a factor of index i.  The variables of f
-    count as B's, since [Psi^i_Lambda f] = d_i f."""
+    count as B's, since [Psi^i_Lambda f] = d_i f; a truncated f, a kept
+    zero too, counts as a function of every variable."""
     bs, psis = f._variables(), 0
     for g in gens:
         if g.kind == PSI_KIND:
@@ -74,10 +74,12 @@ def bracket_mono(m1, m2):
 
 
 def _bracket_mono(m1, m2):
+    # a truncated constant is a function of every variable: it takes
+    # the Wick and skew routes, which lower its marker
     (f1, g1), (f2, g2) = m1, m2
-    if g2 and (len(g2) >= 2 or not f2.is_constant()):
+    if g2 and (len(g2) >= 2 or f2._variables()):
         return _wick(m1, (f2, g2[:-1]), g2[-1])
-    if len(g1) <= 1 and f1.is_constant():
+    if len(g1) <= 1 and not f1._variables():
         return _atomic_bracket(m1, m2)
     # left argument composite, right atomic: flip by skew-symmetry
     flipped = bracket_mono(m2, m1)
@@ -85,17 +87,15 @@ def _bracket_mono(m1, m2):
 
 
 def _atomic_bracket(m1, m2):
-    """[c T^t S^s x_Lambda m2] for a constant c and an underived
-    generator x, in closed form.  The left derivations give
+    """[c T^t S^s x_Lambda m2] for an exact constant c and an underived
+    generator x, in closed form; a lone constant has no support, so
+    bracket_mono never sends one here.  The left derivations give
     (-lambda)^t chi^s.  Against a pure coefficient f the base value is
     d_i f for x = Psi^i and 0 for x = B^i.  Against c' T^u S^v y it is
     the vacuum for a B/Psi pair of one index and 0 otherwise; T and S
     kill the vacuum, so (lambda + T)^u and -(-1)^{p(x)} (S + chi) leave
     lambda^u (-(-1)^{p(x)} chi)^v."""
     (f1, g1), (f2, g2) = m1, m2
-    if not g1:
-        # constants bracket to zero
-        return hp_zero()
     x = g1[0]
     q = f1.constant_term()
     if g2:
@@ -121,14 +121,9 @@ def _wick(a, b, c_gen):
     ac = bracket_mono(a, (one, (c_gen,)))
     # [a_L b] c, then the tail
     t1 = [(m, ONE, nf_apply_gen(nf, c_gen)) for m, nf in ab.terms.items()]
-    return hp_combine(_live(t1) + _wick_tail(
+    return hp_combine(t1 + _wick_tail(
         ab, ac, gens_parity(a[1]), nf_mono(*b), gens_parity(b[1]),
         nf_mono(one, (c_gen,))).triples())
-
-
-def _live(triples):
-    """The triples but those of a state zero with no marker: no key."""
-    return [t for t in triples if t[2].terms or t[2].exact_to < inf]
 
 
 def _wick_tail(ab, ac, pa, b, pb, c):
@@ -137,17 +132,13 @@ def _wick_tail(ab, ac, pa, b, pb, c):
     at a key m, plus the integral of [[a_L b]_Gamma c] from 0 to Lambda.
     In closed form, lambda^j chi^J (x) d in ab and lambda^k chi^K (x) e
     in [d_L c] give lambda^{j+k+1} chi^J (x) e / (k+1) when K = 1; the
-    odd-slot sign of chi^J cancels the sign of removing eta past it.
-    The integral is known through the least marker of every [d_L c]."""
+    odd-slot sign of chi^J cancels the sign of removing eta past it."""
     t2 = [(m, -ONE if ((pa + 1) * pb + pb * hmono_parity(m)) & 1 else ONE,
            nf_mul(b, nf)) for m, nf in ac.terms.items()]
-    t3, marker = [], inf
-    for (j, J, _, _), d_nf in ab.terms.items():
-        inner = lambda_bracket(d_nf, c)
-        marker = min(marker, inner.exact_to())
-        t3 += [((j + k + 1, J, 0, 0), _qi(1, 0, k + 1), e)
-               for k, e in hp_chi_part(inner).items()]
-    return hp_combine(_live(t2) + hp_combine(t3, marker).triples())
+    t3 = [((j + k + 1, J, 0, 0), _qi(1, 0, k + 1), e)
+          for (j, J, _, _), d_nf in ab.terms.items()
+          for k, e in hp_chi_part(lambda_bracket(d_nf, c)).items()]
+    return hp_combine(t2 + t3)
 
 
 def skew(p, parity_a, parity_b):
@@ -168,7 +159,7 @@ def skew(p, parity_a, parity_b):
         for i in range(k, -1, -1):
             q = QI(sign * comb(k, i))
             triples += [((i, J, 0, 0), q, c[k - i]) for J, c in chains]
-    return hp_combine(_live(triples))
+    return hp_combine(triples)
 
 
 def jacobi_defect(a, b, c):

@@ -36,12 +36,10 @@ def sres_action(f, a):
 
 def _row_diff(a, b, want):
     """The classical bracket of a and b minus the wanted one {j: state},
-    on the lambda^j chi keys, certified no further than the whole
-    bracket."""
-    got, degree = classical_bracket(a, b)
+    on the lambda^j chi keys."""
+    got, _ = classical_bracket(a, b)
     return hp_combine([((j, 1, 0, 0), 1, nf) for j, nf in got.items()]
-                      + [((j, 1, 0, 0), -1, nf) for j, nf in want.items()],
-                      degree)
+                      + [((j, 1, 0, 0), -1, nf) for j, nf in want.items()])
 
 
 def _table_report(name, c, rows, susy, susy_label):

@@ -32,7 +32,7 @@ from math import inf
 from typing import NamedTuple
 
 from .scalars import (CoeffFunction, QI, ONE, as_qi, render_qi, _qi, _ratio,
-                      HMONO_ONE, hmono_parity, hmono_render)
+                      hmono_parity, hmono_render)
 
 B_KIND = 0
 PSI_KIND = 1
@@ -82,22 +82,21 @@ def gens_parity(gens):
 class NormalForm:
     """A state in PBW normal form.
 
-    terms maps sorted generator tuples to nonzero CoeffFunctions.
-    exact_to is inf for exact states, or the total degree in the B
-    variables through which the stored coefficients are certified.
-    A state does not record its algebra, (dim, cutoff): its
-    coefficients do, so the zero state of every algebra is one value.
+    terms maps sorted generator tuples to CoeffFunctions that are
+    nonzero or kept zeros: no terms, but a finite exact_to.  Every
+    degree marker of a state sits on a coefficient, and exact_to is the
+    least of them, inf for an exact state.  A state does not record its
+    algebra, (dim, cutoff): its coefficients do, so the zero state of
+    every algebra is one value.
     """
 
     __slots__ = ("terms", "exact_to")
 
-    def __init__(self, terms, exact_to=inf):
-        clean = {}
-        for gens, cf in terms.items():
-            exact_to = cf.exact_to if cf.exact_to < exact_to else exact_to
-            if not cf.is_zero():
-                clean[gens] = cf
-        _fill_nf(self, clean, exact_to)
+    def __init__(self, terms):
+        clean = {gens: cf for gens, cf in terms.items()
+                 if cf.terms or cf.exact_to < inf}
+        _fill_nf(self, clean, min((cf.exact_to for cf in clean.values()),
+                                  default=inf))
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalForm is immutable")
@@ -111,7 +110,8 @@ class NormalForm:
         return "NormalForm(%s)" % render_nf(self)
 
     def is_zero(self):
-        return not self.terms
+        """Whether every coefficient is zero, kept zeros included."""
+        return not any(cf.terms for cf in self.terms.values())
 
     def is_zero_through(self, degree):
         return all(cf.is_zero_through(degree) for cf in self.terms.values())
@@ -147,20 +147,19 @@ def nf_mono(cf, gens):
     return NormalForm({tuple(gens): cf})
 
 
-def nf_combine(pairs, exact_to=inf):
+def nf_combine(pairs):
     """The state sum of q * state over (q, state) pairs, in one pass.
 
-    This is where every sum folds its degree markers.  The sum starts
-    from the marker exact_to and takes in each state's marker, also for
-    q = 0.  Terms merge in the order given: a coefficient that cancels
-    drops out and leaves its exact_to on the sum, and a later term of the
-    same monomial starts afresh.
+    Coefficients of one monomial add as CoeffFunctions, whose + keeps
+    the least marker; one that cancels with a finite marker stays as a
+    kept zero, and one that cancels exactly drops out.  So no marker is
+    lost, also for q = 0, and the order of the pairs cannot move one:
+    the sum's exact_to is the least of the states' markers.
 
-    The terms come out clean and every coefficient's exact_to is at
-    least the sum's, so the sum skips the checks of the constructor.
-    States are immutable, so when only one state has terms, its scalar
-    is 1 and no marker lowers its own, that state is the sum itself.
-    States with terms from two algebras, by (dim, cutoff), raise.
+    The terms come out clean, so the sum skips the constructor.  States
+    are immutable, so when only one state has terms and its scalar is
+    1, that state is the sum itself.  States with terms from two
+    algebras, by (dim, cutoff), raise.
 
     Markers fold here, in the constructor and in CoeffFunction's + and *
     by a comparison: on CPython 3.11 min(a, b) costs several times more.
@@ -168,38 +167,28 @@ def nf_combine(pairs, exact_to=inf):
     pairs = tuple(pairs)  # nf_sum passes a generator
     live = [p for p in pairs if p[1].terms]
     if len(live) == 1 and live[0][0] == ONE:
-        nf = live[0][1]
-        marker = exact_to
-        for _, other in pairs:
-            marker = other.exact_to if other.exact_to < marker else marker
-        if marker == nf.exact_to:
-            return nf
+        return live[0][1]
     terms = {}
     first = None
-    for q, nf in pairs:
+    exact_to = inf
+    for q, nf in live:
         exact_to = nf.exact_to if nf.exact_to < exact_to else exact_to
-        if nf.terms:
-            head = next(iter(nf.terms.values()))
-            if first is None:
-                first = head
-            elif head.dim != first.dim or head.cutoff != first.cutoff:
-                raise ValueError("dimension or cutoff mismatch")
+        head = next(iter(nf.terms.values()))
+        if first is None:
+            first = head
+        elif head.dim != first.dim or head.cutoff != first.cutoff:
+            raise ValueError("dimension or cutoff mismatch")
         if q is not ONE:
             q = as_qi(q)
-            if not q:
-                continue
         for gens, cf in nf.terms.items():
             if q is not ONE:
                 cf = cf.scale(q)
             old = terms.get(gens)
-            if old is None:
+            if old is not None:
+                cf = old + cf
+            if cf.terms or cf.exact_to < inf:
                 terms[gens] = cf
-                continue
-            cf = old + cf
-            if cf.terms:
-                terms[gens] = cf
-            else:
-                exact_to = cf.exact_to if cf.exact_to < exact_to else exact_to
+            elif old is not None:
                 del terms[gens]
     return _fill_nf(object.__new__(NormalForm), terms, exact_to)
 
@@ -264,7 +253,7 @@ def mono_mul(m1, m2):
 
 def nf_apply_gen(nf, h):
     return nf_combine([(ONE, nf_mul_gen((cf, gens), h))
-                       for gens, cf in nf.terms.items()], nf.exact_to)
+                       for gens, cf in nf.terms.items()])
 
 
 def nf_mul_gen(mono, h):
@@ -284,20 +273,18 @@ def _nf_mul_gen(mono, h):
         return nf_mono(f, gens + (h,))
     # [g_Lambda h] of two derived generators is a scalar times the
     # vacuum, which T kills: the quasi-commutativity integral vanishes
-    # and leaves only the marker of f on the product
     g = gens[-1]
     rest = (f, gens[:-1])
     one = unit_cf(f.dim, f.cutoff)
     if g == h:
         # odd square: (rest g) g = qa(rest, g, g)
-        return nf_combine([(ONE, qa_terms(rest, (one, (g,)), g))],
-                          f.exact_to)
+        return qa_terms(rest, (one, (g,)), g)
     # h < g: (rest g) h = +-(rest h) g -+ qa(rest, h, g) + qa(rest, g, h)
     sign = QI((-1) ** (g.parity() * h.parity()))
     return nf_combine([
         (sign, nf_apply_gen(nf_mul_gen(rest, h), g)),
         (-sign, qa_terms(rest, (one, (h,)), g)),
-        (ONE, qa_terms(rest, (one, (g,)), h))], f.exact_to)
+        (ONE, qa_terms(rest, (one, (g,)), h))])
 
 
 def _in_order(g, h):
@@ -313,8 +300,7 @@ def nf_mul(a, b):
     """Normally ordered product of two states (bilinear over Q(i))."""
     return nf_combine([(ONE, mono_mul((c1, g1), (c2, g2)))
                        for g1, c1 in a.terms.items()
-                       for g2, c2 in b.terms.items()],
-                      min(a.exact_to, b.exact_to))
+                       for g2, c2 in b.terms.items()])
 
 
 def qa_terms(a_mono, b_mono, c_gen):
@@ -328,10 +314,9 @@ def qa_terms(a_mono, b_mono, c_gen):
     pa_par = gens_parity(a_mono[1])
     pb_par = gens_parity(b_mono[1])
     sign = QI((-1) ** (pa_par * pb_par))
-    exact = min(pa.exact_to(), pb.exact_to())
     # T^(j+1) a / (j+1) pairs with the lambda^j chi coefficient of pb,
     # T^(j+1) b / (j+1) with that of pa: each chain stops at its last use
-    chi_b, chi_a = _chi_states(pb), _chi_states(pa)
+    chi_b, chi_a = hp_chi_part(pb), hp_chi_part(pa)
     ta = _t_chain(nf_mono(*a_mono), max(chi_b, default=-1) + 1)
     tb = _t_chain(nf_mono(*b_mono), max(chi_a, default=-1) + 1)
     pairs = []
@@ -341,7 +326,7 @@ def qa_terms(a_mono, b_mono, c_gen):
             pairs.append((q, nf_mul(ta[j + 1], chi_b[j])))
         if j in chi_a:
             pairs.append((sign * q, nf_mul(tb[j + 1], chi_a[j])))
-    return nf_combine(pairs, exact)
+    return nf_combine(pairs)
 
 
 def qc_integral(m1, m2):
@@ -351,13 +336,7 @@ def qc_integral(m1, m2):
     from .bracket import bracket_mono
     p = bracket_mono(m1, m2)
     return nf_combine([(_qi((-1) ** j, 0, j + 1), _t_chain(nf, j + 1)[-1])
-                       for j, nf in _chi_states(p).items()], p.exact_to())
-
-
-def _chi_states(p):
-    """The lambda^j chi states of p that have terms.  A marker-only one
-    adds nothing the integrals do not take from p.exact_to()."""
-    return {j: nf for j, nf in hp_chi_part(p).items() if nf.terms}
+                       for j, nf in hp_chi_part(p).items()])
 
 
 # -- derivations ------------------------------------------------------
@@ -384,7 +363,8 @@ def _t_chain(nf, n):
 def _leibniz(nf, t, s):
     """T (t = 1) or S (s = 1) of nf by the Leibniz rule: a coefficient f
     gives d_j f T^t S^s B^j, each factor its own derivative, and S takes
-    a sign past every odd factor."""
+    a sign past every odd factor.  A truncated f, a kept zero too,
+    counts as a function of every variable."""
     pairs = []
     for gens, cf in nf.terms.items():
         mask = cf._variables()
@@ -400,7 +380,7 @@ def _leibniz(nf, t, s):
             pairs.append((sign, mono_from_factors(cf, repl)))
             if s and g.parity():
                 sign = -sign
-    return nf_combine(pairs, nf.exact_to)
+    return nf_combine(pairs)
 
 
 def mono_from_factors(cf, factors):
@@ -431,9 +411,9 @@ class HPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        # a state that is zero with no marker is no term
+        # a state with no coefficient is no term
         object.__setattr__(self, "terms", {
-            m: nf for m, nf in terms.items() if nf.terms or nf.exact_to < inf})
+            m: nf for m, nf in terms.items() if nf.terms})
 
     def __setattr__(self, name, value):
         raise AttributeError("HPoly is immutable")
@@ -465,17 +445,16 @@ def hp_zero():
     return HPoly({})
 
 
-def hp_combine(triples, exact_to=inf):
+def hp_combine(triples):
     """The bracket value sum of q * key * state over (key, q, state)
-    triples: the pairs of each key summed by nf_combine, in the order
-    given.  A marker exact_to joins the sum at the constant key last."""
+    triples: the pairs of each key summed by nf_combine.  A state with
+    no coefficient opens no key, so keys open in the same order
+    whichever zeros a sum meets."""
     groups = {}
     for m, q, nf in triples:
-        groups.setdefault(m, []).append((q, nf))
-    if exact_to < inf:
-        groups.setdefault(HMONO_ONE, [])
-    return HPoly({m: nf_combine(pairs, exact_to if m == HMONO_ONE else inf)
-                  for m, pairs in groups.items()})
+        if nf.terms:
+            groups.setdefault(m, []).append((q, nf))
+    return HPoly({m: nf_combine(pairs) for m, pairs in groups.items()})
 
 
 def hp_sub(a, b):
@@ -601,12 +580,12 @@ def _join_addends(addends):
 
 
 def render_nf(nf):
-    if not nf.terms:
-        return "0"
+    """The DSL form of nf; a kept zero prints nothing."""
     addends = []
     for gens, cf in nf.sorted_terms():
-        addends.extend(_render_mono_addends(cf, gens))
-    return _join_addends(addends)
+        if cf.terms:
+            addends.extend(_render_mono_addends(cf, gens))
+    return _join_addends(addends) if addends else "0"
 
 
 def render_hpoly(p):

@@ -44,7 +44,6 @@ def test_skew_symmetry_holds_on_every_pair_of_the_basis(basis):
     assert bad == []
 
 
-@pytest.mark.xfail(strict=True, reason="markers off coefficients: 53 FAIL")
 def test_jacobi_holds_on_every_triple_of_the_basis(basis):
     bad = [t for t in itertools.product(basis, repeat=3)
            if not holds(jacobi_defect(*t))[0]]

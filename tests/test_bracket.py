@@ -36,7 +36,7 @@ def hp(alg, items):
 
 
 def assert_hp_zero(p):
-    # every key's state is zero, marker-only keys included
+    # every key's state is zero, kept-zero keys included
     assert all(nf.is_zero() for nf in p.terms.values()), "nonzero: %r" % (p,)
 
 
@@ -146,19 +146,44 @@ def stepwise_skew(p, parity_a, parity_b):
     return hp_combine(triples)
 
 
+def split_truncated(nf):
+    """[state] for a one-term state whose coefficient is exact; for a
+    truncated constant c, its exact part and c's marker on a kept zero,
+    which is a function of every variable."""
+    (gens, cf), = nf.terms.items()
+    if cf.exact_to == inf or not cf.is_constant():
+        return [nf]
+    exact = CoeffFunction(cf.dim, cf.cutoff, cf.terms)
+    kept = CoeffFunction(cf.dim, cf.cutoff, {}, cf.exact_to)
+    return [nf_mono(exact, gens), nf_mono(kept, gens)]
+
+
 def stepwise_bracket(alg, a, b):
     """lambda_bracket of two one-term states, each a constant times at
     most one derived generator or a pure coefficient; a non-constant
-    coefficient on the left flips by skew-symmetry."""
-    (g1, f1), = a.terms.items()
-    (g2, f2), = b.terms.items()
-    if g1 or f1.is_constant():
-        p = stepwise_atomic(alg, (f1, g1), (f2, g2))
-    else:
-        p = stepwise_skew(stepwise_atomic(alg, (f2, g2), (f1, g1)),
-                          gens_parity(g2), 0)
-    marker = min(a.exact_to, b.exact_to)
-    return hp_combine(p.triples(), marker)
+    coefficient on the left flips by skew-symmetry.  A truncated
+    constant splits by bilinearity into an exact constant and a kept
+    zero; a monomial :z x: with z a kept zero brackets by the Wick step
+    on the right, and by skew-symmetry on the left."""
+    parts = []
+    for a_part in split_truncated(a):
+        for b_part in split_truncated(b):
+            (g1, f1), = a_part.terms.items()
+            (g2, f2), = b_part.terms.items()
+            one = CoeffFunction.constant(f1.dim, f1.cutoff, 1)
+            if g2 and not f2.terms:
+                p = stepwise_wick(a_part, nf_mono(f2, ()), nf_mono(one, g2))
+            elif g1 and not f1.terms:
+                p = stepwise_skew(stepwise_wick(b_part, nf_mono(f1, ()),
+                                                nf_mono(one, g1)),
+                                  gens_parity(g1), gens_parity(g2))
+            elif g1 or f1.is_constant():
+                p = stepwise_atomic(alg, (f1, g1), (f2, g2))
+            else:
+                p = stepwise_skew(stepwise_atomic(alg, (f2, g2), (f1, g1)),
+                                  gens_parity(g2), 0)
+            parts += p.triples()
+    return hp_combine(parts)
 
 
 # The Gamma-pair stages of the Wick integral and of the Jacobi defect:
@@ -197,7 +222,7 @@ def hp_integrate_wick(p):
     passing chi) and gamma^k becomes lambda^{k+1}/(k+1)."""
     return hp_combine([
         ((j + k + 1, J, 0, 0), QI(-1 if J else 1) / QI(k + 1), nf)
-        for (j, J, k, K), nf in p.terms.items() if K], p.exact_to())
+        for (j, J, k, K), nf in p.terms.items() if K])
 
 
 def bracket_into(x, px, p, to_gamma):
@@ -443,7 +468,7 @@ def test_skew_matches_stepwise():
     for p, pa, pb in _skew_cases():
         got, want = skew(p, pa, pb), stepwise_skew(p, pa, pb)
         assert got == want
-        # later sums merge in key order, which moves degree markers
+        # the same keys open in the same order, whichever zeros meet
         assert list(got.terms) == list(want.terms)
 
 
@@ -591,7 +616,7 @@ def _gamma_triples(dim, cutoff, count=6):
 
 def _assert_same_hp(got, want):
     assert got == want
-    # later sums merge in key order, which moves degree markers
+    # the same keys open in the same order, whichever zeros meet
     assert list(got.terms) == list(want.terms)
 
 
@@ -825,22 +850,22 @@ def test_truncated_coefficient_keeps_its_marker():
     # f = x2 + x2^2 and the constant 1, each known only through degree 3.
     # Psi1 contracts with neither, yet the bracket and the derivations
     # certify only through degree 2: the derivative of a truncated
-    # series in any variable loses a degree.
+    # series in any variable loses a degree, and stays as a kept zero.
     alg = Algebra(2, 4)
     f = CoeffFunction(2, 4, {(0, 1): 1, (0, 2): 1}, exact_to=3)
     const = CoeffFunction(2, 4, {(0, 0): 1}, exact_to=3)
-    marker = HPoly({ONE: NormalForm({}, 2)})
+    zero = CoeffFunction(2, 4, {}, exact_to=2)
+    marker = HPoly({ONE: NormalForm({(): zero})})
     f_nf, const_nf = alg.coeff_nf(f), alg.coeff_nf(const)
     assert lambda_bracket(alg.Psi(1), f_nf) == marker
     assert lambda_bracket(f_nf, alg.Psi(1)) == marker
     assert lambda_bracket(alg.Psi(1), const_nf) == marker
-    assert lambda_bracket(const_nf, alg.Psi(1)) == \
-        HPoly({ONE: NormalForm({}, 3)})
+    assert lambda_bracket(const_nf, alg.Psi(1)) == marker
     df = CoeffFunction(2, 4, {(0, 0): 1, (0, 1): 2}, exact_to=2)
-    assert apply_T(f_nf) == NormalForm({(Generator(B_KIND, 2, 1, 0),): df}, 2)
-    assert apply_S(f_nf) == NormalForm({(Generator(B_KIND, 2, 0, 1),): df}, 2)
-    assert apply_T(const_nf) == NormalForm({}, 2)
-    assert apply_S(const_nf) == NormalForm({}, 2)
+    for op, t, s in ((apply_T, 1, 0), (apply_S, 0, 1)):
+        b1, b2 = (Generator(B_KIND, i, t, s) for i in (1, 2))
+        assert op(f_nf) == NormalForm({(b1,): zero, (b2,): df})
+        assert op(const_nf) == NormalForm({(b1,): zero, (b2,): zero})
 
 
 # -- degree markers -----------------------------------------------------

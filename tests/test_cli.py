@@ -56,6 +56,36 @@ def test_bracket_requires_homogeneous_arguments(capsys):
     assert "not homogeneous" in err
 
 
+def test_json_skips_a_key_of_kept_zeros(capsys):
+    # x1 * x1 leaves the cutoff in the lambda key: a kept zero, which
+    # prints nothing, marks it
+    argv = ("--dim", "1", "--cutoff", "1", "bracket",
+            '[:f{"1": "1"} Psi1: _ :f{"1": "3"} T B1:]')
+    rc, out, _ = run(capsys, "--format", "json", *argv)
+    assert rc == 0
+    assert json.loads(out) == {"guaranteed_degree": 1,
+                               "terms": {"1": ':f{"1": "6"} T B1:'}}
+
+
+TRUNCATED_CONSTANT = (':f{"0,0": "1", "0,1": "1"} '
+                      'f{"0,0": "1", "0,1": "-1"} Psi1:')
+
+
+def test_a_truncated_constant_counts_as_a_function_of_every_variable(capsys):
+    # c = (1 + x2)(1 - x2) is 1 through degree 1 at cutoff 1; Psi2 takes
+    # d_2 c of it, known through degree 0 only, and the cutoff-2 value
+    # has a term of degree 1
+    docs = []
+    for cutoff in ("1", "2"):
+        rc, out, _ = run(capsys, "--format", "json", "--dim", "2",
+                         "--cutoff", cutoff, "bracket", TRUNCATED_CONSTANT,
+                         "Psi2")
+        assert rc == 0
+        docs.append(json.loads(out))
+    assert docs[0] == {"guaranteed_degree": 0, "terms": {}}
+    assert docs[1]["terms"] == {"1": ':f{"0,1": "2"} Psi1:'}
+
+
 # -- normalize --------------------------------------------------------
 
 @pytest.mark.parametrize("text,want", [
@@ -162,7 +192,7 @@ def _strict_json(text):
 @pytest.mark.parametrize("argv,degrees", [
     (("verify", "ns"), [None, None]),
     (("verify", "ns", "--metric", str(DATA / "metric_1d_curved.json")),
-     [4, None]),
+     [5, None]),
     (("--dim", "1", "--cutoff", "1", "bracket",
       '[:f{"1": "1"} Psi1: _ :f{"1": "3"} T B1:]'), [1]),
     (("--dim", "1", "--cutoff", "1", "normalize",
@@ -307,10 +337,10 @@ def test_verify_jacobi_small(capsys):
      ["jacobi/skew-symmetry: pass (degree 0)",
       "jacobi/jacobi-identity: pass (exact)",
       "jacobi/normalize-idempotent: pass (exact)"]),
-    # a certificate through degree -1 covers no coefficient
+    # a certificate through a negative degree covers no coefficient
     (["--dim", "1", "--cutoff", "1"],
-     ["jacobi/skew-symmetry: FAIL (degree -1)",
-      "jacobi/jacobi-identity: inconclusive (degree -1)",
+     ["jacobi/skew-symmetry: inconclusive (degree -4)",
+      "jacobi/jacobi-identity: inconclusive (degree -8)",
       "jacobi/normalize-idempotent: FAIL (exact)"]),
 ])
 def test_verify_jacobi_states_the_degree_it_certifies(capsys, argv, want):

@@ -103,12 +103,13 @@ def test_wrong_current_is_reported():
 
 def test_inconclusive_superfield_check_leaves_table_inconclusive():
     # at cutoff 2 the curved line is certified through degree -1 only:
-    # the superfield check is inconclusive, which is not a failure
+    # the superfield check is inconclusive, which is not a failure; the
+    # lambda^j chi part that [G_l G] compares holds through degree 0
     g11 = CoeffFunction(1, 2, {(0,): QI(1), (2,): QI(1)})
     rep = check_n1_components(build_H(MetricData([[g11]])))
     assert rep.text_lines() == [
         "components-n1: inconclusive, c = 3 (degree -1)",
         "  [L_l L]: inconclusive",
         "  [L_l G]: inconclusive",
-        "  [G_l G]: inconclusive"]
+        "  [G_l G]: pass"]
     assert rep.status == "inconclusive"

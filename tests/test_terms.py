@@ -16,7 +16,7 @@ from scdr.bracket import bracket_mono, lambda_bracket
 from scdr.scalars import QI, ONE, CoeffFunction
 from scdr.terms import (Algebra, Generator, B_KIND, PSI_KIND, NormalForm,
                         HPoly, nf_mul, nf_add, nf_sub, nf_scale, nf_sum,
-                        nf_combine, nf_mono, nf_apply_gen, hp_zero,
+                        nf_combine, nf_mono, nf_apply_gen, nf_zero, hp_zero,
                         hp_sub, hp_combine, apply_S, apply_T, render_nf,
                         gens_parity, mono_from_factors, qa_terms,
                         qc_integral, unit_cf)
@@ -150,6 +150,13 @@ def test_generator_rendering_space_form():
     assert Generator(B_KIND, 3, 2, 0).render() == "T T B3"
 
 
+def test_a_kept_zero_prints_nothing(alg):
+    zero = CoeffFunction(2, 6, {}, 2)
+    psi = parse("T Psi1", alg)
+    assert render_nf(nf_add(psi, NormalForm({(): zero}))) == "T Psi1"
+    assert render_nf(NormalForm({(Generator(B_KIND, 1, 1, 0),): zero})) == "0"
+
+
 def test_render_deterministic(alg):
     rng = random.Random(15)
     for _ in range(10):
@@ -168,29 +175,26 @@ def test_nop_with_coefficient_orders_canonically(alg):
 # -- sums of states against the pairwise fold ---------------------------
 
 
-def reference_fold(pairs, exact_to=inf):
+def reference_fold(pairs):
     """(terms, exact_to) of the sum of q * state over (q, state) pairs by
-    the pairwise fold: scale each state (a zero scalar keeps only its
-    marker), add it to the running sum key by key, then drop the
-    coefficients that cancelled, folding every coefficient's exact_to
-    into the state's."""
-    terms, marker = {}, exact_to
+    the pairwise fold: scale each state (a zero scalar leaves a kept zero
+    of each truncated coefficient), add it to the running sum key by
+    key, then drop the coefficients that cancelled exactly.  A kept zero
+    stays, and the sum's exact_to is the least marker of its
+    coefficients."""
+    terms = {}
     for q, nf in pairs:
-        scaled = {g: cf.scale(q) for g, cf in nf.terms.items()} if q else {}
         merged = dict(terms)
-        for g, cf in scaled.items():
+        for g, cf in nf.terms.items():
+            cf = cf.scale(q)
             merged[g] = merged[g] + cf if g in merged else cf
-        marker = min(marker, nf.exact_to)
-        terms = {}
-        for g, cf in merged.items():
-            marker = min(marker, cf.exact_to)
-            if not cf.is_zero():
-                terms[g] = cf
-    return terms, marker
+        terms = {g: cf for g, cf in merged.items()
+                 if cf.terms or cf.exact_to < inf}
+    return terms, min((cf.exact_to for cf in terms.values()), default=inf)
 
 
-def assert_matches_fold(nf, pairs, exact_to=inf):
-    terms, marker = reference_fold(pairs, exact_to)
+def assert_matches_fold(nf, pairs):
+    terms, marker = reference_fold(pairs)
     assert nf.terms == terms
     assert list(nf.terms) == list(terms)
     assert {g: cf.exact_to for g, cf in nf.terms.items()} == \
@@ -223,20 +227,29 @@ def fold_markers(cutoff):
     return st.one_of(st.just(inf), st.integers(0, cutoff))
 
 
+def kept_zero_state(dim, cutoff, gens, exact_to):
+    """The state whose one coefficient, at gens, is zero with the given
+    exact_to."""
+    return NormalForm({gens: CoeffFunction(dim, cutoff, {}, exact_to)})
+
+
 def draw_state(draw, dim, cutoff):
-    """Up to three monomials of fold_gens, each coefficient and the
-    state with a marker or none."""
+    """Up to three monomials of fold_gens, each coefficient with a marker
+    or none, and each a nonzero series or a kept zero."""
     markers = fold_markers(cutoff)
     keys = draw(st.lists(st.sampled_from(fold_gens(dim)), max_size=3,
                          unique=True))
     return NormalForm({g: draw_coeff(draw, dim, cutoff, draw(markers))
-                       for g in keys}, draw(markers))
+                       if draw(st.booleans()) else
+                       CoeffFunction(dim, cutoff, {},
+                                     draw(st.integers(0, cutoff)))
+                       for g in keys})
 
 
 @st.composite
 def fold_cases(draw):
-    """(dim, cutoff, pairs, start marker) for dims 1-2 and cutoffs 1-3.
-    The pairs hold a zero scalar, a monomial that cancels and later
+    """(dim, cutoff, pairs) for dims 1-2 and cutoffs 1-3.  The pairs
+    hold a zero scalar, a monomial that cancels under a marker and later
     reappears exactly, and coefficients with exact_to set."""
     dim = draw(st.integers(1, 2))
     cutoff = draw(st.integers(1, 3))
@@ -251,7 +264,8 @@ def fold_cases(draw):
 
     pairs = [(draw(fold_scalars), state())
              for _ in range(draw(st.integers(0, 3)))]
-    truncated = NormalForm({}, draw(st.integers(0, cutoff)))
+    truncated = kept_zero_state(dim, cutoff, draw(st.sampled_from(gens)),
+                                draw(st.integers(0, cutoff)))
     pairs.insert(draw(st.integers(0, len(pairs))),
                  (QI(0), draw(st.sampled_from([truncated, state()]))))
     # cancel the running coefficient of one monomial under a marker
@@ -267,33 +281,37 @@ def fold_cases(draw):
               for _ in range(draw(st.integers(0, 2)))]
     # the same monomial again, exact
     pairs.append((draw(fold_scalars), NormalForm({g: coeff(inf)})))
-    return dim, cutoff, pairs, draw(markers)
+    return dim, cutoff, pairs
 
 
 @settings(max_examples=150, deadline=None)
-@given(fold_cases())
-def test_sums_of_states_match_the_pairwise_fold(case):
-    _, _, pairs, start = case
-    assert_matches_fold(nf_combine(pairs, start), pairs, start)
-    marker = NormalForm({}, start)
+@given(fold_cases(), st.permutations(range(3)))
+def test_sums_of_states_match_the_pairwise_fold(case, order):
+    _, _, pairs = case
+    assert_matches_fold(nf_combine(pairs), pairs)
     scaled = [nf_scale(nf, q) for q, nf in pairs]
-    assert_matches_fold(nf_sum([marker] + scaled), pairs, start)
-    assert_matches_fold(reduce(nf_add, scaled, marker), pairs, start)
+    assert_matches_fold(nf_sum(scaled), pairs)
+    assert_matches_fold(reduce(nf_add, scaled, nf_zero()), pairs)
     assert_matches_fold(reduce(nf_sub, [nf_scale(nf, -q) for q, nf in pairs],
-                               marker), pairs, start)
+                               nf_zero()), pairs)
     for (q, nf), s in zip(pairs, scaled):
         assert_matches_fold(s, [(q, nf)])
+    # merge order moves no marker: the sum of the pairs in another order
+    # has the same coefficients, markers included
+    parts = [pairs[i::3] for i in order]
+    shuffled = nf_combine(sum(parts, []))
+    assert shuffled == nf_combine(pairs)
 
 
 def reference_hp_fold(triples):
     """{key: (terms, exact_to)} of a sum of (key, q, state) triples: the
-    pairwise fold of each key's pairs, without the states that vanish
-    exactly."""
+    pairwise fold of each key's pairs, without the states that have no
+    coefficient left."""
     out = {}
     for key in dict.fromkeys(k for k, _, _ in triples):
         terms, marker = reference_fold([(q, nf) for k, q, nf in triples
                                         if k == key])
-        if terms or marker != inf:
+        if terms:
             out[key] = (terms, marker)
     return out
 
@@ -301,7 +319,7 @@ def reference_hp_fold(triples):
 @settings(max_examples=100, deadline=None)
 @given(fold_cases(), st.data())
 def test_sums_of_bracket_values_match_the_per_key_fold(case, data):
-    _, _, pairs, _ = case
+    _, _, pairs = case
     keys = data.draw(st.lists(st.sampled_from([(0, 0, 0, 0), (1, 1, 0, 0)]),
                               min_size=len(pairs), max_size=len(pairs)))
     triples = [(k, q, nf) for k, (q, nf) in zip(keys, pairs)]
@@ -318,42 +336,53 @@ def test_sums_of_bracket_values_match_the_per_key_fold(case, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_a_sum_of_one_unit_state_matches_the_fold(relation, data):
-    # one (ONE, state) pair, the start marker absent, equal to the
-    # state's, above it or below it; given as list, tuple and generator
+    # one (ONE, state) pair, alone or beside a kept-zero state whose
+    # marker is equal to the state's, above it or below it; given as
+    # list, tuple and generator
     dim = data.draw(st.integers(1, 2))
     cutoff = data.draw(st.integers(1, 3))
+    gens = fold_gens(dim)
     nf = draw_state(data.draw, dim, cutoff)
     if relation in ("equal", "above") and nf.exact_to == inf:
-        nf = NormalForm(nf.terms, data.draw(st.integers(0, cutoff)))
+        nf = nf_add(nf, kept_zero_state(dim, cutoff,
+                                        data.draw(st.sampled_from(gens)),
+                                        data.draw(st.integers(0, cutoff))))
     top = cutoff if nf.exact_to == inf else nf.exact_to
     step = data.draw(st.integers(1, 2))
-    start = {"none": inf, "equal": nf.exact_to, "above": top + step,
-             "below": top - step}[relation]
     pairs = [(ONE, nf)]
+    if relation != "none":
+        marker = {"equal": nf.exact_to, "above": top + step,
+                  "below": top - step}[relation]
+        pairs.append((ONE, kept_zero_state(
+            dim, cutoff, data.draw(st.sampled_from(gens)), marker)))
     for given_pairs in (pairs, tuple(pairs), iter(pairs)):
-        assert_matches_fold(nf_combine(given_pairs, start), pairs, start)
-    if start == inf:
+        assert_matches_fold(nf_combine(given_pairs), pairs)
+    if relation == "none":
         assert_matches_fold(nf_sum([nf]), pairs)
 
 
 def test_a_lone_unit_state_whose_marker_holds_is_the_sum(alg):
     nf = parse(":S B1 Psi2: + T Psi1", alg)
-    marked = NormalForm(nf.terms, 3)
+    kept = kept_zero_state(2, 6, (Generator(PSI_KIND, 1, 0, 0),), 3)
+    marked = nf_add(nf, kept)
+    assert marked.exact_to == 3 and marked.is_zero() is False
     assert nf_combine([(ONE, nf)]) is nf
     assert nf_sum([nf]) is nf
-    assert nf_combine(((ONE, marked),), 3) is marked
-    assert nf_combine([(ONE, marked)], 4) is marked
-    lowered = nf_combine([(ONE, marked)], 2)
-    assert lowered is not marked and lowered.exact_to == 2
+    assert nf_combine(((ONE, marked),)) is marked
+    assert nf_combine([(ONE, kept)]) is kept
     # the unit scalar by value, and states without terms beside it
     assert nf_combine([(QI(Fraction(2, 2)), nf)]) is nf
-    exact, held, low = (NormalForm({}, e) for e in (inf, 3, 1))
+    exact = NormalForm({})
     assert nf_sub(nf, exact) is nf and nf_add(exact, nf) is nf
-    assert nf_combine([(QI(0), held), (ONE, marked),
+    assert nf_combine([(QI(0), exact), (ONE, marked),
                        (-ONE, exact)]) is marked
+    # a kept zero is a coefficient, so beside it the sum is summed, and
+    # a zero scalar keeps its marker
+    low = kept_zero_state(2, 6, (Generator(B_KIND, 2, 1, 0),), 1)
     for pairs in ([(ONE, marked), (ONE, low)], [(ONE, nf), (QI(0), low)]):
         got = nf_combine(pairs)
-        assert got.terms == nf.terms and got.exact_to == 1
+        assert got.exact_to == 1
+        assert {g: cf for g, cf in got.terms.items() if cf.terms} == nf.terms
     # two states with terms, or one at another scalar, are summed
     assert nf_combine([(ONE, nf), (QI(0), nf)]) is not nf
     assert nf_combine([(-ONE, nf), (ONE, exact)]) is not nf
@@ -379,11 +408,10 @@ def reference_qa_terms(a_mono, b_mono, c_gen):
     pb = bracket_mono(b_mono, c_nf_mono)
     pa = bracket_mono(a_mono, c_nf_mono)
     sign = QI((-1) ** (gens_parity(a_mono[1]) * gens_parity(b_mono[1])))
-    exact = min(pa.exact_to(), pb.exact_to())
     jmax = max((m[0] for m in list(pa.terms) + list(pb.terms) if m[1]),
                default=-1)
     if jmax < 0:
-        return nf_combine((), exact)
+        return nf_combine(())
     ta = nf_mono(a_mono[0], a_mono[1])
     tb = nf_mono(b_mono[0], b_mono[1])
     pairs = []
@@ -392,12 +420,12 @@ def reference_qa_terms(a_mono, b_mono, c_gen):
         tb = nf_scale(apply_T(tb), QI(Fraction(1, j + 1)))
         jfact = QI(factorial(j))
         cb = pb.terms.get((j, 1, 0, 0))
-        if cb is not None and not cb.is_zero():
+        if cb is not None:
             pairs.append((ONE, nf_mul(ta, nf_scale(cb, jfact))))
         ca = pa.terms.get((j, 1, 0, 0))
-        if ca is not None and not ca.is_zero():
+        if ca is not None:
             pairs.append((sign, nf_mul(tb, nf_scale(ca, jfact))))
-    return nf_combine(pairs, exact)
+    return nf_combine(pairs)
 
 
 def assert_same_state(got, want):
@@ -547,7 +575,7 @@ def test_integrals_of_two_generators_vanish(dim, cutoff):
 
 def reference_qc_integral(m1, m2):
     """qc_integral one T at a time: every lambda^j chi state of
-    [m1_L m2], marker-only ones too, T'd j + 1 times and paired with
+    [m1_L m2], kept-zero ones too, T'd j + 1 times and paired with
     (-1)^j / (j + 1)."""
     p = bracket_mono(m1, m2)
     pairs = []
@@ -557,7 +585,7 @@ def reference_qc_integral(m1, m2):
         for _ in range(j + 1):
             nf = apply_T(nf)
         pairs.append((QI(Fraction((-1) ** j, j + 1)), nf))
-    return nf_combine(pairs, p.exact_to())
+    return nf_combine(pairs)
 
 
 @st.composite
@@ -589,16 +617,23 @@ SPSI1 = Generator(PSI_KIND, 1, 0, 1)
 @example((2, 2, (X1, (SB1, TB1)), (X1, (SPSI1,))))       # lambda chi
 @example((2, 2, (TRUNCATED_X1, (SB1,)), (ZERO_MARKED, (SPSI1,))))
 def test_quasi_commutativity_matches_one_T_at_a_time(case):
-    # the last example's bracket has a chi state with a marker only
+    # the last example's bracket has a chi state of kept zeros only
     _, _, m1, m2 = case
     assert_same_state(qc_integral(m1, m2), reference_qc_integral(m1, m2))
 
 
 def test_an_odd_square_keeps_the_marker_of_its_coefficient():
-    f = CoeffFunction(2, 3, {(1, 0): QI(1)}, 2)
+    # (f SB1 Psi1) Psi1 is the integral of chi f: a kept zero f leaves a
+    # kept zero with its marker, at T Psi1
     terms.clear_caches()
+    zero = CoeffFunction(2, 3, {}, 2)
+    got = terms.nf_mul_gen((zero, (SB1, PSI1)), PSI1)
+    assert got == NormalForm({(Generator(PSI_KIND, 1, 1, 0),): zero})
+    # (f SB1) SB1 is f times :SB1 SB1: = 0, which no degree of f
+    # reaches: it is exactly zero
+    f = CoeffFunction(2, 3, {(1, 0): QI(1)}, 2)
     got = terms.nf_mul_gen((f, (SB1,)), SB1)
-    assert got.terms == {} and got.exact_to == 2
+    assert got.terms == {} and got.exact_to == inf
 
 
 @st.composite
@@ -677,7 +712,8 @@ def test_memo_keys_separate_algebras(order):
         assert list(bracket.terms) == list(want_bracket.terms)
         for key, nf in bracket.terms.items():
             assert_same_state(nf, want_bracket.terms[key])
-    assert fresh[2][0].terms == {} and fresh[2][0].exact_to == 2
+    # x1^3 leaves the cutoff: a kept zero at T B1
+    assert fresh[2][0] == NormalForm({(TB1,): CoeffFunction(1, 2, {}, 2)})
     assert fresh[3][0] == parse_expression(':f{"3": "1"} T B1:', 1, 3)
 
 
@@ -693,6 +729,9 @@ def test_a_sum_of_states_from_two_algebras_raises():
         nf_add(Algebra(1, 2).Psi(1), Algebra(2, 3).SB(2))
     with pytest.raises(ValueError, match="dimension or cutoff mismatch"):
         nf_combine([(ONE, Algebra(2, 2).Psi(1)), (QI(3), Algebra(2, 3).SB(2))])
-    # a zero state holds no coefficient, so it joins a sum of any algebra
+    # a zero state holds no coefficient, so it joins a sum of any
+    # algebra; a kept zero is a coefficient of its algebra
     psi = Algebra(1, 5).Psi(1)
-    assert nf_add(NormalForm({}, 0), psi) == NormalForm(psi.terms, 0)
+    assert nf_add(NormalForm({}), psi) is psi
+    with pytest.raises(ValueError, match="dimension or cutoff mismatch"):
+        nf_add(kept_zero_state(1, 4, (), 0), psi)
