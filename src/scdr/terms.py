@@ -93,10 +93,12 @@ class NormalForm:
     __slots__ = ("terms", "exact_to")
 
     def __init__(self, terms):
-        clean = {gens: cf for gens, cf in terms.items()
-                 if cf.terms or cf.exact_to < inf}
-        _fill_nf(self, clean, min((cf.exact_to for cf in clean.values()),
-                                  default=inf))
+        clean, exact_to = {}, inf
+        for gens, cf in terms.items():
+            if cf.terms or cf.exact_to < inf:
+                clean[gens] = cf
+                exact_to = cf.exact_to if cf.exact_to < exact_to else exact_to
+        _fill_nf(self, clean, exact_to)
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalForm is immutable")

@@ -12,6 +12,9 @@ a fresh Python process with that tree first on PYTHONPATH, in
   * curved NS on `data/metric_1d_curved.json`, with and without
     `--drop-potential`, and on the same metric rewritten at cutoff 2,
     which is certified through degree -1 only and exits 3;
+  * the `--drop-potential` control on the 2-D metric diag(1 + x,
+    1 - x + x^2 - x^3 + x^4) at cutoff 4, whose determinant is 1
+    through the cutoff, so that its potential is zero with a marker;
   * curved `n2` on three 2-D Kaehler metrics g = [[0, h], [h, 0]]
     written at cutoff 6: h = (1 + x)(1 + y), flat in disguise; h =
     1 + xy, which fails; and 1 + xy again with omega = diag(i, -i);
@@ -44,7 +47,8 @@ a fresh Python process with that tree first on PYTHONPATH, in
   * `:c Psi1:` against Psi2 at `--dim 2 --cutoff 1`, with c = (1 + x1)
     (1 - x1) truncated to a constant known through degree 1: the two
     Psi's bracket to the zero of a mismatched pair, certified through
-    degree 1;
+    degree 1; and with c = (1 + x2)(1 - x2), which Psi2 differentiates,
+    so the zero holds only through degree 0;
   * `normalize` and `bracket` invocations that together use every
     production of the expression grammar (see `scdr.parser`);
   * `--scalar-ring rational` on a real sum, which prints, and on an
@@ -94,6 +98,13 @@ def matrix(workdir):
     path = Path(workdir) / "metric_1d_curved_c2.json"
     path.write_text(json.dumps(doc))
     suites.append(["verify", "ns", "--metric", str(path)])
+    g22 = {"0,0": "1", "1,0": "-1", "2,0": "1", "3,0": "-1", "4,0": "1"}
+    doc = {"dim": 2, "cutoff": 4,
+           "g": [[{"0,0": "1", "1,0": "1"}, {}], [{}, g22]]}
+    path = Path(workdir) / "metric_det_one_2d.json"
+    path.write_text(json.dumps(doc))
+    suites.append(["verify", "ns", "--metric", str(path),
+                   "--drop-potential"])
     h_flat = {"0,0": "1", "1,0": "1", "0,1": "1", "1,1": "1"}
     h_curved = {"0,0": "1", "1,1": "1"}
     omega = [[{"0,0": "i"}, {}], [{}, {"0,0": "-i"}]]
@@ -157,6 +168,9 @@ def matrix(workdir):
                 '[:f{"1": "2"} T B1: _ T S Psi1]'],
                ["--dim", "2", "--cutoff", "1", "bracket",
                 ':f{"0,0": "1", "1,0": "1"} f{"0,0": "1", "1,0": "-1"} '
+                'Psi1:', "Psi2"],
+               ["--dim", "2", "--cutoff", "1", "bracket",
+                ':f{"0,0": "1", "0,1": "1"} f{"0,0": "1", "0,1": "-1"} '
                 'Psi1:', "Psi2"]]
     # one production of the grammar or more per line: bare number, i,
     # vac; S(...) and prefix T S; a three-factor chain with a Gaussian
