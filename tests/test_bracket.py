@@ -468,7 +468,7 @@ def test_skew_matches_stepwise():
     for p, pa, pb in _skew_cases():
         got, want = skew(p, pa, pb), stepwise_skew(p, pa, pb)
         assert got == want
-        # the same keys open in the same order, whichever zeros meet
+        # and the keys open in the same order
         assert list(got.terms) == list(want.terms)
 
 
@@ -616,7 +616,7 @@ def _gamma_triples(dim, cutoff, count=6):
 
 def _assert_same_hp(got, want):
     assert got == want
-    # the same keys open in the same order, whichever zeros meet
+    # and the keys open in the same order
     assert list(got.terms) == list(want.terms)
 
 

@@ -9,17 +9,23 @@ polynomial input is its own metric, and an extension is another one.
 
 The differences are read part by part, as the checks hand them to
 superconf.fold, so a part that fails at one cutoff and another that
-fails at the other are never compared with each other.
+fails at the other are never compared with each other.  The same holds
+for the random states of the axiom suite: drawn again at cutoff c+2,
+they extend the states drawn at cutoff c, and each skew difference and
+Jacobi defect is read as the suite hands it to holds.
 """
 
+from math import inf
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from scdr import superconf
+import pytest
+
+from scdr import suites, superconf
 from scdr.geometry import EndoTensor, MetricData, load_geometry
 from scdr.scalars import QI, CoeffFunction, as_qi
-from scdr.suites import run_n2_suite, run_ns_suite
+from scdr.suites import run_jacobi_suite, run_n2_suite, run_ns_suite
 from scdr.terms import HPoly
 
 
@@ -48,19 +54,26 @@ def low_terms(p, degree):
             for e, q in cf.terms.items() if sum(e) <= degree}
 
 
-def assert_survives(check, jet, extension):
-    """check(jet) and check(extension) fold the same parts; each part
-    certified through a degree d >= 0 on the jet has the terms of the
-    extension's part through d."""
-    _, short = fold_parts(lambda: check(jet))
-    _, long = fold_parts(lambda: check(extension))
+def assert_same_through_certified(short, long, exact_too=False):
+    """short and long list the same (name, label, difference) parts;
+    each difference of short certified through a degree d >= 0 has the
+    terms of long's through d.  With exact_too, an exact difference of
+    short has the terms of long's through long's own degree."""
     assert [p[:2] for p in short] == [p[:2] for p in long]
     for (name, label, diff), (_, _, ext) in zip(short, long):
         degree = diff.exact_to()
-        if not 0 <= degree < float("inf"):
+        if degree < 0 or degree == inf and not exact_too:
             continue
+        degree = min(degree, ext.exact_to())
         assert low_terms(diff, degree) == low_terms(ext, degree), \
-            "%s %s: certified through degree %d" % (name, label, degree)
+            "%s %s: certified through degree %s" % (name, label, degree)
+
+
+def assert_survives(check, jet, extension):
+    """check(jet) and check(extension) fold the same parts, and each
+    keeps its certified terms."""
+    assert_same_through_certified(fold_parts(lambda: check(jet))[1],
+                                  fold_parts(lambda: check(extension))[1])
 
 
 def series(dim, cutoff, terms):
@@ -175,3 +188,31 @@ def test_a_determinant_one_control_certifies_what_its_extensions_keep():
                      [{"0,2": "-1", **extension}, {"0,0": "1"}]]}
         assert_survives(lambda m: run_ns_suite(m, drop_potential=True),
                         jet, load_geometry(doc).metric)
+
+
+def held_differences(dim, cutoff, seed):
+    """[("jacobi", n, difference)] of every skew difference and Jacobi
+    defect that run_jacobi_suite hands to holds, in order."""
+    out = []
+    real = suites.holds
+
+    def spy(diff):
+        out.append(("jacobi", len(out), diff))
+        return real(diff)
+
+    with mock.patch.object(suites, "holds", spy):
+        run_jacobi_suite(dim, cutoff, seed, triples=4)
+    return out
+
+
+@pytest.mark.parametrize("dim,cutoff,seed", [
+    (1, 1, 0), (1, 2, 1), (2, 2, 0), (3, 2, 2)])
+def test_axiom_certificates_survive_an_extension_of_the_states(dim, cutoff,
+                                                              seed):
+    # the suite's low-cutoff invocations of tools/same_output.py.  An
+    # exact difference touched no truncated coefficient, and the states
+    # drawn at cutoff + 2 extend only truncated ones, so it is checked
+    # too
+    assert_same_through_certified(held_differences(dim, cutoff, seed),
+                                  held_differences(dim, cutoff + 2, seed),
+                                  exact_too=True)

@@ -254,7 +254,6 @@ def fold_cases(draw):
     dim = draw(st.integers(1, 2))
     cutoff = draw(st.integers(1, 3))
     gens = fold_gens(dim)
-    markers = fold_markers(cutoff)
 
     def coeff(exact_to):
         return draw_coeff(draw, dim, cutoff, exact_to)
