@@ -23,10 +23,8 @@ IMAG = QI(0, 1)
 
 def classical_bracket(a, b):
     """The lambda-bracket of the underlying classical vertex algebra:
-    {j: coefficient of lambda^j}, together with the degree through
-    which it is certified."""
-    p = lambda_bracket(a, b)
-    return hp_chi_part(p), p.exact_to()
+    {j: coefficient of lambda^j}, each state carrying its markers."""
+    return hp_chi_part(lambda_bracket(a, b))
 
 
 def sres_action(f, a):
@@ -37,7 +35,7 @@ def sres_action(f, a):
 def _row_diff(a, b, want):
     """The classical bracket of a and b minus the wanted one {j: state},
     on the lambda^j chi keys."""
-    got, _ = classical_bracket(a, b)
+    got = classical_bracket(a, b)
     return hp_combine([((j, 1, 0, 0), 1, nf) for j, nf in got.items()]
                       + [((j, 1, 0, 0), -1, nf) for j, nf in want.items()])
 

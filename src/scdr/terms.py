@@ -119,8 +119,9 @@ class NormalForm:
         return all(cf.is_zero_through(degree) for cf in self.terms.values())
 
     def parity(self):
-        """0 or 1 for homogeneous states, None for mixed ones."""
-        ps = {gens_parity(g) for g in self.terms}
+        """0 or 1 for homogeneous states, None for mixed ones.  A kept
+        zero holds no term for a sign to act on, so it has no parity."""
+        ps = {gens_parity(g) for g, cf in self.terms.items() if cf.terms}
         if not ps:
             return 0
         if len(ps) > 1:
@@ -591,11 +592,13 @@ def render_nf(nf):
 
 
 def render_hpoly(p):
-    if not p.terms:
-        return "0"
+    """The DSL form of p; a key whose state holds only kept zeros prints
+    nothing, as render_nf prints no kept zero."""
     parts = []
     for m in sorted(p.terms, key=lambda m: (hmono_parity(m), m)):
         nf = p.terms[m]
+        if nf.is_zero():
+            continue
         head = hmono_render(m)
         body = render_nf(nf)
         if head == "1":
@@ -604,4 +607,4 @@ def render_hpoly(p):
             parts.append(head)
         else:
             parts.append("%s * (%s)" % (head, body))
-    return _join_addends(parts)
+    return _join_addends(parts) if parts else "0"

@@ -67,6 +67,17 @@ def test_json_skips_a_key_of_kept_zeros(capsys):
                                "terms": {"1": ':f{"1": "6"} T B1:'}}
 
 
+def test_text_skips_a_key_of_kept_zeros(capsys):
+    argv = ("--dim", "1", "--cutoff", "1", "bracket",
+            '[:f{"1": "1"} Psi1: _ :f{"1": "3"} T B1:]')
+    rc, out, _ = run(capsys, *argv)
+    assert (rc, out) == (0, ':f{"1": "6"} T B1:\n')
+    # a value of kept zeros only prints as zero
+    rc, out, _ = run(capsys, "--dim", "2", "--cutoff", "1", "bracket",
+                     TRUNCATED_CONSTANT, "Psi2")
+    assert (rc, out) == (0, "0\n")
+
+
 TRUNCATED_CONSTANT = (':f{"0,0": "1", "0,1": "1"} '
                       'f{"0,0": "1", "0,1": "-1"} Psi1:')
 
@@ -84,6 +95,17 @@ def test_a_truncated_constant_counts_as_a_function_of_every_variable(capsys):
         docs.append(json.loads(out))
     assert docs[0] == {"guaranteed_degree": 0, "terms": {}}
     assert docs[1]["terms"] == {"1": ':f{"0,1": "2"} Psi1:'}
+
+
+def test_a_coefficient_that_cancels_keeps_the_input_homogeneous(capsys):
+    # c - c leaves a kept zero at the odd key Psi1 beside the even T B1;
+    # it holds no term, so the input stays even, as it was before the
+    # cancelled coefficient was kept
+    expr = "%s - %s + T B1" % (TRUNCATED_CONSTANT, TRUNCATED_CONSTANT)
+    rc, out, _ = run(capsys, "--format", "json", "--dim", "2", "--cutoff",
+                     "1", "bracket", expr, "Psi2")
+    assert rc == 0
+    assert json.loads(out) == {"guaranteed_degree": 0, "terms": {}}
 
 
 # -- normalize --------------------------------------------------------
@@ -340,7 +362,7 @@ def test_verify_jacobi_small(capsys):
     # a certificate through a negative degree covers no coefficient
     (["--dim", "1", "--cutoff", "1"],
      ["jacobi/skew-symmetry: inconclusive (degree -4)",
-      "jacobi/jacobi-identity: inconclusive (degree -8)",
+      "jacobi/jacobi-identity: inconclusive (degree -5)",
       "jacobi/normalize-idempotent: FAIL (exact)"]),
 ])
 def test_verify_jacobi_states_the_degree_it_certifies(capsys, argv, want):

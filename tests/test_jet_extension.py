@@ -171,6 +171,18 @@ def test_certified_degrees_survive_an_extension_of_the_jet(case):
         assert_survives(check, jet, longer)
 
 
+def test_the_curved_line_keeps_its_certificate_through_degree_five():
+    # data/metric_1d_curved.json, g = 1 + x^2 at cutoff 8: the inverse
+    # metric is a series cut at degree 8, and ns certifies degree 5,
+    # one above the cutoff - 4 that the old start markers gave
+    line = metric(1, 8, {(0, 0): {(0,): 1, (2,): 1}})
+    rep, _ = run_ns_suite(line)
+    assert rep.status == "pass" and rep.guaranteed_degree == 5
+    for extension in ({}, {(9,): 1}, {(9,): -2, (10,): 3}):
+        assert_survives(run_ns_suite, line, metric(1, 10, {
+            (0, 0): {(0,): 1, (2,): 1, **extension}}))
+
+
 PINNED = {"dim": 2, "cutoff": 3,
           "g": [[{"0,0": "1"}, {"0,2": "-1"}], [{"0,2": "-1"}, {"0,0": "1"}]]}
 

@@ -124,6 +124,12 @@ def test_parity_bookkeeping(alg):
     assert nf_mul(alg.SB(1), alg.Psi(1)).parity() == 0
     mixed = nf_add(alg.B(1), alg.Psi(1))
     assert mixed.parity() is None
+    # a kept zero holds no term for a sign to act on
+    kept = NormalForm({(Generator(PSI_KIND, 1, 0, 0),):
+                       CoeffFunction(2, 6, {}, 2)})
+    assert kept.parity() == 0
+    assert nf_add(alg.TB(1), kept).parity() == 0
+    assert nf_add(alg.SB(1), kept).parity() == 1
 
 
 def test_normal_form_is_immutable(alg):
