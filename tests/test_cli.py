@@ -4,7 +4,10 @@ flag placement and the verification subcommands."""
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ import scdr.cli
 from scdr.cli import main
 
 DATA = Path(__file__).resolve().parents[1] / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -832,6 +836,41 @@ def _assert_exit_contract(argv):
     else:
         assert rc == 0 and set(words) == {"pass"}
     return rc
+
+
+def _scdr_process(argv, stdout):
+    """Run scdr in a fresh interpreter with the given stdout; returns
+    the exit code and stderr."""
+    env = dict(os.environ)
+    env.pop("SCDR_CUTOFF", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "scdr.cli"] + argv,
+                          env=env, stdout=stdout, stderr=subprocess.PIPE)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--dim", "2", "--cutoff", "4", "verify", "ns"], 0),
+    (["verify", "ns", "--metric", str(DATA / "metric_1d_curved.json"),
+      "--drop-potential"], 1),
+    (["verify", "ns", "--metric", "curved-c2"], 3),
+    (["bracket", "[B1 _ Psi1]"], 0),
+    (["--format", "json", "normalize", "T B1"], 0),
+])
+def test_a_closed_stdout_changes_only_the_output(tmp_path, argv, code):
+    doc = json.loads((DATA / "metric_1d_curved.json").read_text())
+    doc["cutoff"] = 2
+    curved = _write_json(tmp_path / "curved_c2.json", doc)
+    argv = [curved if a == "curved-c2" else a for a in argv]
+    assert _scdr_process(argv, subprocess.DEVNULL) == (code, b"")
+    # the reader has gone before the start, so the first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        assert _scdr_process(argv, write_end) == (code, b"")
+    finally:
+        os.close(write_end)
 
 
 # -- drawn geometry documents -----------------------------------------
