@@ -391,7 +391,8 @@ class CoeffFunction:
                 terms[e] = s
             else:
                 del terms[e]
-        x, y = self.exact_to, other.exact_to  # min, by hand: see nf_combine
+        # min, by hand: on CPython 3.11 min(x, y) costs several times more
+        x, y = self.exact_to, other.exact_to
         return _cf(self.dim, self.cutoff, terms, x if x < y else y)
 
     def __neg__(self):
@@ -467,7 +468,7 @@ class CoeffFunction:
             for j in range(dim - 1, -1, -1):
                 k, e[j] = divmod(k, cutoff + 1)
             terms[tuple(e)] = _qi(a, b, den)
-        x, y = self.exact_to, other.exact_to
+        x, y = self.exact_to, other.exact_to  # min, by hand: see __add__
         exact = x if x < y else y
         if rows1 and rows2 and rows1[-1][0] + rows2[-1][0] > cutoff:
             exact = min(exact, cutoff)  # some pair left the cutoff

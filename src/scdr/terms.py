@@ -84,21 +84,18 @@ class NormalForm:
 
     terms maps sorted generator tuples to CoeffFunctions that are
     nonzero or kept zeros: no terms, but a finite exact_to.  Every
-    degree marker of a state sits on a coefficient, and exact_to is the
-    least of them, inf for an exact state.  A state does not record its
-    algebra, (dim, cutoff): its coefficients do, so the zero state of
-    every algebra is one value.
+    degree marker of a state sits on a coefficient, and exact_to reads
+    the least of them, inf for an exact state.  A state does not record
+    its algebra, (dim, cutoff): its coefficients do, so the zero state
+    of every algebra is one value.
     """
 
-    __slots__ = ("terms", "exact_to")
+    __slots__ = ("terms",)
 
     def __init__(self, terms):
-        clean, exact_to = {}, inf
-        for gens, cf in terms.items():
-            if cf.terms or cf.exact_to < inf:
-                clean[gens] = cf
-                exact_to = cf.exact_to if cf.exact_to < exact_to else exact_to
-        _fill_nf(self, clean, exact_to)
+        object.__setattr__(self, "terms", {
+            gens: cf for gens, cf in terms.items()
+            if cf.terms or cf.exact_to < inf})
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalForm is immutable")
@@ -106,10 +103,14 @@ class NormalForm:
     def __eq__(self, other):
         if not isinstance(other, NormalForm):
             return NotImplemented
-        return self.terms == other.terms and self.exact_to == other.exact_to
+        return self.terms == other.terms
 
     def __repr__(self):
         return "NormalForm(%s)" % render_nf(self)
+
+    @property
+    def exact_to(self):
+        return min((cf.exact_to for cf in self.terms.values()), default=inf)
 
     def is_zero(self):
         """Whether every coefficient is zero, kept zeros included."""
@@ -130,12 +131,6 @@ class NormalForm:
 
     def sorted_terms(self):
         return sorted(self.terms.items())
-
-
-def _fill_nf(nf, terms, exact_to):
-    object.__setattr__(nf, "terms", terms)
-    object.__setattr__(nf, "exact_to", exact_to)
-    return nf
 
 
 def nf_zero():
@@ -163,9 +158,6 @@ def nf_combine(pairs):
     are immutable, so when only one state has terms and its scalar is
     1, that state is the sum itself.  States with terms from two
     algebras, by (dim, cutoff), raise.
-
-    Markers fold here, in the constructor and in CoeffFunction's + and *
-    by a comparison: on CPython 3.11 min(a, b) costs several times more.
     """
     pairs = tuple(pairs)  # nf_sum passes a generator
     live = [p for p in pairs if p[1].terms]
@@ -173,9 +165,7 @@ def nf_combine(pairs):
         return live[0][1]
     terms = {}
     first = None
-    exact_to = inf
     for q, nf in live:
-        exact_to = nf.exact_to if nf.exact_to < exact_to else exact_to
         head = next(iter(nf.terms.values()))
         if first is None:
             first = head
@@ -193,7 +183,9 @@ def nf_combine(pairs):
                 terms[gens] = cf
             elif old is not None:
                 del terms[gens]
-    return _fill_nf(object.__new__(NormalForm), terms, exact_to)
+    out = object.__new__(NormalForm)
+    object.__setattr__(out, "terms", terms)
+    return out
 
 
 def nf_add(a, b):
