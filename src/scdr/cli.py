@@ -4,7 +4,8 @@ suites of scdr.suites.
 Exit code 0 means every check in the invocation passed, 1 means a
 verification failed, 2 means bad input, and 3 means no check failed but
 one was inconclusive: certified through a negative degree only.  Output
-is deterministic for identical inputs.
+is deterministic for identical inputs, and a closed stdout changes
+nothing but the output.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import sys
 from .scalars import hmono_render
 from .terms import render_nf, render_hpoly
 from .bracket import lambda_bracket
-from .parser import (parse_expression, parse_bracket_query, looks_like_query,
-                     ParseError)
+from .parser import parse_expression, parse_bracket_query, looks_like_query
 from .geometry import (MetricData, flat_complex_structure,
                        quaternionic_triple_flat, load_geometry)
 from .superconf import _json_degree
@@ -27,7 +27,7 @@ from .suites import (run_ns_suite, run_n2_suite, run_n4_suite,
                      run_jacobi_suite)
 
 
-# -- command implementations -----------------------------------------
+# -- commands: parse and validate, then return a run of (text, exit code)
 
 
 def _hpoly_json(p):
@@ -49,47 +49,43 @@ def _check_state(nf, config):
         raise ValueError("imaginary scalar under --scalar-ring rational")
 
 
+def _json(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
 def cmd_bracket(args, config):
     dim, cutoff = config["dim"], config["cutoff"]
-    try:
-        if len(args.expr) == 1:
-            if not looks_like_query(args.expr[0]):
-                raise ValueError("bracket expects '[e1 _ e2]' or two "
-                                 "expressions")
-            a, b = parse_bracket_query(args.expr[0], dim, cutoff)
-        elif len(args.expr) == 2:
-            a = parse_expression(args.expr[0], dim, cutoff)
-            b = parse_expression(args.expr[1], dim, cutoff)
-        else:
-            raise ValueError("bracket expects one query or two expressions")
-        _check_state(a, config)
-        _check_state(b, config)
-    except (ParseError, ValueError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    p = lambda_bracket(a, b)
-    if config["format"] == "json":
-        print(json.dumps(_hpoly_json(p), sort_keys=True, indent=2,
-                         allow_nan=False))
+    if len(args.expr) == 1:
+        if not looks_like_query(args.expr[0]):
+            raise ValueError("bracket expects '[e1 _ e2]' or two "
+                             "expressions")
+        a, b = parse_bracket_query(args.expr[0], dim, cutoff)
+    elif len(args.expr) == 2:
+        a = parse_expression(args.expr[0], dim, cutoff)
+        b = parse_expression(args.expr[1], dim, cutoff)
     else:
-        print(render_hpoly(p))
-    return 0
+        raise ValueError("bracket expects one query or two expressions")
+    _check_state(a, config)
+    _check_state(b, config)
+
+    def run():
+        p = lambda_bracket(a, b)
+        if config["format"] == "json":
+            return _json(_hpoly_json(p)), 0
+        return render_hpoly(p), 0
+    return run
 
 
 def cmd_normalize(args, config):
-    try:
-        nf = parse_expression(args.expr, config["dim"], config["cutoff"])
-        _check_state(nf, config)
-    except (ParseError, ValueError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    if config["format"] == "json":
-        print(json.dumps({"normal_form": render_nf(nf),
-                          "guaranteed_degree": _json_degree(nf.exact_to)},
-                         sort_keys=True, indent=2, allow_nan=False))
-    else:
-        print(render_nf(nf))
-    return 0
+    nf = parse_expression(args.expr, config["dim"], config["cutoff"])
+    _check_state(nf, config)
+
+    def run():
+        if config["format"] == "json":
+            return _json({"normal_form": render_nf(nf),
+                          "guaranteed_degree": _json_degree(nf.exact_to)}), 0
+        return render_nf(nf), 0
+    return run
 
 
 def _suite_inputs(args, config):
@@ -176,6 +172,9 @@ def _suite_call(args, config):
                              "missing %s" % ", ".join(missing))
         return lambda: run_n4_suite(metric, tuple(tensors[n] for n in names))
     if suite == "components":
+        if not all(e.is_constant() for row in metric.g for e in row):
+            raise ValueError("the components suite needs a constant "
+                             "metric; %s is curved" % args.metric)
         return lambda: run_components_suite(dim, cutoff)
     if suite == "coordchange":
         if not changes:
@@ -188,24 +187,17 @@ def _suite_call(args, config):
 
 
 def cmd_verify(args, config):
-    try:
-        run = _suite_call(args, config)
-    except (ValueError, OSError, KeyError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    # outside the try: an engine error is a traceback, not bad input
-    reports = run()
-    if config["format"] == "json":
-        print(json.dumps([r.to_json() for r in reports], indent=2,
-                         sort_keys=True, allow_nan=False))
-    else:
-        for r in reports:
-            for line in r.text_lines():
-                print(line)
-    statuses = {r.status for r in reports}
-    if "FAIL" in statuses:
-        return 1
-    return 3 if "inconclusive" in statuses else 0
+    suite = _suite_call(args, config)
+
+    def run():
+        reports = suite()
+        statuses = {r.status for r in reports}
+        code = (1 if "FAIL" in statuses
+                else 3 if "inconclusive" in statuses else 0)
+        if config["format"] == "json":
+            return _json([r.to_json() for r in reports]), code
+        return "\n".join(x for r in reports for x in r.text_lines()), code
+    return run
 
 
 def _common_flags(p, top):
@@ -279,7 +271,20 @@ def main(argv=None):
         parser.error("--cutoff must be nonnegative")
     config = {"dim": args.dim, "cutoff": cutoff,
               "scalar_ring": args.scalar_ring, "format": args.format}
-    return args.func(args, config)
+    try:
+        run = args.func(args, config)
+    except (ValueError, OSError, KeyError) as err:
+        print("error: %s" % err, file=sys.stderr)
+        return 2
+    # outside the try: an engine or writer fault stays a traceback
+    text, code = run()
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; the exit flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

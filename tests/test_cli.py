@@ -334,6 +334,24 @@ def test_verify_components_dim1(capsys):
     assert "components-n1: pass, c = 3" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_components_refuses_a_curved_metric(capsys, tmp_path, fmt):
+    # the tables are built on the flat H: a curved g would go unread
+    curved = str(DATA / "metric_1d_curved.json")
+    err = _assert_input_error(capsys, "--format", fmt, "verify",
+                              "components", "--metric", curved)
+    assert err == ("error: the components suite needs a constant metric; "
+                   "%s is curved\n" % curved)
+    # a constant g has the flat H
+    g = [[{"0,0": "2"}, {"0,0": "1"}], [{"0,0": "1"}, {"0,0": "3"}]]
+    constant = _write_json(tmp_path / "constant.json",
+                           {"dim": 2, "cutoff": 4, "g": g})
+    argv = ("--format", fmt, "verify", "components")
+    got = run(capsys, *argv, "--metric", constant)
+    assert got[0] == 0
+    assert got == run(capsys, "--dim", "2", "--cutoff", "4", *argv)
+
+
 def test_verify_coordchange_file(capsys):
     rc, out, _ = run(capsys, "verify", "coordchange", "--change",
                      str(DATA / "change_quad_1d.json"))

@@ -12,6 +12,8 @@ a fresh Python process with that tree first on PYTHONPATH, in
   * curved NS on `data/metric_1d_curved.json`, with and without
     `--drop-potential`, and on the same metric rewritten at cutoff 2,
     which is certified through degree -1 only and exits 3;
+  * `components` on `data/metric_1d_curved.json`, whose tables would
+    not read the curved g, so it exits 2;
   * the `--drop-potential` control on the 2-D metric diag(1 + x,
     1 - x + x^2 - x^3 + x^4) at cutoff 4, whose determinant is 1
     through the cutoff, so that its potential is zero with a marker;
@@ -93,7 +95,8 @@ def matrix(workdir):
         suites.append(["--dim", str(dim), "verify", "components"])
     metric = str(DATA / "metric_1d_curved.json")
     suites += [["verify", "ns", "--metric", metric],
-               ["verify", "ns", "--metric", metric, "--drop-potential"]]
+               ["verify", "ns", "--metric", metric, "--drop-potential"],
+               ["verify", "components", "--metric", metric]]
     doc = {"dim": 1, "cutoff": 2, "g": [[{"0": "1", "2": "1"}]]}
     path = Path(workdir) / "metric_1d_curved_c2.json"
     path.write_text(json.dumps(doc))
