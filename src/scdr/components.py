@@ -40,12 +40,12 @@ def _row_diff(a, b, want):
                       + [((j, 1, 0, 0), -1, nf) for j, nf in want.items()])
 
 
-def _table_report(name, c, rows, susy, susy_label):
+def _table_report(name, c, rows, susy, structure):
     """One identity per operator-table row; the superfield check whose
     central charge the table uses adds a line only when it fails."""
     parts = [(label, _row_diff(a, b, want)) for label, a, b, want in rows]
     held = susy.status != "FAIL"
-    parts.append((None if held else susy_label, held))
+    parts.append((None if held else "superfield %s check" % structure, held))
     return fold(name, parts, central_charge=c)
 
 
@@ -73,7 +73,7 @@ def n1_components(h):
     return nf_scale(apply_S(h), HALF), h
 
 
-def check_n1_components(h, name="components-n1"):
+def check_n1_components(h):
     """The (L, G) pair closes the standard N=1 relations with the
     central charge read off the superfield check."""
     ns = check_ns(h)
@@ -84,7 +84,7 @@ def check_n1_components(h, name="components-n1"):
     rows.append(("[G_l G]", g, g,
                  {0: nf_scale(l_state, 2),
                   2: nf_scale(vac, c / QI(3))}))
-    return _table_report(name, c, rows, ns, "superfield NS check")
+    return _table_report("components-n1", c, rows, ns, "NS")
 
 
 def n2_components(h, j_s):
@@ -99,7 +99,7 @@ def n2_components(h, j_s):
     }
 
 
-def check_n2_components(h, j_s, name="components-n2"):
+def check_n2_components(h, j_s):
     susy = check_n2(h, j_s)
     c, vac = susy.central_charge, _vacuum(h)
     f = n2_components(h, j_s)
@@ -117,7 +117,7 @@ def check_n2_components(h, j_s, name="components-n2"):
                   2: nf_scale(vac, c / QI(6))}))
     rows.append(("[G+_l G+]", Gp, Gp, {}))
     rows.append(("[G-_l G-]", Gm, Gm, {}))
-    return _table_report(name, c, rows, susy, "superfield N=2 check")
+    return _table_report("components-n2", c, rows, susy, "N=2")
 
 
 def n4_components(h, j0_s, j1_s, j2_s):
@@ -140,7 +140,7 @@ def n4_components(h, j0_s, j1_s, j2_s):
     }
 
 
-def check_n4_components(h, j0_s, j1_s, j2_s, name="components-n4"):
+def check_n4_components(h, j0_s, j1_s, j2_s):
     susy = check_n4(h, j0_s, j1_s, j2_s)
     c, vac = susy.central_charge, _vacuum(h)
     f = n4_components(h, j0_s, j1_s, j2_s)
@@ -184,4 +184,4 @@ def check_n4_components(h, j0_s, j1_s, j2_s, name="components-n4"):
                         ("[Gb-_l Gb-]", Gbm, Gbm),
                         ("[J+_l J+]", Jp, Jp), ("[J-_l J-]", Jm, Jm)):
         rows.append((label + " = 0", a, b, {}))
-    return _table_report(name, c, rows, susy, "superfield N=4 check")
+    return _table_report("components-n4", c, rows, susy, "N=4")

@@ -151,15 +151,14 @@ def _random_coeff(rng, dim, cutoff, degree):
     return CoeffFunction(dim, cutoff, terms)
 
 
-def random_state(rng, alg, parity, max_monos=2, max_factors=2,
-                 coeff_degree=1):
+def random_state(rng, alg, parity, max_monos=2, coeff_degree=1):
     """A random homogeneous normal-form state of the given parity."""
     dim, cutoff = alg.dim, alg.cutoff
     for _ in range(200):
         monos = []
         for _ in range(rng.randint(1, max_monos)):
             nf = alg.coeff_nf(_random_coeff(rng, dim, cutoff, coeff_degree))
-            for _ in range(rng.randint(0, max_factors)):
+            for _ in range(rng.randint(0, 2)):
                 g = Generator(rng.choice((B_KIND, PSI_KIND)),
                               rng.randint(1, dim),
                               rng.choice((0, 0, 1)),
