@@ -283,7 +283,9 @@ def main(argv=None):
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone; the exit flush must not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 
