@@ -22,6 +22,7 @@ from scdr.terms import (B_KIND, PSI_KIND, Algebra, Generator, HPoly,
                         NormalForm, apply_S, apply_T, gens_parity,
                         hp_combine, hp_sub, hp_zero,
                         mono_from_factors, nf_add, nf_mono, nf_mul, nf_scale)
+from test_terms import scaled, scaled_pairs, times
 
 ONE = (0, 0, 0, 0)
 LAM = (1, 0, 0, 0)
@@ -653,6 +654,16 @@ def test_wick_step_matches_reference(dim, cutoff, monkeypatch):
     # keys, in the same order, as the HPoly it replaced
     _assert_same_with(monkeypatch, "_wick", reference_wick,
                       _gamma_triples(dim, cutoff))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_pairs())
+def test_a_monomial_bracket_is_bilinear_in_exact_constants(case):
+    # exact, truncated and kept-zero coefficients, each times a constant
+    c1, m1, c2, m2 = case
+    terms.clear_caches()
+    got = scdr.bracket.bracket_mono(times(c1, m1), times(c2, m2))
+    assert got == scaled(scdr.bracket.bracket_mono(m1, m2), c1 * c2)
 
 
 def _zero_state_cases():

@@ -664,6 +664,76 @@ def test_one_generator_matches_the_product_with_its_integrals(case):
     assert_same_state(terms._nf_mul_gen(mono, h), stepwise_nf_mul_gen(mono, h))
 
 
+# -- exact constant scalars against the unit-coefficient monomials --------
+
+SCALARS = [QI(1), QI(-1), QI(0, 1), QI(0, -1), QI(Fraction(1, 2)),
+           QI(Fraction(-3, 2)), QI(Fraction(2, 3), Fraction(-1, 5))]
+
+
+def scaled(value, q):
+    """q times a state or a bracket value, one coefficient at a time:
+    a nonzero q cancels nothing, so keys and markers stay."""
+    if isinstance(value, HPoly):
+        return HPoly({m: scaled(nf, q) for m, nf in value.terms.items()})
+    return NormalForm({g: cf.scale(q) for g, cf in value.terms.items()})
+
+
+def times(q, mono):
+    """The monomial (q f, gens) of mono = (f, gens)."""
+    return mono[0].scale(q), mono[1]
+
+
+@st.composite
+def scaled_pairs(draw):
+    """(c1, m1, c2, m2) for dims 1-2 and cutoffs 1-3: exact constants c1
+    and c2, and monomials in normal order with up to two factors whose
+    coefficients are the unit, exact, truncated or kept zeros."""
+    dim = draw(st.integers(1, 2))
+    cutoff = draw(st.integers(1, 3))
+    pool = factor_pool(dim)
+
+    def mono():
+        gens = normal_order(draw(st.lists(st.sampled_from(pool), max_size=2)))
+        cf = unit_cf(dim, cutoff) if draw(st.booleans()) else \
+            draw_factor_coeff(draw, dim, cutoff)
+        return cf, gens
+
+    scalars = st.sampled_from(SCALARS)
+    return draw(scalars), mono(), draw(scalars), mono()
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_pairs(), st.integers(0, 8))
+@example((QI(Fraction(1, 2)), (unit_cf(2, 2), (SB1,)), QI(0, 1),
+          (X1, (PSI1,))), 3)
+@example((QI(-1), (TRUNCATED_X1, (PSI2,)), QI(Fraction(-3, 2)),
+          (ZERO_MARKED, (TB1,))), 4)
+def test_a_product_is_bilinear_in_exact_constants(case, n):
+    c1, m1, c2, m2 = case
+    pool = factor_pool(m1[0].dim)
+    h = pool[n % len(pool)]
+    terms.clear_caches()
+    got = terms.mono_mul(times(c1, m1), times(c2, m2))
+    assert got == scaled(terms.mono_mul(m1, m2), c1 * c2)
+    got = terms.nf_mul_gen(times(c1, m1), h)
+    assert got == scaled(terms.nf_mul_gen(m1, h), c1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_pairs())
+def test_a_vacuum_multiple_is_a_unit_of_the_product(case):
+    # c vac on the left is c times the factors one at a time; on the
+    # right it commutes to the left with its integral
+    c, _, _, m = case
+    vac = (unit_cf(m[0].dim, m[0].cutoff).scale(c), ())
+    terms.clear_caches()
+    assert terms.mono_mul(vac, m) == \
+        reference_mono_from_factors(m[0].scale(c), m[1])
+    assert terms.mono_mul(m, vac) == nf_add(
+        reference_mono_from_factors(m[0].scale(c), m[1]),
+        reference_qc_integral(m, vac))
+
+
 # -- memo caches ----------------------------------------------------------
 
 

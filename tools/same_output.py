@@ -8,7 +8,7 @@ a fresh Python process with that tree first on PYTHONPATH, in
 `--format text` and in `--format json`:
 
   * flat `ns`, `n2` and `n4 --flat-quaternionic` at `--dim` 4, 8, 16,
-    and `components` at `--dim` 8, 16;
+    and `components` at `--dim` 4, 8, 16;
   * curved NS on `data/metric_1d_curved.json`, with and without
     `--drop-potential`, and on the same metric rewritten at cutoff 2,
     which is certified through degree -1 only and exits 3;
@@ -43,6 +43,10 @@ a fresh Python process with that tree first on PYTHONPATH, in
     coefficient products: `:S Psi1 f f:` with f = x at `--dim 1
     --cutoff 1`, certified through degree 1, and `:S Psi1 T S Psi2
     f{"1,1"} f{"1,0"}:` at `--dim 2 --cutoff 2`, through degree 2;
+  * three `normalize` products and three bracket queries whose constant
+    coefficients are scalars other than 1 (`2`, `i`, `1/3`), also as
+    vacuum multiples inside a product, next to a kept zero at `--cutoff
+    1` or a truncated coefficient at `--cutoff 1` and 2;
   * bracket queries over the table of derived generators c T^t S^s X:
     two at `--dim 1`, one against a coefficient at `--dim 2`, and a
     coefficient times T B1 against T S Psi1 at `--dim 1 --cutoff 1`;
@@ -91,7 +95,7 @@ def matrix(workdir):
                    ["--dim", str(dim), "verify", "n2"],
                    ["--dim", str(dim), "verify", "n4",
                     "--flat-quaternionic"]]
-    for dim in (8, 16):
+    for dim in (4, 8, 16):
         suites.append(["--dim", str(dim), "verify", "components"])
     metric = str(DATA / "metric_1d_curved.json")
     suites += [["verify", "ns", "--metric", metric],
@@ -175,6 +179,27 @@ def matrix(workdir):
                ["--dim", "2", "--cutoff", "1", "bracket",
                 ':f{"0,0": "1", "0,1": "1"} f{"0,0": "1", "0,1": "-1"} '
                 'Psi1:', "Psi2"]]
+    # constant coefficients other than 1, as scalars and as vacuum
+    # multiples inside a product, next to a kept zero (x x at cutoff 1)
+    # or a truncated coefficient ((1 + x)(1 + x y) at cutoff 2)
+    queries += [["--dim", "1", "--cutoff", "1", "normalize",
+                 ':2 S Psi1 f{"1": "1"} i f{"1": "1"} 1/3 T B1:'],
+                ["--dim", "2", "--cutoff", "1", "normalize",
+                 ':i f{"0,0": "1", "0,1": "1"} f{"0,0": "1", "0,1": "-1"} '
+                 'S B2 Psi1 2:'],
+                ["--dim", "2", "--cutoff", "2", "normalize",
+                 ':S Psi1 i T S Psi2 f{"0,0": "1", "1,1": "1"} 2 '
+                 'f{"1,0": "1"} 1/3:'],
+                ["--dim", "1", "--cutoff", "1", "bracket",
+                 '[2 * :S B1 Psi1: + :f{"1": "1"} f{"1": "1"} T B1: _ '
+                 'i * T S Psi1 + 1/3 * :S B1 T Psi1:]'],
+                ["--dim", "1", "--cutoff", "2", "bracket",
+                 '[1/3 * :f{"0": "1", "1": "1"} f{"0": "1", "1": "-1"} '
+                 'f{"0": "1", "1": "1"} Psi1: _ 2 * :T B1 i:]'],
+                ["--dim", "2", "--cutoff", "2", "bracket",
+                 '[1/3 * :S B1 Psi2: + :f{"0,0": "1", "1,0": "1"} '
+                 'f{"0,0": "1", "1,1": "1"} S Psi1: _ '
+                 'i * :T B2 S Psi1: - 2 * S Psi2]']]
     # one production of the grammar or more per line: bare number, i,
     # vac; S(...) and prefix T S; a three-factor chain with a Gaussian
     # literal; leading minus and scalar prefixes; nested parentheses;
