@@ -19,8 +19,8 @@ from math import comb
 
 from .scalars import QI, ONE, HMONO_ONE, hmono_mul, hmono_parity, _qi
 from .terms import (B_KIND, PSI_KIND, gens_parity, nf_one, nf_mono, nf_mul,
-                    nf_apply_gen, unit_cf, apply_S, hp_zero, hp_chi_part,
-                    hp_combine, _lambda_only, _t_chain)
+                    nf_apply_gen, unit_cf, unit_part, apply_S, hp_zero,
+                    hp_chi_part, hp_combine, _lambda_only, _t_chain)
 
 _BR_CACHE = {}
 
@@ -30,14 +30,21 @@ def clear_caches():
 
 
 def lambda_bracket(a, b):
-    """[a_Lambda b] for states a, b; bilinear over Q(i)."""
+    """[a_Lambda b] for states a, b; bilinear over Q(i).  An exact
+    constant coefficient rides as the scalar of the triples, so the
+    memo holds the bracket of the unit-coefficient monomials."""
     triples = []
-    right = [((c2, g2), _support(c2, g2)) for g2, c2 in b.terms.items()]
+    right = []
+    for g2, c2 in b.terms.items():
+        q2, u2 = unit_part(c2)
+        right.append((q2, (u2, g2), _support(c2, g2)))
     for g1, c1 in a.terms.items():
+        q1, u1 = unit_part(c1)
         bs1, psis1 = _support(c1, g1)
-        for m2, (bs2, psis2) in right:
+        for q2, m2, (bs2, psis2) in right:
             if bs1 & psis2 or psis1 & bs2:
-                triples += bracket_mono((c1, g1), m2).triples()
+                triples += bracket_mono((u1, g1), m2).triples(
+                    q1 if q2 is ONE else q1 * q2)
     return hp_combine(triples)
 
 

@@ -381,10 +381,20 @@ class CoeffFunction:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
+    def add_scaled(self, other, q=ONE):
+        """self + q * other in one pass, with the lesser marker; q = 0
+        adds no term but still lowers the marker to other's.  + is the
+        q = 1 case."""
         self._check_compat(other)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
+        if q is ONE:
+            items = other.terms.items()
+        elif not q.b and q.d == 1 and q.a == -1:
+            # negation needs no gcd, and -1 is the commonest scalar
+            items = [(e, -c) for e, c in other.terms.items()]
+        else:
+            items = [(e, c * q) for e, c in other.terms.items()] if q else ()
+        for e, c in items:
             old = terms.get(e)
             s = c if old is None else old + c
             if s:
@@ -394,6 +404,8 @@ class CoeffFunction:
         # min, by hand: on CPython 3.11 min(x, y) costs several times more
         x, y = self.exact_to, other.exact_to
         return _cf(self.dim, self.cutoff, terms, x if x < y else y)
+
+    __add__ = add_scaled
 
     def __neg__(self):
         return _cf(self.dim, self.cutoff,

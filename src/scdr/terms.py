@@ -154,10 +154,13 @@ def nf_combine(pairs):
     lost, also for q = 0, and the order of the pairs cannot move one:
     the sum's exact_to is the least of the states' markers.
 
-    The terms come out clean, so the sum skips the constructor.  States
-    are immutable, so when only one state has terms and its scalar is
-    1, that state is the sum itself.  States with terms from two
-    algebras, by (dim, cutoff), raise.
+    A coefficient that meets one already in the sum is merged as
+    old + q * cf by CoeffFunction.add_scaled, in one pass, so a scaled
+    pair allocates one coefficient, not two.  The terms come out
+    clean, so the sum skips the constructor.  States are immutable, so
+    when only one state has terms and its scalar is 1, that state is
+    the sum itself.  States with terms from two algebras, by (dim,
+    cutoff), raise.
     """
     pairs = tuple(pairs)  # nf_sum passes a generator
     live = [p for p in pairs if p[1].terms]
@@ -174,11 +177,11 @@ def nf_combine(pairs):
         if q is not ONE:
             q = as_qi(q)
         for gens, cf in nf.terms.items():
-            if q is not ONE:
-                cf = cf.scale(q)
             old = terms.get(gens)
             if old is not None:
-                cf = old + cf
+                cf = old.add_scaled(cf, q)
+            elif q is not ONE:
+                cf = cf.scale(q)
             if cf.terms or cf.exact_to < inf:
                 terms[gens] = cf
             elif old is not None:
@@ -210,26 +213,65 @@ def nf_sum(items):
 # Generators; they denote the left-nested product (((cf g_1) g_2) ...).
 # Caches are keyed on these pairs alone: they keep the states of two
 # algebras apart because CoeffFunction equality covers dim and cutoff.
+# An exact constant coefficient c never reaches a key: unit_part splits
+# it off as the scalar of the caller's (q, state) pair, and the key
+# holds the shared unit, so :c m: and :m: share one entry.
 
 _MUL_CACHE = {}
 _GEN_CACHE = {}
+_UNIT_CACHE = {}
 
 
 def clear_caches():
     _MUL_CACHE.clear()
     _GEN_CACHE.clear()
+    _UNIT_CACHE.clear()
     from . import bracket
     bracket.clear_caches()
 
 
+def unit_cf(dim, cutoff):
+    """The exact constant 1, one shared value per (dim, cutoff)."""
+    unit = _UNIT_CACHE.get((dim, cutoff))
+    if unit is None:
+        unit = CoeffFunction.constant(dim, cutoff, ONE)
+        _UNIT_CACHE[dim, cutoff] = unit
+    return unit
+
+
+def _is_scalar(cf):
+    """Whether cf is an exact constant: one term, no variable, exact."""
+    return len(cf.terms) == 1 and cf.exact_to == inf and not cf._variables()
+
+
+def unit_part(cf):
+    """(c, unit) for an exact constant cf = c, else (ONE, cf): a memo
+    keyed on the unit serves every multiple of it."""
+    if not _is_scalar(cf):
+        return ONE, cf
+    unit = unit_cf(cf.dim, cf.cutoff)
+    if cf is unit:
+        return ONE, unit
+    c, = cf.terms.values()
+    return (ONE if c == ONE else c), unit
+
+
+def _is_vacuum_multiple(mono):
+    return not mono[1] and _is_scalar(mono[0])
+
+
 def mono_mul(m1, m2):
     """Normally ordered product of two monomials, as a NormalForm."""
+    f1, g1 = m1
+    f2, g2 = m2
+    if _is_vacuum_multiple(m1) or _is_vacuum_multiple(m2):
+        # the vacuum is the unit of the product, and a constant brackets
+        # to zero with everything, so c vac commutes past any monomial
+        return nf_mono(f1 * f2, g1 + g2)
     key = (m1, m2)
     hit = _MUL_CACHE.get(key)
     if hit is not None:
         return hit
-    f1, g1 = m1
-    f2, g2 = m2
     if g2:
         # m2 = rest . h: use a(bc) = (ab)c - quasi-associativity terms
         rest = (f2, g2[:-1])
@@ -247,8 +289,11 @@ def mono_mul(m1, m2):
 
 
 def nf_apply_gen(nf, h):
-    return nf_combine([(ONE, nf_mul_gen((cf, gens), h))
-                       for gens, cf in nf.terms.items()])
+    pairs = []
+    for gens, cf in nf.terms.items():
+        q, unit = unit_part(cf)
+        pairs.append((q, nf_mul_gen((unit, gens), h)))
+    return nf_combine(pairs)
 
 
 def nf_mul_gen(mono, h):
@@ -287,20 +332,24 @@ def _in_order(g, h):
     return g < h or (g == h and g.parity() == 0)
 
 
-def unit_cf(dim, cutoff):
-    return CoeffFunction.constant(dim, cutoff, ONE)
-
-
 def nf_mul(a, b):
     """Normally ordered product of two states (bilinear over Q(i))."""
-    return nf_combine([(ONE, mono_mul((c1, g1), (c2, g2)))
-                       for g1, c1 in a.terms.items()
-                       for g2, c2 in b.terms.items()])
+    right = [(unit_part(c2), g2) for g2, c2 in b.terms.items()]
+    pairs = []
+    for g1, c1 in a.terms.items():
+        q1, u1 = unit_part(c1)
+        for (q2, u2), g2 in right:
+            pairs.append((q1 if q2 is ONE else q1 * q2,
+                          mono_mul((u1, g1), (u2, g2))))
+    return nf_combine(pairs)
 
 
 def qa_terms(a_mono, b_mono, c_gen):
     """Quasi-associativity correction (ab)c - a(bc) for monomials a, b
     and a single generator c."""
+    if _is_vacuum_multiple(a_mono) or _is_vacuum_multiple(b_mono):
+        # a constant has no support and T kills it: every term is zero
+        return nf_zero()
     from .bracket import bracket_mono
     f = a_mono[0]
     c_nf_mono = (unit_cf(f.dim, f.cutoff), (c_gen,))
