@@ -136,13 +136,25 @@ def _complexified(args, metric):
     return MetricData.flat_complexified(metric.dim // 2, metric.cutoff)
 
 
+# each suite-specific flag, by its argparse name, and the suites that
+# read it; any other suite refuses it rather than ignore it
+_SUITE_FLAGS = (("drop_potential", ("ns",)),
+                ("change", ("coordchange",)),
+                ("tensor", ("n2", "n4")),
+                ("flat_quaternionic", ("n4",)))
+
+
 def _suite_call(args, config):
     """The chosen suite's run, as a function of no arguments.  Bad input
-    raises here: first the inputs, then the rational ring, then the
-    suite's own conditions."""
+    raises here: first a flag the suite does not read, then the inputs,
+    then the rational ring, then the suite's own conditions."""
+    suite = args.suite
+    for name, readers in _SUITE_FLAGS:
+        if getattr(args, name) and suite not in readers:
+            raise ValueError("the %s suite does not take --%s"
+                             % (suite, name.replace("_", "-")))
     metric, tensors, changes = _suite_inputs(args, config)
     dim, cutoff = metric.dim, metric.cutoff
-    suite = args.suite
     if suite in ("n2", "n4") and config["scalar_ring"] == "rational":
         raise ValueError("the %s suite needs the gaussian-rational ring"
                          % suite)

@@ -16,6 +16,12 @@ A state does not record its algebra: each coefficient holds the pair
 a coefficient from nothing (a unit, a coordinate, the vacuum) read the
 pair from a coefficient they already hold.
 
+Every sum is one nf_combine over (q, state) pairs, which merges a scaled
+coefficient as old + q * cf in one pass (CoeffFunction.add_scaled).  So
+an exact constant coefficient rides as a pair's scalar: unit_part splits
+it off before a monomial reaches a memo, and the vacuum times a
+constant is the unit of the product.
+
 Reordering uses quasi-commutativity and quasi-associativity of the
 normally ordered product, whose correction terms involve Lambda-brackets;
 the bracket module and this one are mutually recursive, so bracket

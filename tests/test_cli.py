@@ -365,6 +365,41 @@ def test_verify_coordchange_requires_input(capsys):
     assert "--change" in err
 
 
+# a suite refuses a flag it does not read, before it loads any file
+
+@pytest.mark.parametrize("suite", ["n2", "n4", "components", "coordchange",
+                                   "jacobi"])
+def test_only_ns_takes_drop_potential(capsys, suite):
+    err = _assert_input_error(capsys, "--dim", "4", "verify", suite,
+                              "--drop-potential")
+    assert err == "error: the %s suite does not take --drop-potential\n" \
+        % suite
+
+
+@pytest.mark.parametrize("suite", ["ns", "n2", "n4", "components", "jacobi"])
+def test_only_coordchange_takes_change(capsys, suite, tmp_path):
+    for path in (DATA / "change_quad_1d.json", tmp_path / "missing.json"):
+        err = _assert_input_error(capsys, "verify", suite, "--change",
+                                  str(path))
+        assert err == "error: the %s suite does not take --change\n" % suite
+
+
+@pytest.mark.parametrize("suite", ["ns", "components", "coordchange",
+                                   "jacobi"])
+def test_only_n2_and_n4_take_tensor(capsys, suite):
+    err = _assert_input_error(capsys, "--dim", "2", "verify", suite,
+                              "--tensor", "omega=missing.json")
+    assert err == "error: the %s suite does not take --tensor\n" % suite
+
+
+@pytest.mark.parametrize("suite", ["ns", "n2", "components", "jacobi"])
+def test_only_n4_takes_flat_quaternionic(capsys, suite):
+    err = _assert_input_error(capsys, "--dim", "4", "verify", suite,
+                              "--flat-quaternionic")
+    assert err == "error: the %s suite does not take --flat-quaternionic\n" \
+        % suite
+
+
 def test_verify_jacobi_small(capsys):
     rc, out, _ = run(capsys, "--dim", "1", "--cutoff", "3", "--seed", "5",
                      "verify", "jacobi")
