@@ -19,8 +19,8 @@ pair from a coefficient they already hold.
 Every sum is one nf_combine over (q, state) pairs, which merges a scaled
 coefficient as old + q * cf in one pass (CoeffFunction.add_scaled).  So
 an exact constant coefficient rides as a pair's scalar: unit_part splits
-it off before a monomial reaches a memo, and the vacuum times a
-constant is the unit of the product.
+it off before a monomial reaches a memo, and a constant times the
+vacuum, the unit of the product, multiplies as the constant alone.
 
 Reordering uses quasi-commutativity and quasi-associativity of the
 normally ordered product, whose correction terms involve Lambda-brackets;
@@ -255,11 +255,8 @@ def unit_part(cf):
     keyed on the unit serves every multiple of it."""
     if not _is_scalar(cf):
         return ONE, cf
-    unit = unit_cf(cf.dim, cf.cutoff)
-    if cf is unit:
-        return ONE, unit
     c, = cf.terms.values()
-    return (ONE if c == ONE else c), unit
+    return (ONE if c == ONE else c), unit_cf(cf.dim, cf.cutoff)
 
 
 def _is_vacuum_multiple(mono):
