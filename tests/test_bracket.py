@@ -7,6 +7,7 @@ Sign conventions exercised here: chi^2 = -lambda, [Ta_b] = -lambda[a_b],
 """
 
 import random
+from fractions import Fraction
 from math import comb, inf
 
 import pytest
@@ -22,7 +23,8 @@ from scdr.terms import (B_KIND, PSI_KIND, Algebra, Generator, HPoly,
                         NormalForm, apply_S, apply_T, gens_parity,
                         hp_combine, hp_sub, hp_zero,
                         mono_from_factors, nf_add, nf_mono, nf_mul, nf_scale)
-from test_terms import scaled, scaled_pairs, times
+from test_terms import (factor_pool, normal_order, scaled, scaled_pairs,
+                        times)
 
 ONE = (0, 0, 0, 0)
 LAM = (1, 0, 0, 0)
@@ -664,6 +666,67 @@ def test_a_monomial_bracket_is_bilinear_in_exact_constants(case):
     terms.clear_caches()
     got = scdr.bracket.bracket_mono(times(c1, m1), times(c2, m2))
     assert got == scaled(scdr.bracket.bracket_mono(m1, m2), c1 * c2)
+
+
+# -- relabelling indices in order ---------------------------------------
+
+RELABEL_SCALARS = [QI(1), QI(-1), QI(0, 1), QI(Fraction(1, 2)),
+                   QI(Fraction(2, 3), Fraction(-1, 5))]
+
+
+def relabelled(value, to):
+    """value with every generator index i renamed to[i]: a monomial
+    (cf, gens), or a bracket value whose coefficients hold no variable."""
+    def rename(gens):
+        return tuple(Generator(g.kind, to[g.index], g.t, g.s) for g in gens)
+
+    if isinstance(value, HPoly):
+        return HPoly({m: NormalForm({rename(g): cf
+                                     for g, cf in nf.terms.items()})
+                      for m, nf in value.terms.items()})
+    cf, gens = value
+    return cf, rename(gens)
+
+
+@st.composite
+def relabelled_pairs(draw):
+    """(m1, m2, to) for dims 1-6 and cutoffs 1-4: monomials in normal
+    order with one to three and one or two factors at up to three indices,
+    whose coefficients are exact constants, and an order-preserving map
+    `to` of the indices they use into 1..dim."""
+    dim = draw(st.integers(1, 6))
+    cutoff = draw(st.integers(1, 4))
+    span = sorted(draw(st.sets(st.integers(1, dim), min_size=1,
+                               max_size=3)))
+    pool = [g for g in factor_pool(dim) if g.index in span]
+
+    def mono(size):
+        gens = normal_order(draw(st.lists(st.sampled_from(pool),
+                                          min_size=1, max_size=size)))
+        c = draw(st.sampled_from(RELABEL_SCALARS))
+        return CoeffFunction.constant(dim, cutoff, c), gens
+
+    m1, m2 = mono(3), mono(2)
+    used = sorted({g.index for g in m1[1] + m2[1]})
+    image = sorted(draw(st.sets(st.integers(1, dim), min_size=len(used),
+                                max_size=len(used))))
+    return m1, m2, dict(zip(used, image))
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_pairs())
+def test_a_constant_monomial_bracket_commutes_with_relabelling(case):
+    # with exact constant coefficients every step reads an index only
+    # through < and ==, so a map that keeps their order commutes with
+    # the bracket, and the value's coefficients stay constants
+    m1, m2, to = case
+    terms.clear_caches()
+    value = scdr.bracket.bracket_mono(m1, m2)
+    assert not any(cf._variables() for nf in value.terms.values()
+                   for cf in nf.terms.values())
+    terms.clear_caches()
+    got = scdr.bracket.bracket_mono(relabelled(m1, to), relabelled(m2, to))
+    _assert_same_hp(got, relabelled(value, to))
 
 
 def _zero_state_cases():
