@@ -18,9 +18,10 @@ from __future__ import annotations
 from math import comb
 
 from .scalars import QI, ONE, HMONO_ONE, hmono_mul, hmono_parity, _qi
-from .terms import (B_KIND, PSI_KIND, gens_parity, nf_one, nf_mono, nf_mul,
-                    nf_apply_gen, unit_cf, unit_part, apply_S, hp_zero,
-                    hp_chi_part, hp_combine, _lambda_only, _t_chain)
+from .terms import (B_KIND, PSI_KIND, Generator, HPoly, NormalForm,
+                    gens_parity, nf_one, nf_mono, nf_mul, nf_apply_gen,
+                    unit_cf, unit_part, apply_S, hp_zero, hp_chi_part,
+                    hp_combine, _is_scalar, _lambda_only, _t_chain)
 
 _BR_CACHE = {}
 
@@ -75,9 +76,47 @@ def bracket_mono(m1, m2):
     hit = _BR_CACHE.get(key)
     if hit is not None:
         return hit
-    out = _bracket_mono(m1, m2)
+    to = _packing(m1, m2)
+    if to is None:
+        out = _bracket_mono(m1, m2)
+    else:
+        back = dict(zip(to.values(), to))
+        out = _relabel_value(bracket_mono(_relabel(m1, to), _relabel(m2, to)),
+                             back)
     _BR_CACHE[key] = out
     return out
+
+
+def _packing(m1, m2):
+    """The map of the pair's indices, in order, onto 1..k, or None when
+    a coefficient is not an exact constant or the indices are 1..k
+    already.  With exact constants every step reads an index only
+    through < and ==, and the values' coefficients are constants, so
+    the pair brackets as its packed image does, relabelled back, and
+    every relabelling of it shares one memo entry.  A truncated
+    coefficient, a kept zero too, counts as a function of every
+    variable, and T and S of it open keys at indices outside the pair."""
+    if not (_is_scalar(m1[0]) and _is_scalar(m2[0])):
+        return None
+    indices = sorted({g.index for g in m1[1] + m2[1]})
+    if indices[-1] == len(indices):
+        return None
+    return {i: k for k, i in enumerate(indices, 1)}
+
+
+def _relabel(m, to):
+    f, gens = m
+    return f, _relabel_gens(gens, to)
+
+
+def _relabel_gens(gens, to):
+    return tuple(Generator(g.kind, to[g.index], g.t, g.s) for g in gens)
+
+
+def _relabel_value(p, to):
+    return HPoly({m: NormalForm({_relabel_gens(g, to): cf
+                                 for g, cf in nf.terms.items()})
+                  for m, nf in p.terms.items()})
 
 
 def _bracket_mono(m1, m2):

@@ -729,6 +729,48 @@ def test_a_constant_monomial_bracket_commutes_with_relabelling(case):
     _assert_same_hp(got, relabelled(value, to))
 
 
+@st.composite
+def packable_pairs(draw):
+    """(m1, m2) for dims 3-4 and cutoffs 1-3: monomials in normal order
+    with one to three and one or two factors at up to three indices
+    from 2..dim, so never at 1..k, whose coefficients are exact
+    constants, truncated constants or kept zeros."""
+    dim = draw(st.integers(3, 4))
+    cutoff = draw(st.integers(1, 3))
+    span = draw(st.sets(st.integers(2, dim), min_size=1, max_size=3))
+    pool = [g for g in factor_pool(dim) if g.index in span]
+
+    def mono(size):
+        gens = normal_order(draw(st.lists(st.sampled_from(pool),
+                                          min_size=1, max_size=size)))
+        kind = draw(st.sampled_from(["exact", "truncated", "zero"]))
+        if kind == "zero":
+            cf = CoeffFunction(dim, cutoff, {}, draw(st.integers(0, cutoff)))
+        else:
+            cf = CoeffFunction.constant(dim, cutoff,
+                                        draw(st.sampled_from(RELABEL_SCALARS)))
+            if kind == "truncated":
+                cf = CoeffFunction(dim, cutoff, cf.terms,
+                                   draw(st.integers(0, cutoff)))
+        return cf, gens
+
+    return mono(3), mono(2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(packable_pairs())
+def test_the_packed_route_matches_the_unpacked_one(case):
+    # the packing map of None keeps every pair at its own indices
+    m1, m2 = case
+    terms.clear_caches()
+    packed = scdr.bracket.bracket_mono(m1, m2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scdr.bracket, "_packing", lambda m1, m2: None)
+        terms.clear_caches()
+        _assert_same_hp(packed, scdr.bracket.bracket_mono(m1, m2))
+    terms.clear_caches()
+
+
 def _zero_state_cases():
     """(function name, reference, (a, b, c)) where a Wick list meets a
     state that is zero with no marker at a key that a later term fills:
