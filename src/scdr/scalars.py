@@ -661,9 +661,25 @@ def _identity_matrix(dim, cutoff):
 
 
 def _mat_mul(A, B):
+    """A B for matrices of series.  Two exact factors, one with no
+    terms, give an exact zero, which leaves a sum as it is, so that
+    product is skipped; an exact zero times a truncated factor lowers
+    the sum's marker, so it is taken."""
     n, m, p = len(A), len(B), len(B[0])
-    return [[sum_cf([A[i][k] * B[k][j] for k in range(m)])
-             for j in range(p)] for i in range(n)]
+    zero = CoeffFunction.zero(A[0][0].dim, A[0][0].cutoff)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(p):
+            acc = zero
+            for k in range(m):
+                a, b = A[i][k], B[k][j]
+                if ((a.terms and b.terms) or a.exact_to < inf
+                        or b.exact_to < inf):
+                    acc = acc + a * b
+            row.append(acc)
+        out.append(row)
+    return out
 
 
 def _mat_inverse(M):

@@ -10,6 +10,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import inf
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from scdr.scalars import (QI, ZERO, ONE, CoeffFunction, parse_qi, render_qi,
                           series_inverse, log_series_normalized,
-                          functional_inverse)
+                          functional_inverse, _mat_mul)
 
 
 def qi(re, im=0):
@@ -451,6 +452,61 @@ def test_cf_mul_empty_and_constant_operands():
     p = CoeffFunction(1, 4, {(0,): ONE, (1,): ONE})
     m = CoeffFunction(1, 4, {(0,): ONE, (1,): qi(-1)})
     assert (p * m).terms == {(0,): ONE, (2,): qi(-1)}
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(A, B) for dims 1-2 and cutoffs 0-3: an n x m and an m x p matrix
+    of series, n, m, p in 1-3, whose entries are exact or kept zeros,
+    exact constants, or exact or truncated series."""
+    dim = draw(st.integers(1, 2))
+    cutoff = draw(st.integers(0, 3))
+
+    def entry():
+        exact = draw(st.one_of(st.just(inf), st.integers(0, cutoff)))
+        kind = draw(st.sampled_from(["zero", "constant", "series"]))
+        if kind == "zero":
+            return CoeffFunction(dim, cutoff, {}, exact)
+        if kind == "constant":
+            return CoeffFunction(dim, cutoff, {(0,) * dim: QI(
+                draw(mixed_fraction), draw(mixed_fraction))}, exact)
+        terms = {tuple(draw(st.integers(0, cutoff // dim))
+                       for _ in range(dim)): QI(draw(mixed_fraction))
+                 for _ in range(draw(st.integers(1, 3)))}
+        return CoeffFunction(dim, cutoff, terms, exact)
+
+    n, m, p = (draw(st.integers(1, 3)) for _ in range(3))
+    return ([[entry() for _ in range(m)] for _ in range(n)],
+            [[entry() for _ in range(p)] for _ in range(m)])
+
+
+def full_mat_mul(A, B):
+    """A B with every product taken."""
+    return [[reduce(CoeffFunction.__add__, [A[i][k] * B[k][j]
+                                            for k in range(len(B))])
+             for j in range(len(B[0]))] for i in range(len(A))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_pairs())
+def test_a_matrix_product_matches_every_product_taken(pair):
+    # equality of series compares every marker
+    A, B = pair
+    assert _mat_mul(A, B) == full_mat_mul(A, B)
+
+
+def test_an_exact_zero_times_a_truncated_factor_lowers_the_marker():
+    zero = CoeffFunction.zero(2, 3)
+    one = CoeffFunction.constant(2, 3, ONE)
+    f = CoeffFunction(2, 3, {(1, 0): ONE}, 2)
+    A = [[zero, one], [one, zero]]
+    B = [[f, zero], [zero, one]]
+    got = _mat_mul(A, B)
+    assert got == full_mat_mul(A, B)
+    # row 1 is 0 f + 1 0 and 0 0 + 1 1: a kept zero and an exact 1
+    assert got[0][0].terms == {} and got[0][0].exact_to == 2
+    assert got[0][1] == one
+    assert got[1][0] == f and got[1][1] == zero
 
 
 def test_cf_products_of_results_and_public_checks():
