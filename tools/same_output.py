@@ -8,7 +8,8 @@ a fresh Python process with that tree first on PYTHONPATH, in
 `--format text` and in `--format json`:
 
   * flat `ns`, `n2` and `n4 --flat-quaternionic` at `--dim` 4, 8, 16,
-    and `components` at `--dim` 4, 8, 16;
+    and `components` at `--dim` 4, 8, 16; `components` at `--dim 6
+    --cutoff 4` and `n4 --flat-quaternionic` at `--dim 12`;
   * curved NS on `data/metric_1d_curved.json`, with and without
     `--drop-potential`, and on the same metric rewritten at cutoff 2,
     which is certified through degree -1 only and exits 3;
@@ -47,6 +48,10 @@ a fresh Python process with that tree first on PYTHONPATH, in
     coefficients are scalars other than 1 (`2`, `i`, `1/3`), also as
     vacuum multiples inside a product, next to a kept zero at `--cutoff
     1` or a truncated coefficient at `--cutoff 1` and 2;
+  * two bracket queries at `--dim 6 --cutoff 2` between monomials with
+    constant coefficients at indices 3 and 5, which bracket through
+    their images at indices 1 and 2; the second also holds the
+    coefficient x5;
   * bracket queries over the table of derived generators c T^t S^s X:
     two at `--dim 1`, one against a coefficient at `--dim 2`, and a
     coefficient times T B1 against T S Psi1 at `--dim 1 --cutoff 1`;
@@ -97,6 +102,8 @@ def matrix(workdir):
                     "--flat-quaternionic"]]
     for dim in (4, 8, 16):
         suites.append(["--dim", str(dim), "verify", "components"])
+    suites += [["--dim", "6", "--cutoff", "4", "verify", "components"],
+               ["--dim", "12", "verify", "n4", "--flat-quaternionic"]]
     metric = str(DATA / "metric_1d_curved.json")
     suites += [["verify", "ns", "--metric", metric],
                ["verify", "ns", "--metric", metric, "--drop-potential"],
@@ -200,6 +207,13 @@ def matrix(workdir):
                  '[1/3 * :S B1 Psi2: + :f{"0,0": "1", "1,0": "1"} '
                  'f{"0,0": "1", "1,1": "1"} S Psi1: _ '
                  'i * :T B2 S Psi1: - 2 * S Psi2]']]
+    # constant-coefficient pairs at indices other than 1..k, which
+    # bracket as their images at 1..k; the second also holds a
+    # coefficient that is not constant (B5)
+    queries += [["--dim", "6", "--cutoff", "2", "bracket",
+                 "[2 * :S(B3) Psi5: _ 1/3 * i * :T(Psi3) S(B5):]"],
+                ["--dim", "6", "--cutoff", "2", "bracket",
+                 "[i * :S(B3) S(Psi5) Psi3: _ 3 * :B5 T(B3):]"]]
     # one production of the grammar or more per line: bare number, i,
     # vac; S(...) and prefix T S; a three-factor chain with a Gaussian
     # literal; leading minus and scalar prefixes; nested parentheses;
