@@ -591,7 +591,8 @@ def _scalar_addends(q):
     if a:
         out.append(_ratio(a, d))
     if b:
-        out.append("i" if b == d else _ratio(b, d) + " * i")
+        out.append("i" if b == d else "-i" if b == -d
+                   else _ratio(b, d) + " * i")
     return out or ["0"]
 
 

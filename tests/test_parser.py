@@ -129,3 +129,17 @@ def test_render_round_trip_fixed_states(alg):
 def test_render_round_trip_with_imaginary_coefficients(alg):
     s = nf_scale(nf_mul(alg.SB(1), alg.Psi(2)), QI(0, -3))
     assert norm(render_nf(s), alg) == s
+
+
+@pytest.mark.parametrize("q,scalar,monomial", [
+    (QI(0, -1), "-i", "-i * T B1"),
+    (QI(1, -1), "1 - i", "T B1 - i * T B1"),
+    (QI(0, 1), "i", "i * T B1"),
+    (QI(-1), "-1", "-1 * T B1"),
+    (QI(0, -2), "-2 * i", "-2 * i * T B1")])
+def test_a_scalar_renders_its_sign_in_one_form(alg, q, scalar, monomial):
+    # -i prints as i does, with the sign in front
+    for state, text in ((alg.one(), scalar), (alg.TB(1), monomial)):
+        s = nf_scale(state, q)
+        assert render_nf(s) == text
+        assert norm(text, alg) == s
