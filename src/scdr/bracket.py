@@ -9,6 +9,14 @@ map are closed forms of the sesquilinearity rules; the Wick integral
 and the Jacobi defect are closed forms in the keys of the two brackets
 they nest.
 
+Renaming indices in order changes no base bracket.  So a pair of
+monomials whose coefficients are exact constants brackets as its image
+at indices 1..k, renamed back, and bracket_mono memoizes both: every
+in-order relabelling of a pair shares one computation.  A truncated
+coefficient or a kept zero counts as a function of every variable, so
+its T and S open keys outside the pair's indices; such a pair is
+bracketed at its own indices.
+
 Values are HPoly in the Lambda pair (lambda, chi).  Only the Jacobi
 defect also uses the Gamma pair (gamma, eta) of its second bracket.
 """
@@ -91,11 +99,9 @@ def _packing(m1, m2):
     """The map of the pair's indices, in order, onto 1..k, or None when
     a coefficient is not an exact constant or the indices are 1..k
     already.  With exact constants every step reads an index only
-    through < and ==, and the values' coefficients are constants, so
-    the pair brackets as its packed image does, relabelled back, and
-    every relabelling of it shares one memo entry.  A truncated
-    coefficient, a kept zero too, counts as a function of every
-    variable, and T and S of it open keys at indices outside the pair."""
+    through < and ==, opens no key outside the pair's indices and
+    leaves constant coefficients, so renaming the value's generators
+    back is the whole inverse."""
     if not (_is_scalar(m1[0]) and _is_scalar(m2[0])):
         return None
     indices = sorted({g.index for g in m1[1] + m2[1]})

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, inf
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scdr.bracket
 from scdr import terms
@@ -731,36 +731,49 @@ def test_a_constant_monomial_bracket_commutes_with_relabelling(case):
 
 @st.composite
 def packable_pairs(draw):
-    """(m1, m2) for dims 3-4 and cutoffs 1-3: monomials in normal order
-    with one to three and one or two factors at up to three indices
-    from 2..dim, so never at 1..k, whose coefficients are exact
-    constants, truncated constants or kept zeros."""
+    """(m1, m2) for dims 3-4 and cutoffs 1-2: monomials in normal order
+    with one or two factors at up to three indices from 2..dim, so never
+    at 1..k, whose coefficients are exact constants, or on one side a
+    truncated constant or a kept zero."""
     dim = draw(st.integers(3, 4))
-    cutoff = draw(st.integers(1, 3))
+    cutoff = draw(st.integers(1, 2))
     span = draw(st.sets(st.integers(2, dim), min_size=1, max_size=3))
     pool = [g for g in factor_pool(dim) if g.index in span]
+    inexact = draw(st.sampled_from([None, 0, 1]))
 
-    def mono(size):
+    def mono(side):
         gens = normal_order(draw(st.lists(st.sampled_from(pool),
-                                          min_size=1, max_size=size)))
-        kind = draw(st.sampled_from(["exact", "truncated", "zero"]))
-        if kind == "zero":
-            cf = CoeffFunction(dim, cutoff, {}, draw(st.integers(0, cutoff)))
-        else:
-            cf = CoeffFunction.constant(dim, cutoff,
-                                        draw(st.sampled_from(RELABEL_SCALARS)))
-            if kind == "truncated":
-                cf = CoeffFunction(dim, cutoff, cf.terms,
-                                   draw(st.integers(0, cutoff)))
+                                          min_size=1, max_size=2)))
+        cf = CoeffFunction.constant(dim, cutoff,
+                                    draw(st.sampled_from(RELABEL_SCALARS)))
+        if side == inexact:
+            marker = draw(st.integers(0, cutoff))
+            kept = cf.terms if draw(st.booleans()) else {}
+            cf = CoeffFunction(dim, cutoff, kept, marker)
         return cf, gens
 
-    return mono(3), mono(2)
+    return mono(0), mono(1)
 
 
-@settings(max_examples=150, deadline=None)
+SB2, SB3 = Generator(B_KIND, 2, 0, 1), Generator(B_KIND, 3, 0, 1)
+PSI2, PSI3 = Generator(PSI_KIND, 2, 0, 0), Generator(PSI_KIND, 3, 0, 0)
+TPSI2 = Generator(PSI_KIND, 2, 1, 0)
+UNIT_3_1 = CoeffFunction.constant(3, 1, 1)
+TRUNCATED_3_1 = CoeffFunction(3, 1, UNIT_3_1.terms, 0)
+KEPT_ZERO_3_1 = CoeffFunction(3, 1, {}, 0)
+
+
+@settings(max_examples=100, deadline=None)
 @given(packable_pairs())
+@example(((UNIT_3_1, (SB2, SB3)), (UNIT_3_1, (SB2, PSI2))))
+@example(((TRUNCATED_3_1, (SB2, PSI3)), (UNIT_3_1, (SB3, PSI2))))
+@example(((KEPT_ZERO_3_1, (SB2, TPSI2)), (UNIT_3_1, (PSI2, PSI3))))
+@example(((UNIT_3_1, (PSI2, PSI3)), (KEPT_ZERO_3_1, (SB2, TPSI2))))
 def test_the_packed_route_matches_the_unpacked_one(case):
-    # the packing map of None keeps every pair at its own indices
+    # the packing map of None keeps every pair at its own indices.  The
+    # examples: an exact pair whose packed image under a map that
+    # reverses 2 and 3 is out of order; a truncated constant and a kept
+    # zero, whose T opens keys at every index, on either side
     m1, m2 = case
     terms.clear_caches()
     packed = scdr.bracket.bracket_mono(m1, m2)
