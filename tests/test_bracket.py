@@ -7,7 +7,6 @@ Sign conventions exercised here: chi^2 = -lambda, [Ta_b] = -lambda[a_b],
 """
 
 import random
-from fractions import Fraction
 from math import comb, inf
 
 import pytest
@@ -23,8 +22,8 @@ from scdr.terms import (B_KIND, PSI_KIND, Algebra, Generator, HPoly,
                         NormalForm, apply_S, apply_T, gens_parity,
                         hp_combine, hp_sub, hp_zero,
                         mono_from_factors, nf_add, nf_mono, nf_mul, nf_scale)
-from test_terms import (factor_pool, normal_order, scaled, scaled_pairs,
-                        times)
+from test_terms import (SCALARS, factor_pool, normal_order, scaled,
+                        scaled_pairs, times)
 
 ONE = (0, 0, 0, 0)
 LAM = (1, 0, 0, 0)
@@ -670,10 +669,6 @@ def test_a_monomial_bracket_is_bilinear_in_exact_constants(case):
 
 # -- relabelling indices in order ---------------------------------------
 
-RELABEL_SCALARS = [QI(1), QI(-1), QI(0, 1), QI(Fraction(1, 2)),
-                   QI(Fraction(2, 3), Fraction(-1, 5))]
-
-
 def relabelled(value, to):
     """value with every generator index i renamed to[i]: a monomial
     (cf, gens), or a bracket value whose coefficients hold no variable."""
@@ -703,7 +698,7 @@ def relabelled_pairs(draw):
     def mono(size):
         gens = normal_order(draw(st.lists(st.sampled_from(pool),
                                           min_size=1, max_size=size)))
-        c = draw(st.sampled_from(RELABEL_SCALARS))
+        c = draw(st.sampled_from(SCALARS))
         return CoeffFunction.constant(dim, cutoff, c), gens
 
     m1, m2 = mono(3), mono(2)
@@ -745,7 +740,7 @@ def packable_pairs(draw):
         gens = normal_order(draw(st.lists(st.sampled_from(pool),
                                           min_size=1, max_size=2)))
         cf = CoeffFunction.constant(dim, cutoff,
-                                    draw(st.sampled_from(RELABEL_SCALARS)))
+                                    draw(st.sampled_from(SCALARS)))
         if side == inexact:
             marker = draw(st.integers(0, cutoff))
             kept = cf.terms if draw(st.booleans()) else {}

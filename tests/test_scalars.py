@@ -487,7 +487,7 @@ def full_mat_mul(A, B):
              for j in range(len(B[0]))] for i in range(len(A))]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(matrix_pairs())
 def test_a_matrix_product_matches_every_product_taken(pair):
     # equality of series compares every marker
