@@ -14,7 +14,7 @@ from functools import reduce
 from math import inf
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scdr.scalars import (QI, ZERO, ONE, CoeffFunction, parse_qi, render_qi,
                           series_inverse, log_series_normalized,
@@ -237,6 +237,89 @@ def test_cf_compose_example():
     f = cf1(6, 0, 0, 1)
     sub = cf1(6, 0, 1, 1)
     assert f.compose([sub]) == cf1(6, 0, 0, 1, 2, 1)
+
+
+def stepwise_compose(f, subs):
+    """f(subs) series by series: each stored term is c times the powers
+    of its substitutes, each power one product more than the last, and
+    the terms are summed by +.  Every product and sum folds the markers
+    by the rules of * and +."""
+    tdim, cutoff = subs[0].dim, subs[0].cutoff
+    exact = min(f.exact_to, *[s.exact_to for s in subs])
+    one = CoeffFunction.constant(tdim, cutoff, ONE)
+    result = CoeffFunction.zero(tdim, cutoff)
+    powers = [{0: one} for _ in subs]
+
+    def power(k, p):
+        cache = powers[k]
+        if p not in cache:
+            cache[p] = power(k, p - 1) * subs[k]
+        return cache[p]
+
+    for e, c in f.terms.items():
+        term = one.scale(c)
+        for k, p in enumerate(e):
+            if p:
+                term = term * power(k, p)
+        result = result + term
+    return CoeffFunction(tdim, cutoff, result.terms,
+                         min(result.exact_to, exact))
+
+
+@st.composite
+def compositions(draw):
+    """(f, subs): f in 1-3 variables, exact or truncated, and one
+    substitute per variable in 1-3 other variables, all at one cutoff
+    1-9.  A substitute has no constant term and is exact or truncated,
+    with terms or none; coefficients have denominators other than 1
+    and imaginary parts."""
+    dim, tdim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cutoff = draw(st.integers(1, 9))
+
+    def series(n, n_terms, constant):
+        terms = {}
+        for _ in range(draw(st.integers(0, n_terms))):
+            left, e = cutoff, []
+            for _ in range(n):
+                e.append(draw(st.integers(0, left)))
+                left -= e[-1]
+            if constant or any(e):
+                terms[tuple(e)] = QI(draw(mixed_fraction),
+                                     draw(mixed_fraction))
+        exact = draw(st.one_of(st.just(inf), st.integers(0, cutoff)))
+        return CoeffFunction(n, cutoff, terms, exact)
+
+    return (series(dim, 6, True),
+            [series(tdim, 4, False) for _ in range(dim)])
+
+
+def _x(dim, cutoff, *terms):
+    """The series sum of c * x^e over (e, c) pairs, exact."""
+    return CoeffFunction(dim, cutoff, {e: qi(c) for e, c in terms})
+
+
+@settings(max_examples=200, deadline=None)
+@given(compositions())
+# a zero substitute empties a term, yet the powers after it are still
+# taken, and one that leaves the cutoff lowers the marker to the cutoff:
+# x2^4 = x^8 leaves cutoff 7, though x1 = 0 in every term
+@example((_x(2, 7, ((4, 3), 1), ((1, 5), 2)),
+          [CoeffFunction.zero(1, 7), _x(1, 7, ((2,), 1))]))
+@example((_x(2, 7, ((5, 1), 1)),
+          [_x(1, 7, ((2,), 1)), CoeffFunction.zero(1, 7)]))
+# no power leaves: x2^3 = x^6 is kept, and a zero term leaves nothing
+@example((_x(2, 7, ((4, 3), 1), ((1, 1), 3)),
+          [CoeffFunction.zero(1, 7), _x(1, 7, ((2,), 1))]))
+# the powers are kept, but their product in the term leaves
+@example((_x(2, 7, ((2, 2), 1)),
+          [_x(1, 7, ((2,), 1)), _x(1, 7, ((2,), 1))]))
+# a kept zero passes its marker on through a product it empties
+@example((_x(2, 7, ((1, 1), 1)),
+          [_x(1, 7, ((1,), 1)), CoeffFunction(1, 7, {}, 3)]))
+def test_compose_matches_stepwise(case):
+    # equality of series compares every term and the marker
+    f, subs = case
+    assert f.compose(subs) == stepwise_compose(f, subs)
 
 
 def _longdiv_inverse(coeffs, n):
