@@ -510,6 +510,8 @@ class CoeffFunction:
             raise ValueError("zero-dimensional composition")
         tdim = subs[0].dim
         cutoff = subs[0].cutoff
+        if any(s.dim != tdim or s.cutoff != cutoff for s in subs):
+            raise ValueError("substituted series from two algebras")
         if any(s.constant_term() for s in subs):
             raise ValueError("substituted series has a constant term")
         exact = min(self.exact_to, *[s.exact_to for s in subs])

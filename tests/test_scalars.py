@@ -322,6 +322,17 @@ def test_compose_matches_stepwise(case):
     assert f.compose(subs) == stepwise_compose(f, subs)
 
 
+def test_compose_rejects_substitutes_from_two_algebras():
+    f = _x(2, 4, ((1, 1), 1), ((1, 0), 1))
+    x1 = CoeffFunction.coordinate(2, 4, 1)
+    for other in (CoeffFunction.coordinate(3, 4, 2),
+                  CoeffFunction.coordinate(2, 5, 2)):
+        for g in (f, CoeffFunction.constant(2, 4, 2),
+                  CoeffFunction.zero(2, 4)):
+            with pytest.raises(ValueError, match="algebra"):
+                g.compose([x1, other])
+
+
 def _longdiv_inverse(coeffs, n):
     """1 / (sum coeffs[d] u^d) through degree n by long division."""
     out = [Fraction(0)] * (n + 1)
