@@ -25,8 +25,10 @@ a fresh Python process with that tree first on PYTHONPATH, in
     are not 1, written at cutoff 5, so that inverting its constant
     part divides by scalars with imaginary parts;
   * `coordchange` on both shipped changes, on the 2-D change
-    rewritten to cutoffs 10 and 12, and on the 1-D change x~ = 2x
-    written with its exact inverse x = x~/2;
+    rewritten to cutoffs 10 and 12, on the 1-D change x~ = 2x
+    written with its exact inverse x = x~/2, and on a 2-D change at
+    cutoff 6 whose coefficients have denominators other than 1 and
+    imaginary parts;
   * `n4` at `--dim 4 --cutoff 4` on the flat quaternionic triple
     written to a geometry file and read through three `--tensor`
     bindings;
@@ -148,6 +150,12 @@ def matrix(workdir):
     doc = {"dim": 1, "cutoff": 6, "changes": {"double": {
         "forward": [{"1": "2"}], "inverse": [{"1": "1/2"}]}}}
     path = Path(workdir) / "change_double_1d.json"
+    path.write_text(json.dumps(doc))
+    changes.append(path)
+    doc = {"dim": 2, "cutoff": 6, "changes": {"gauss": {"forward": [
+        {"1,0": "1/2", "2,0": "1/3", "1,1": "i"},
+        {"0,1": "2", "1,0": "1/5", "0,2": "-1/2 + 1/3 i"}]}}}
+    path = Path(workdir) / "change_gaussian_2d.json"
     path.write_text(json.dumps(doc))
     changes.append(path)
     suites += [["verify", "coordchange", "--change", str(p)]
