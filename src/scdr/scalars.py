@@ -291,9 +291,10 @@ class CoeffFunction:
     a nonzero term of degree > cutoff lowers exact_to to cutoff; the
     marker never improves under further operations.
 
-    Multiplication runs on integers, over a packed form cached on first
-    use and left out of equality and hashing (see _pack); so is the mask
-    of the variables the series depends on (see _variables).
+    Multiplication and composition run on integers, over a packed form
+    cached on first use and left out of equality and hashing (see _pack),
+    through one product loop (see _convolve); so is the mask of the
+    variables the series depends on (see _variables).
     """
 
     __slots__ = ("dim", "cutoff", "terms", "exact_to", "_hash", "_packed",
@@ -425,13 +426,15 @@ class CoeffFunction:
 
     def _pack(self):
         """(D, rows): a common denominator D and rows (degree, key, a, b)
-        with a + b*i = D*c, sorted by degree.  key holds the exponents as
-        digits in base cutoff + 1, so keys add as exponent tuples do."""
+        with a + b*i = D*c, sorted by degree.  key holds the degree and
+        then the exponents as digits in base cutoff + 1, so keys add as
+        exponent tuples do, and sort as degrees do."""
         packed = self._packed
         if packed is None:
             den = lcm(*[c.d for c in self.terms.values()])
             base = self.cutoff + 1
-            rows = sorted((sum(e), reduce(lambda k, p: k * base + p, e, 0),
+            rows = sorted((sum(e), reduce(lambda k, p: k * base + p, e,
+                                          sum(e)),
                            c.a * (den // c.d), c.b * (den // c.d))
                           for e, c in self.terms.items())
             packed = (den, rows)
@@ -459,32 +462,13 @@ class CoeffFunction:
         cutoff = self.cutoff
         den1, rows1 = self._pack()
         den2, rows2 = other._pack()
-        re, im = {}, {}
-        # rows are sorted by degree, so the first row of other that
-        # leaves the cutoff ends the inner loop
-        for d1, k1, a1, b1 in rows1:
-            room = cutoff - d1
-            for d2, k2, a2, b2 in rows2:
-                if d2 > room:
-                    break
-                k = k1 + k2
-                re[k] = re.get(k, 0) + a1 * a2 - b1 * b2
-                im[k] = im.get(k, 0) + a1 * b2 + b1 * a2
-        den, dim = den1 * den2, self.dim
-        terms = {}
-        for k, a in re.items():
-            b = im[k]
-            if not (a or b):
-                continue
-            e = [0] * dim
-            for j in range(dim - 1, -1, -1):
-                k, e[j] = divmod(k, cutoff + 1)
-            terms[tuple(e)] = _qi(a, b, den)
+        re, im = _convolve(rows1, rows2, cutoff)
         x, y = self.exact_to, other.exact_to  # min, by hand: see __add__
         exact = x if x < y else y
-        if rows1 and rows2 and rows1[-1][0] + rows2[-1][0] > cutoff:
-            exact = min(exact, cutoff)  # some pair left the cutoff
-        return _cf(dim, cutoff, terms, exact)
+        if _leaves(rows1, rows2, cutoff):
+            exact = min(exact, cutoff)
+        return _cf(self.dim, cutoff,
+                   _unpack(re, im, den1 * den2, self.dim, cutoff), exact)
 
     def partial(self, i):
         """Formal partial derivative in x_i (1-based)."""
@@ -503,7 +487,13 @@ class CoeffFunction:
 
     def compose(self, subs):
         """Substitute subs[k] for x_{k+1}; subs are series in some other
-        coordinate system sharing one cutoff, with zero constant term."""
+        coordinate system sharing one cutoff, with zero constant term.
+
+        Each stored term c x^e is c times the powers subs[k]^e[k], each
+        power one product more than the last, taken as packed products
+        whose coefficients are reduced only in the sum, once per key.
+        The marker is the least of the inputs', lowered to the cutoff
+        when one of those products leaves it, as * would lower it."""
         if len(subs) != self.dim:
             raise ValueError("need %d substituted series" % self.dim)
         if not subs:
@@ -515,25 +505,87 @@ class CoeffFunction:
         if any(s.constant_term() for s in subs):
             raise ValueError("substituted series has a constant term")
         exact = min(self.exact_to, *[s.exact_to for s in subs])
-        one = CoeffFunction.constant(tdim, cutoff, ONE)
-        # sum the stored terms; each power of a sub is computed once
-        result = CoeffFunction.zero(tdim, cutoff)
-        powers = [{0: one} for _ in range(self.dim)]
+        top = (cutoff + 1) ** tdim  # the place of the degree in a key
+        left = False
+
+        def product(f, g):
+            """The packed product of (den, rows) pairs, as __mul__ takes
+            it, with its rows sorted by degree for the next product."""
+            nonlocal left
+            (den1, rows1), (den2, rows2) = f, g
+            left = left or _leaves(rows1, rows2, cutoff)
+            re, im = _convolve(rows1, rows2, cutoff)
+            return den1 * den2, [(k // top, k, re[k], im[k])
+                                 for k in sorted(re) if re[k] or im[k]]
+
+        # powers[k][p - 1] is subs[k]^p, each power computed once
+        powers = [[s._pack()] for s in subs]
 
         def power(k, p):
             cache = powers[k]
-            if p not in cache:
-                cache[p] = power(k, p - 1) * subs[k]
-            return cache[p]
+            while len(cache) < p:
+                cache.append(product(cache[-1], cache[0]))
+            return cache[p - 1]
 
+        # each stored term is c times the powers of its substitutes,
+        # in the order and with the markers of one.scale(c) * power * ...
+        terms = []
         for e, c in self.terms.items():
-            term = one.scale(c)
+            term = (c.d, [(0, 0, c.a, c.b)])
             for k, p in enumerate(e):
                 if p:
-                    term = term * power(k, p)
-            result = result + term
-        return _cf(result.dim, result.cutoff, result.terms,
-                   min(result.exact_to, exact))
+                    term = product(term, power(k, p))
+            terms.append(term)
+        # sum over a common denominator; each key is reduced once
+        den = lcm(*[d for d, _ in terms])
+        re, im = {}, {}
+        for d, rows in terms:
+            m = den // d
+            for _, k, a, b in rows:
+                re[k] = re.get(k, 0) + a * m
+                im[k] = im.get(k, 0) + b * m
+        if left:
+            exact = min(exact, cutoff)
+        return _cf(tdim, cutoff, _unpack(re, im, den, tdim, cutoff), exact)
+
+
+def _convolve(rows1, rows2, cutoff):
+    """The product of two packed series (see CoeffFunction._pack)
+    through the cutoff: dicts from key to the real and to the imaginary
+    numerator.  rows2 must be sorted by degree, so that the first row
+    of it that leaves the cutoff ends the inner loop; rows1 need not
+    be."""
+    re, im = {}, {}
+    for d1, k1, a1, b1 in rows1:
+        room = cutoff - d1
+        for d2, k2, a2, b2 in rows2:
+            if d2 > room:
+                break
+            k = k1 + k2
+            re[k] = re.get(k, 0) + a1 * a2 - b1 * b2
+            im[k] = im.get(k, 0) + a1 * b2 + b1 * a2
+    return re, im
+
+
+def _leaves(rows1, rows2, cutoff):
+    """True when some product of a row of rows1 and one of rows2, both
+    sorted by degree, leaves the cutoff."""
+    return bool(rows1 and rows2 and rows1[-1][0] + rows2[-1][0] > cutoff)
+
+
+def _unpack(re, im, den, dim, cutoff):
+    """The terms {exponents: (re[k] + im[k] i) / den} of the packed
+    keys k (see CoeffFunction._pack), leaving out zeros."""
+    terms = {}
+    for k, a in re.items():
+        b = im[k]
+        if not (a or b):
+            continue
+        e = [0] * dim
+        for j in range(dim - 1, -1, -1):
+            k, e[j] = divmod(k, cutoff + 1)
+        terms[tuple(e)] = _qi(a, b, den)
+    return terms
 
 
 def _cf(dim, cutoff, terms, exact_to):
