@@ -612,7 +612,8 @@ def _render_mono_addends(cf, gens):
         return [core]
     core = gen_parts[0] if len(gen_parts) == 1 else \
         ":%s:" % " ".join(gen_parts)
-    return [core if s == "1" else "%s * %s" % (s, core)
+    return [core if s == "1" else "-" + core if s == "-1"
+            else "%s * %s" % (s, core)
             for s in _scalar_addends(cf.constant_term())]
 
 
