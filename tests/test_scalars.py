@@ -302,7 +302,7 @@ def _x(dim, cutoff, *terms):
 @given(compositions())
 # a zero substitute empties a term, yet the powers after it are still
 # taken, and one that leaves the cutoff lowers the marker to the cutoff:
-# x2^4 = x^8 leaves cutoff 7, though x1 = 0 in every term
+# x2^4 = x^8 leaves cutoff 7 though x1 = 0, and x1^4 though x2 = 0
 @example((_x(2, 7, ((4, 3), 1), ((1, 5), 2)),
           [CoeffFunction.zero(1, 7), _x(1, 7, ((2,), 1))]))
 @example((_x(2, 7, ((5, 1), 1)),
