@@ -136,8 +136,8 @@ def test_render_round_trip_with_imaginary_coefficients(alg):
     (QI(1, -1), "1 - i", "T B1 - i * T B1"),
     (QI(0, 1), "i", "i * T B1"),
     (QI(-1), "-1", "-T B1"),
-    (QI(-1, 1), "-1 + i", "-T B1 + i * T B1"),
-    (QI(0, -2), "-2 * i", "-2 * i * T B1")])
+    (QI(0, -2), "-2 * i", "-2 * i * T B1"),
+    (QI(-1, 1), "-1 + i", "-T B1 + i * T B1")])
 def test_a_scalar_renders_its_sign_in_one_form(alg, q, scalar, monomial):
     # -i prints as i does, with the sign in front
     for state, text in ((alg.one(), scalar), (alg.TB(1), monomial)):
